@@ -42,10 +42,8 @@ from .adversary import (
     attacker_utility,
     detection_bounds,
     gap_condition_sums,
-    genuine_rates,
     optimal_attack,
     oracle_attack,
-    overlap_weights,
     perturbation_estimate,
 )
 from .channels import KrausChannel, apply_channel, completeness_residual, realize_channel
@@ -88,10 +86,8 @@ __all__ = [
     "attacker_utility",
     "detection_bounds",
     "gap_condition_sums",
-    "genuine_rates",
     "optimal_attack",
     "oracle_attack",
-    "overlap_weights",
     "perturbation_estimate",
     "KrausChannel",
     "apply_channel",

@@ -80,7 +80,7 @@ def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: flo
 
 def _support_chart(rho1: DensityOperator, support_eps: float):
     """Eigenvalues > support_eps (descending) and their eigenvector columns."""
-    dec = spectral_decompose(rho1.matrix)
+    dec = spectral_decompose(rho1)
     keep = dec.eigenvalues > support_eps
     return dec.eigenvalues[keep], dec.eigenvectors[:, keep]
 
@@ -121,13 +121,6 @@ def optimal_attack(
         genuine_p_false=gpf,
         utility=utility,
     )
-
-
-def genuine_rates(pi1, solution: AttackerSolution) -> tuple[float, float]:
-    """Rates the detector actually experiences against the distorted pair."""
-    gpd = _checked_rate(trace_product(pi1, solution.rho1_prime.matrix))
-    gpf = _checked_rate(trace_product(pi1, solution.rho0_prime.matrix))
-    return gpd, gpf
 
 
 def detection_bounds(p_detect: float, lam: float) -> tuple[float, float]:
@@ -315,14 +308,6 @@ def oracle_attack(
 # perturbation diagnostics
 
 
-def overlap_weights(rho1: DensityOperator, pi1, support_eps: float = EIGEN_ZERO_TOL) -> np.ndarray:
-    """Diagonal weights beta_i = <phi_i| Pi1 |phi_i> in rho1's eigenbasis (descending)."""
-    pi_m = as_matrix(pi1)
-    dec = spectral_decompose(rho1.matrix)
-    v = dec.eigenvectors
-    return np.einsum("ji,jk,ki->i", v.conj(), pi_m, v).real.copy()
-
-
 def gap_condition_sums(rho1: DensityOperator, pi1) -> np.ndarray:
     """Per-level sums sum_{j != i} |<phi_i|Pi1|phi_j>| / |r_i - r_j|.
 
@@ -330,23 +315,16 @@ def gap_condition_sums(rho1: DensityOperator, pi1) -> np.ndarray:
     below one.  Degenerate pairs of eigenvalues produce ``inf`` entries.
     """
     pi_m = as_matrix(pi1)
-    dec = spectral_decompose(rho1.matrix)
+    dec = spectral_decompose(rho1)
     v = dec.eigenvectors
     r = dec.eigenvalues
     overlap = np.abs(v.conj().T @ pi_m @ v)
     gaps = np.abs(r[:, None] - r[None, :])
-    d = r.shape[0]
-    out = np.zeros(d)
-    for i in range(d):
-        acc = 0.0
-        for j in range(d):
-            if j == i:
-                continue
-            if gaps[i, j] == 0.0:
-                acc = math.inf
-                break
-            acc += overlap[i, j] / gaps[i, j]
-        out[i] = acc
+    off = ~np.eye(r.shape[0], dtype=bool)
+    degenerate = off & (gaps == 0.0)
+    terms = np.divide(overlap, gaps, out=np.zeros_like(gaps), where=off & ~degenerate)
+    out = terms.sum(axis=1)
+    out[degenerate.any(axis=1)] = math.inf
     return out
 
 
@@ -404,10 +382,7 @@ def perturbation_estimate(
     if lam <= 0:
         raise ValueError("distortion price lam must be positive")
     pi_m = as_matrix(pi1)
-    dec = spectral_decompose(pair.rho1.matrix)
-    keep = dec.eigenvalues > support_eps
-    r = dec.eigenvalues[keep]
-    v = dec.eigenvectors[:, keep]
+    r, v = _support_chart(pair.rho1, support_eps)
     n = r.shape[0]
     full_rank = n == pair.rho1.dim
 

@@ -68,7 +68,7 @@ def realize_channel(rho: DensityOperator, rho_target: DensityOperator) -> KrausC
     if rho.dim != rho_target.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {rho_target.dim}")
     d = rho_target.dim
-    dec = spectral_decompose(rho_target.matrix)
+    dec = spectral_decompose(rho_target)
     ops = []
     for i, p in enumerate(dec.eigenvalues):
         if p <= WEIGHT_DROP_TOL:

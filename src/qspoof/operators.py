@@ -11,7 +11,7 @@ sentinel when the support condition fails; no float overflow is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,16 +98,24 @@ class SpectralDecomposition:
         return hermitian_part((v * fn(self.eigenvalues)) @ v.conj().T)
 
 
-def spectral_decompose(a, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Degenerate eigenspaces come back with an arbitrary orthonormal basis,
-    which every downstream consumer must (and does) tolerate.
-    """
-    arr = require_hermitian(a, tol)
+def _eigh_descending(arr: np.ndarray) -> SpectralDecomposition:
     w, v = np.linalg.eigh(arr)
     order = np.argsort(w)[::-1]
     return SpectralDecomposition(_read_only(w[order]), _read_only(v[:, order]))
+
+
+def spectral_decompose(a, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
+
+    A ``DensityOperator`` hands back the spectrum it computed when it was
+    validated; anything else is checked for Hermiticity within ``tol`` and
+    decomposed.  Degenerate eigenspaces come back with an arbitrary
+    orthonormal basis, which every downstream consumer must (and does)
+    tolerate.
+    """
+    if isinstance(a, DensityOperator):
+        return a.spectrum
+    return _eigh_descending(require_hermitian(a, tol))
 
 
 def matrix_exp(a) -> np.ndarray:
@@ -185,8 +193,8 @@ def relative_entropy(nu1, nu0, eps: float = EIGEN_ZERO_TOL) -> float:
     m0 = as_matrix(nu0)
     if m1.shape != m0.shape:
         raise ValueError(f"dimension mismatch: {m1.shape} vs {m0.shape}")
-    dec1 = spectral_decompose(m1)
-    log0 = support_log(m0, eps)
+    dec1 = spectral_decompose(nu1)
+    log0 = support_log(nu0, eps)
     keep = dec1.eigenvalues > eps
     w = dec1.eigenvalues[keep]
     v = dec1.eigenvectors[:, keep]
@@ -205,22 +213,28 @@ class DensityOperator:
 
     Construction validates Hermiticity (tolerance ``HERMITIAN_TOL``), trace
     one (``TRACE_TOL``) and positivity (eigenvalues >= -``PSD_TOL``), then
-    stores the exactly symmetrized matrix read-only.
+    stores the exactly symmetrized matrix read-only.  The eigendecomposition
+    that the positivity check computes is kept as ``spectrum`` (descending,
+    read-only); ``spectral_decompose`` hands it to every later consumer
+    instead of decomposing the matrix again.
     """
 
     matrix: np.ndarray
+    spectrum: SpectralDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
         m = require_hermitian(self.matrix)
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density operator trace {tr!r} deviates from 1 by more than {TRACE_TOL:.1e}")
-        wmin = float(np.linalg.eigvalsh(m)[0])
+        spectrum = _eigh_descending(m)
+        wmin = float(spectrum.eigenvalues[-1])
         if wmin < -PSD_TOL:
             raise ValueError(
                 f"density operator is not PSD: smallest eigenvalue {wmin:.6e} < -{PSD_TOL:.1e}"
             )
         object.__setattr__(self, "matrix", _read_only(m))
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -246,4 +260,4 @@ class DensityOperator:
 
     def eigenvalues(self) -> np.ndarray:
         """Spectrum in descending order."""
-        return spectral_decompose(self.matrix).eigenvalues
+        return spectral_decompose(self).eigenvalues

@@ -9,9 +9,10 @@ and the target hypothesis mixes a reflected signal photon state into it,
     rho1 = (1 - x) rho0 + x |l><l|.
 
 Everything is diagonal in the number basis, so the scenario doubles as an
-analytically tractable commuting test bed.  Sweeps rebuild the pair and
-the risk-optimal projector per grid point and report both counterfactual
-and genuine (post-distortion) operating rates.
+analytically tractable commuting test bed.  Sweeps build the two states
+once per signal level, re-weight them and rebuild the risk-optimal
+projector per threshold, and report both counterfactual and genuine
+(post-distortion) operating rates.
 """
 
 from __future__ import annotations
@@ -52,24 +53,23 @@ class RadarParams:
         return RadarParams(self.n_b, self.x, self.k, l)
 
 
-def build_radar_pair(params: RadarParams, c0: float, c1: float) -> HypothesisPair:
-    """Number-basis hypothesis pair for the radar scenario.
-
-    Coinciding levels (k = 0, or l inside {0, k}) are handled by summing
-    the coefficients on the shared diagonal entry.
-    """
+def _radar_states(params: RadarParams) -> tuple[DensityOperator, DensityOperator]:
     d = params.dim
     p0 = np.zeros(d)
     p0[0] += 1.0 - params.n_b
     p0[params.k] += params.n_b
     p1 = (1.0 - params.x) * p0
     p1[params.l] += params.x
-    return HypothesisPair(
-        DensityOperator.from_diagonal(p0),
-        DensityOperator.from_diagonal(p1),
-        c0,
-        c1,
-    )
+    return DensityOperator.from_diagonal(p0), DensityOperator.from_diagonal(p1)
+
+
+def build_radar_pair(params: RadarParams, c0: float, c1: float) -> HypothesisPair:
+    """Number-basis hypothesis pair for the radar scenario.
+
+    Coinciding levels (k = 0, or l inside {0, k}) are handled by summing
+    the coefficients on the shared diagonal entry.
+    """
+    return HypothesisPair(*_radar_states(params), c0, c1)
 
 
 def mean_photon(rho) -> float:
@@ -111,7 +111,7 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
         raise ValueError("signal levels must be nonnegative")
     per_l = {}
     for l in sorted(set(ls)):
-        pair = build_radar_pair(base.with_l(l), *_priors_from_tau(tau))
+        pair = HypothesisPair.from_tau(*_radar_states(base.with_l(l)), tau)
         hel = helstrom_measurement(pair)
         nbar = mean_photon(pair.rho1)
         per_l[l] = (pair, hel, nbar)
@@ -156,10 +156,6 @@ class RocCurve:
             raise ValueError("thresholds must be strictly increasing along a curve")
 
 
-def _priors_from_tau(tau: float) -> tuple[float, float]:
-    return 1.0 / (1.0 + tau), tau / (1.0 + tau)
-
-
 def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     """Receiver operating characteristic curves over a threshold grid.
 
@@ -179,10 +175,11 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     if any(v <= 0 for v in lams):
         raise ValueError("distortion prices must be positive")
 
+    rho0, rho1 = _radar_states(params)
     base_points = []
     solved = []  # (pair, helstrom) per tau
     for tau in grid:
-        pair = build_radar_pair(params, *_priors_from_tau(float(tau)))
+        pair = HypothesisPair.from_tau(rho0, rho1, float(tau))
         hel = helstrom_measurement(pair)
         solved.append((pair, hel))
         base_points.append(

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import (
+    BOUND_TOL,
     OracleConvergenceError,
     attacker_utility,
     detection_bounds,
@@ -34,7 +35,6 @@ from .sampling import haar_unitary, near_commuting_pair, random_commuting_pair, 
 
 ORACLE_STATE_TOL = 1e-5
 ORACLE_UTILITY_TOL = 1e-6
-BOUND_TOL = 1e-9
 CHANNEL_TOL = 1e-10
 PERTURBATION_RESIDUAL_TOL = 1e-3
 PERTURBATION_SHRINK_FACTOR = 50.0

@@ -14,13 +14,12 @@ from qspoof import (
     attacker_utility,
     detection_bounds,
     gap_condition_sums,
-    genuine_rates,
     helstrom_measurement,
     optimal_attack,
     oracle_attack,
-    overlap_weights,
     perturbation_estimate,
     relative_entropy,
+    spectral_decompose,
 )
 from qspoof.adversary import _chart_value, _chart_value_grad
 from qspoof.sampling import (
@@ -197,11 +196,38 @@ def test_utility_infinite_outside_support():
     assert math.isinf(u)
 
 
-def test_genuine_rates_match_solution():
-    pair, res, sol = radar_attack(1.0)
-    pd, pf = genuine_rates(res.pi1, sol)
-    assert pd == sol.genuine_p_detect
-    assert pf == sol.genuine_p_false
+def _count_decompositions(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        inner = getattr(np.linalg, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+def test_attack_decomposes_exponent_and_result_only(monkeypatch, d):
+    # the spectra of rho1 and rho0 were computed when the pair was built;
+    # the attack adds the exponent's eigh and the validation of rho1'
+    rng = np.random.default_rng(d)
+    pair = random_pair(rng, d)
+    pi1 = helstrom_measurement(pair).pi1
+    calls = _count_decompositions(monkeypatch)
+    optimal_attack(pair, pi1, 0.7)
+    assert calls == {"eigh": 2, "eigvalsh": 0}
+
+
+def test_perturbation_estimate_decomposes_exponent_only(monkeypatch):
+    rng = np.random.default_rng(3)
+    pair = random_pair(rng, 6)
+    pi1 = helstrom_measurement(pair).pi1
+    calls = _count_decompositions(monkeypatch)
+    perturbation_estimate(pair, pi1, 10.0)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 # ---------------------------------------------------------------- bounds
@@ -368,7 +394,7 @@ def test_chart_gradient_matches_finite_differences():
 def test_overlap_weights_radar():
     pair = radar_pair()
     pi1 = ProjectorMeasurement(np.diag([0.0, 0.0, 1.0]))
-    beta = overlap_weights(pair.rho1, pi1)
+    beta = perturbation_estimate(pair, pi1, 1.0).beta
     assert np.allclose(beta, [1.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -377,7 +403,8 @@ def test_overlap_weights_sum_to_rank():
     for _ in range(5):
         rho = random_density(rng, 5, min_eigenvalue=1e-3)
         pi = random_projector(rng, 5)
-        beta = overlap_weights(rho, pi)
+        pair = HypothesisPair(rho0=DensityOperator.maximally_mixed(5), rho1=rho, c0=0.5, c1=0.5)
+        beta = perturbation_estimate(pair, pi, 1.0).beta
         assert abs(beta.sum() - pi.rank) <= 1e-10
         assert np.all(beta >= -1e-12) and np.all(beta <= 1 + 1e-12)
 
@@ -389,6 +416,49 @@ def test_gap_condition_sums_handmade():
     pi1 = ProjectorMeasurement(np.full((2, 2), 0.5))
     sums = gap_condition_sums(rho1, pi1)
     assert np.allclose(sums, [1.25, 1.25], atol=1e-12)
+
+
+def _gap_condition_sums_loop(rho1, pi1):
+    """Reference: the per-entry double loop, with ``inf`` on a zero gap."""
+    dec = spectral_decompose(rho1.matrix)
+    v, r = dec.eigenvectors, dec.eigenvalues
+    overlap = np.abs(v.conj().T @ np.asarray(pi1.matrix) @ v)
+    d = r.shape[0]
+    out = np.zeros(d)
+    for i in range(d):
+        acc = 0.0
+        for j in range(d):
+            if j == i:
+                continue
+            gap = abs(r[i] - r[j])
+            if gap == 0.0:
+                acc = math.inf
+                break
+            acc += overlap[i, j] / gap
+        out[i] = acc
+    return out
+
+
+def test_gap_condition_sums_match_loop_reference():
+    rng = np.random.default_rng(41)
+    eps = np.finfo(np.float64).eps
+    for d in (2, 3, 5, 8, 13):
+        for _ in range(4):
+            rho = random_density(rng, d, min_eigenvalue=1e-3)
+            pi = random_projector(rng, d)
+            got = gap_condition_sums(rho, pi)
+            want = _gap_condition_sums_loop(rho, pi)
+            # d summands, each off by a few ulps of the largest term
+            assert np.all(np.abs(got - want) <= 4 * d * eps * np.maximum(1.0, np.abs(want)))
+
+
+def test_gap_condition_sums_inf_on_zero_gap():
+    rho1 = DensityOperator.from_diagonal([0.4, 0.4, 0.2])
+    pi1 = ProjectorMeasurement(np.full((3, 3), 1.0 / 3.0))
+    got = gap_condition_sums(rho1, pi1)
+    want = _gap_condition_sums_loop(rho1, pi1)
+    assert list(np.isinf(got)) == list(np.isinf(want)) == [True, True, False]
+    assert abs(got[2] - want[2]) <= 1e-15 * want[2]
 
 
 def test_gap_condition_sums_commuting_are_zero():

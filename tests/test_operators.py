@@ -287,3 +287,28 @@ def test_density_operator_symmetrizes_roundoff():
     m[0, 1] = 1e-13j  # sub-tolerance asymmetry from arithmetic
     rho = DensityOperator(m)
     assert np.allclose(rho.matrix, rho.matrix.conj().T)
+
+
+def test_density_operator_keeps_its_spectrum():
+    rho = random_state(np.random.default_rng(11), 5)
+    fresh = spectral_decompose(rho.matrix)
+    assert spectral_decompose(rho) is rho.spectrum
+    assert np.array_equal(rho.spectrum.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(rho.spectrum.eigenvectors, fresh.eigenvectors)
+    with pytest.raises(ValueError):
+        rho.spectrum.eigenvalues[0] = 2.0
+    with pytest.raises(ValueError):
+        rho.spectrum.eigenvectors[0, 0] = 2.0
+
+
+def test_relative_entropy_reads_stored_spectra(monkeypatch):
+    rng = np.random.default_rng(12)
+    a, b = random_state(rng, 4), random_state(rng, 4)
+    want = relative_entropy(a.matrix, b.matrix)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("state spectrum recomputed")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert relative_entropy(a, b) == want
