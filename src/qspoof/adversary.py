@@ -395,7 +395,7 @@ def perturbation_estimate(
             cluster[i + 1] = True
     simple = not bool(cluster.any())
 
-    beta = np.einsum("ji,jk,ki->i", v.conj(), pi_m, v).real.copy()
+    beta = np.einsum("ji,ji->i", v.conj(), pi_m @ v).real
     estimate = np.log(r) - beta / lam
 
     pi_s = hermitian_part(v.conj().T @ pi_m @ v)

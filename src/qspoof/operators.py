@@ -125,7 +125,11 @@ def matrix_exp(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SupportLog:
-    """ln(rho) restricted to the support, plus the support projector and rank."""
+    """ln(rho) restricted to the support, plus the support projector and rank.
+
+    Both arrays are read-only: a ``DensityOperator`` keeps its support log
+    per cutoff and hands the same object to every caller.
+    """
 
     matrix: np.ndarray
     projector: np.ndarray
@@ -134,6 +138,10 @@ class SupportLog:
 
 def support_log(rho, eps: float = EIGEN_ZERO_TOL) -> SupportLog:
     """Logarithm of a PSD operator on its support; zero on the kernel.
+
+    A ``DensityOperator`` computes its support log at most once per cutoff
+    ``eps``, from its stored spectrum, and keeps it for its own lifetime;
+    anything else is decomposed on every call.
 
     Parameters
     ----------
@@ -149,7 +157,15 @@ def support_log(rho, eps: float = EIGEN_ZERO_TOL) -> SupportLog:
         ``matrix`` is sum_j ln(w_j) |v_j><v_j| over eigenvalues w_j > eps,
         ``projector`` the corresponding support projector, ``rank`` its rank.
     """
-    dec = spectral_decompose(rho)
+    if not isinstance(rho, DensityOperator):
+        return _support_log(spectral_decompose(rho), eps)
+    log = rho._support_logs.get(eps)
+    if log is None:
+        log = rho._support_logs[eps] = _support_log(rho.spectrum, eps)
+    return log
+
+
+def _support_log(dec: SpectralDecomposition, eps: float) -> SupportLog:
     radius = float(np.abs(dec.eigenvalues).max(initial=0.0))
     if dec.eigenvalues[-1] < -PSD_TOL * max(1.0, radius):
         raise ValueError(
@@ -199,7 +215,7 @@ def relative_entropy(nu1, nu0, eps: float = EIGEN_ZERO_TOL) -> float:
     w = dec1.eigenvalues[keep]
     v = dec1.eigenvectors[:, keep]
     # support condition: each retained eigenvector of nu1 must lie in supp(nu0)
-    leak = 1.0 - np.einsum("ij,jk,ki->i", v.conj().T, log0.projector, v).real
+    leak = 1.0 - np.einsum("ji,ji->i", v.conj(), log0.projector @ v).real
     if np.any(leak > SUPPORT_LEAK_TOL):
         return math.inf
     ent1 = float(np.dot(w, np.log(w)))
@@ -216,11 +232,14 @@ class DensityOperator:
     stores the exactly symmetrized matrix read-only.  The eigendecomposition
     that the positivity check computes is kept as ``spectrum`` (descending,
     read-only); ``spectral_decompose`` hands it to every later consumer
-    instead of decomposing the matrix again.
+    instead of decomposing the matrix again.  ``support_log`` likewise
+    builds the state's support log (``ln rho`` on the support, projector,
+    rank) lazily, once per cutoff, and keeps it with the state.
     """
 
     matrix: np.ndarray
     spectrum: SpectralDecomposition = field(init=False, repr=False)
+    _support_logs: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         m = require_hermitian(self.matrix)

@@ -34,6 +34,7 @@ from qspoof import (
     roc_sweep,
     sample_outcomes,
 )
+from qspoof.adversary import BOUND_TOL
 from qspoof.sampling import (
     haar_unitary,
     near_commuting_pair,
@@ -51,7 +52,6 @@ POINT_BUDGET_S = 0.1
 ORACLE_STATE_TOL = 1e-5
 ORACLE_UTILITY_TOL = 1e-6
 ORACLE_BUDGET_S = 60.0
-BOUND_TOL = 1e-9
 ROC_BUDGET_S = 5.0
 CHANNEL_TOL = 1e-10
 PERTURBATION_TOL = 1e-3

@@ -21,6 +21,7 @@ from qspoof import (
     relative_entropy,
     spectral_decompose,
 )
+from qspoof import operators
 from qspoof.adversary import _chart_value, _chart_value_grad
 from qspoof.sampling import (
     near_commuting_pair,
@@ -228,6 +229,46 @@ def test_perturbation_estimate_decomposes_exponent_only(monkeypatch):
     calls = _count_decompositions(monkeypatch)
     perturbation_estimate(pair, pi1, 10.0)
     assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_attack_prices_share_the_support_logs(monkeypatch):
+    # ln rho1 and ln rho0 (with their support projectors) belong to the
+    # states, so a sweep over prices builds each once
+    rng = np.random.default_rng(4)
+    pair = random_pair(rng, 6)
+    pi1 = helstrom_measurement(pair).pi1
+    built = []
+    inner = operators._support_log
+
+    def counted(dec, eps):
+        built.append(dec)
+        return inner(dec, eps)
+
+    monkeypatch.setattr(operators, "_support_log", counted)
+    for lam in (0.01, 0.3, 1.0, 20.0, 1e4):
+        optimal_attack(pair, pi1, lam)
+    assert sorted(map(id, built)) == sorted([id(pair.rho1.spectrum), id(pair.rho0.spectrum)])
+
+
+def test_support_checks_stay_in_blas(monkeypatch):
+    # a three-operand einsum is an unoptimized O(d^3) loop outside BLAS
+    rng = np.random.default_rng(5)
+    pair = random_pair(rng, 8)
+    pi1 = helstrom_measurement(pair).pi1
+    sol = optimal_attack(pair, pi1, 0.5)
+    subscripts = []
+    inner = np.einsum
+
+    def spy(spec, *operands, **kwargs):
+        subscripts.append((spec, len(operands)))
+        return inner(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    relative_entropy(sol.rho1_prime, pair.rho1)
+    optimal_attack(pair, pi1, 2.0)
+    perturbation_estimate(pair, pi1, 2.0)
+    assert subscripts
+    assert [s for s in subscripts if s[1] > 2] == []
 
 
 # ---------------------------------------------------------------- bounds

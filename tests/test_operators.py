@@ -156,6 +156,27 @@ def test_support_log_rejects_negative():
         support_log(np.diag([1.0, -0.5]))
 
 
+def test_density_operator_keeps_its_support_log():
+    rho = random_state(np.random.default_rng(13), 4)
+    log = support_log(rho)
+    assert support_log(rho) is log
+    fresh = support_log(rho.matrix)
+    assert fresh is not support_log(rho.matrix)
+    assert np.allclose(log.matrix, fresh.matrix, atol=1e-12)
+    with pytest.raises(ValueError):
+        log.matrix[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        log.projector[0, 0] = 0.0
+
+
+def test_support_log_kept_per_cutoff():
+    rho = DensityOperator.from_diagonal([1.0 - 1e-10, 1e-10])
+    wide, narrow = support_log(rho, 1e-12), support_log(rho, 1e-9)
+    assert (wide.rank, narrow.rank) == (2, 1)
+    assert support_log(rho, 1e-12) is wide
+    assert support_log(rho, 1e-9) is narrow
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=6))
 def test_exp_log_roundtrip_property(seed, dim):
@@ -190,6 +211,18 @@ def test_relative_entropy_partial_support_violation():
     nu1 = DensityOperator(np.diag([0.5, 0.5]))
     nu0 = DensityOperator(np.diag([1.0, 0.0]))
     assert math.isinf(relative_entropy(nu1, nu0))
+
+
+@pytest.mark.parametrize("leak,finite", [(2e-9, False), (5e-10, True)])
+def test_relative_entropy_support_leak_gate(leak, finite):
+    # nu1 = |psi><psi| with psi = cos t|0> + sin t|1> puts sin^2 t outside supp(nu0)
+    nu0 = DensityOperator.from_diagonal([1.0, 0.0])
+    nu1 = DensityOperator.pure([math.sqrt(1.0 - leak), math.sqrt(leak)])
+    got = relative_entropy(nu1, nu0)
+    if finite:
+        assert abs(got) <= ENTROPY_TOL
+    else:
+        assert got == math.inf
 
 
 @settings(max_examples=30, deadline=None)
