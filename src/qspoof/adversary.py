@@ -395,10 +395,11 @@ def perturbation_estimate(
             cluster[i + 1] = True
     simple = not bool(cluster.any())
 
-    beta = np.einsum("ji,ji->i", v.conj(), pi_m @ v).real
+    pi_v = pi_m @ v
+    beta = np.einsum("ji,ji->i", v.conj(), pi_v).real
     estimate = np.log(r) - beta / lam
 
-    pi_s = hermitian_part(v.conj().T @ pi_m @ v)
+    pi_s = hermitian_part(v.conj().T @ pi_v)
     exponent = hermitian_part(np.diag(np.log(r).astype(np.complex128)) - pi_s / lam)
     w, u = np.linalg.eigh(exponent)
     # overlap of each exact eigenvector (columns of u, support basis) with e_i

@@ -19,10 +19,10 @@ import sys
 
 from . import __version__
 from .adversary import BoundReport, optimal_attack
-from .config import ConfigError, ScenarioConfig, load_config
-from .detection import helstrom_measurement
+from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
+from .detection import HypothesisPair, helstrom_measurement
 from .radar import photon_sweep, roc_sweep
-from .serialize import json_text, matrix_to_literal, photon_csv, roc_csv, sig12
+from .serialize import csv_text, json_text, matrix_to_literal, photon_csv, roc_csv, sig12
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -64,30 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    from dataclasses import replace
-
-    updates = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed", "must be nonnegative")
-        updates["seed"] = args.seed
-    if args.lambdas:
-        for v in args.lambdas:
-            if v <= 0:
-                raise ConfigError("--lambda", f"distortion price must be positive, got {v!r}")
-        updates["lambdas"] = tuple(args.lambdas)
-    if args.tau is not None:
-        if args.tau <= 0:
-            raise ConfigError("--tau", f"threshold must be positive, got {args.tau!r}")
-        updates["tau"] = args.tau
-    if args.out is not None:
-        updates["out_path"] = args.out
-    if args.format is not None:
-        updates["out_format"] = args.format
-    return replace(cfg, **updates) if updates else cfg
-
-
 def _resolve_out(path: str | None) -> str | None:
     if path is None:
         return None
@@ -109,8 +85,6 @@ def _emit(text: str, path: str | None) -> None:
 def _scenario_pair(cfg: ScenarioConfig):
     pair = cfg.build_pair()
     if cfg.tau is not None:
-        from .detection import HypothesisPair
-
         pair = HypothesisPair.from_tau(pair.rho0, pair.rho1, cfg.tau)
     return pair
 
@@ -130,8 +104,6 @@ def cmd_detect(cfg: ScenarioConfig) -> int:
         }
         _emit(json_text(payload), cfg.out_path)
     else:
-        from .serialize import csv_text
-
         header = ["tau", "rank", "p_detect", "p_false", "bayes_risk"]
         row = [sig12(pair.tau), str(hel.pi1.rank), sig12(hel.p_detect), sig12(hel.p_false), sig12(hel.bayes_risk)]
         _emit(csv_text(header, [row]), cfg.out_path)
@@ -173,8 +145,6 @@ def cmd_attack(cfg: ScenarioConfig) -> int:
         }
         _emit(json_text(payload), cfg.out_path)
     else:
-        from .serialize import csv_text
-
         header = [
             "lambda",
             "z1",
@@ -207,7 +177,7 @@ def cmd_attack(cfg: ScenarioConfig) -> int:
 def cmd_roc(cfg: ScenarioConfig) -> int:
     if cfg.radar is None:
         raise ConfigError("radar", "roc sweeps need a radar scenario block")
-    curves = roc_sweep(cfg.radar, cfg.lambdas, cfg.effective_tau_grid())
+    curves = roc_sweep(cfg.radar, cfg.lambdas, cfg.tau_grid)
     if (cfg.out_format or "csv") == "csv":
         _emit(roc_csv(curves), cfg.out_path)
     else:
@@ -268,7 +238,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = ScenarioConfig(radar=None, explicit=None)
-        cfg = _apply_overrides(cfg, args)
+        cfg = apply_overrides(cfg, args)
         handler = {
             "detect": cmd_detect,
             "attack": cmd_attack,
@@ -277,10 +247,7 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

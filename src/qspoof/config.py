@@ -3,19 +3,22 @@
 A scenario names its hypothesis pair either explicitly (matrix literals
 plus cost weights) or through radar parameters.  Grids, seeds and output
 destinations have defaults; physics parameters never default silently.
-Validation errors always name the offending field.
+
+Each rule for input from outside the program is written here once: one
+walk per block (:func:`_fields`) and one parser per kind of value, which
+the ``--seed``, ``--lambda`` and ``--tau`` flags share
+(:func:`apply_overrides`).  Every rejection names its field or flag.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .detection import HypothesisPair
+from .detection import HypothesisPair, check_cost_weights
 from .operators import DensityOperator
-from .radar import RadarParams, default_tau_grid
+from .radar import RadarParams, build_radar_pair
 from .serialize import matrix_from_literal, matrix_to_literal
 
 
@@ -68,8 +71,6 @@ class ScenarioConfig:
     def build_pair(self) -> HypothesisPair:
         if self.explicit is not None:
             return self.explicit
-        from .radar import build_radar_pair
-
         return build_radar_pair(self.radar, self.c0, self.c1)
 
     def effective_tau(self) -> float:
@@ -77,11 +78,6 @@ class ScenarioConfig:
         if self.tau is not None:
             return self.tau
         return self.build_pair().tau
-
-    def effective_tau_grid(self) -> np.ndarray:
-        if self.tau_grid is not None:
-            return np.asarray(self.tau_grid, dtype=float)
-        return default_tau_grid()
 
     def effective_l_values(self) -> tuple:
         if self.l_values is not None:
@@ -131,16 +127,39 @@ class ScenarioConfig:
         return out
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ConfigError(f"{where}.{key}", "missing required field")
-    return obj[key]
+def _fields(obj, where: str, parsers: dict, required=()) -> dict:
+    """Parse an object with no unknown or missing field, each value through its parser."""
+    if not isinstance(obj, dict):
+        raise ConfigError(where, "must be an object")
+    for key in obj:
+        if key not in parsers:
+            raise ConfigError(f"{where}.{key}", "unknown field")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}.{key}", "missing required field")
+    return {key: parse(obj[key], f"{where}.{key}") for key, parse in parsers.items() if key in obj}
 
 
 def _real(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(where, f"expected a number, got {value!r}")
+    # abs(value) <= max also rejects NaN, the infinities and integers beyond float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def _positive(value, where: str, what: str) -> float:
+    x = _real(value, where)
+    if x <= 0:
+        raise ConfigError(where, f"{what} must be positive, got {x!r}")
+    return x
+
+
+def _price(value, where: str) -> float:
+    return _positive(value, where, "distortion price")
+
+
+def _threshold(value, where: str) -> float:
+    return _positive(value, where, "threshold")
 
 
 def _nonneg_int(value, where: str) -> int:
@@ -149,194 +168,147 @@ def _nonneg_int(value, where: str) -> int:
     return value
 
 
-def _priors(obj: dict, where: str) -> tuple[float, float]:
-    c0 = _real(_require(obj, "c0", where), f"{where}.c0")
-    c1 = _real(_require(obj, "c1", where), f"{where}.c1")
-    if c0 < 0 or c1 < 0:
-        raise ConfigError(f"{where}.c0", "cost weights must be nonnegative")
-    if abs(c0 + c1 - 1.0) > 1e-12:
-        raise ConfigError(f"{where}.c0", f"cost weights must sum to 1, got {c0 + c1!r}")
-    if c0 == 0:
-        raise ConfigError(f"{where}.c0", "must be positive so the threshold c1/c0 is finite")
-    return c0, c1
+def _list(value, where: str, item) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(where, "expected a nonempty list")
+    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _prices(value, where: str) -> tuple:
+    return _list(value, where, _price)
+
+
+def _tau_grid(value, where: str) -> tuple:
+    grid = _list(value, where, _threshold)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(where, "thresholds must be strictly increasing")
+    return grid
+
+
+def _l_values(value, where: str) -> tuple:
+    return _list(value, where, _nonneg_int)
+
+
+def _max_dim(value, where: str) -> int:
+    if _nonneg_int(value, where) < 2:
+        raise ConfigError(where, "must be at least 2")
+    return value
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(where, "expected true or false")
+    return value
+
+
+def _path(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(where, "expected a nonempty string")
+    return value
+
+
+def _format(value, where: str) -> str:
+    if value not in ("csv", "json"):
+        raise ConfigError(where, f"expected 'csv' or 'json', got {value!r}")
+    return value
+
+
+def _state(value, where: str) -> DensityOperator:
+    try:
+        return DensityOperator(matrix_from_literal(value, where))
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
+
+
+def _check_cost_weights(c0: float, c1: float, where: str) -> None:
+    try:
+        check_cost_weights(c0, c1)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.c0", str(exc)) from exc
+
+
+# Each block's parser per field, in the order the fields are checked.  Field
+# names are the keywords they fill: HypothesisPair, RadarParams, the sweep
+# fields of ScenarioConfig and VerifyOptions.
+_EXPLICIT = {"c0": _real, "c1": _real, "rho0": _state, "rho1": _state}
+_RADAR = {"c0": _real, "c1": _real, "n_b": _real, "x": _real, "k": _nonneg_int, "l": _nonneg_int}
+_ATTACK = {"lambdas": _prices}
+_SWEEP = {"tau": _threshold, "tau_grid": _tau_grid, "l_values": _l_values}
+_OUTPUT = {"path": _path, "format": _format}
+_VERIFY = {
+    "instances": _nonneg_int,
+    "max_dim": _max_dim,
+    "lambdas": _prices,
+    "commuting_only": _flag,
+    "channel_instances": _nonneg_int,
+}
+_ROOT = {"explicit", "radar", "attack", "sweep", "output", "seed", "verify"}
 
 
 def parse_config(obj: dict) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
-    known = {"explicit", "radar", "attack", "sweep", "output", "seed", "verify"}
     for key in obj:
-        if key not in known:
+        if key not in _ROOT:
             raise ConfigError(key, "unknown field")
-
-    has_explicit = "explicit" in obj
-    has_radar = "radar" in obj
-    if has_explicit == has_radar:
+    if ("explicit" in obj) == ("radar" in obj):
         raise ConfigError("explicit|radar", "exactly one scenario block is required")
 
     explicit = None
     radar = None
-    if has_explicit:
-        block = obj["explicit"]
-        if not isinstance(block, dict):
-            raise ConfigError("explicit", "must be an object")
-        for key in block:
-            if key not in {"rho0", "rho1", "c0", "c1"}:
-                raise ConfigError(f"explicit.{key}", "unknown field")
-        c0, c1 = _priors(block, "explicit")
+    if "explicit" in obj:
+        fields = _fields(obj["explicit"], "explicit", _EXPLICIT, required=_EXPLICIT)
+        c0, c1 = fields["c0"], fields["c1"]
+        _check_cost_weights(c0, c1, "explicit")
         try:
-            rho0 = DensityOperator(matrix_from_literal(_require(block, "rho0", "explicit"), "explicit.rho0"))
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError("explicit.rho0", str(exc)) from exc
-        try:
-            rho1 = DensityOperator(matrix_from_literal(_require(block, "rho1", "explicit"), "explicit.rho1"))
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError("explicit.rho1", str(exc)) from exc
-        try:
-            explicit = HypothesisPair(rho0, rho1, c0, c1)
+            explicit = HypothesisPair(**fields)
         except ValueError as exc:
             raise ConfigError("explicit", str(exc)) from exc
     else:
-        block = obj["radar"]
-        if not isinstance(block, dict):
-            raise ConfigError("radar", "must be an object")
-        for key in block:
-            if key not in {"n_b", "x", "k", "l", "c0", "c1"}:
-                raise ConfigError(f"radar.{key}", "unknown field")
-        c0, c1 = _priors(block, "radar")
+        fields = _fields(obj["radar"], "radar", _RADAR, required=_RADAR)
+        c0, c1 = fields.pop("c0"), fields.pop("c1")
+        _check_cost_weights(c0, c1, "radar")
         try:
-            radar = RadarParams(
-                n_b=_real(_require(block, "n_b", "radar"), "radar.n_b"),
-                x=_real(_require(block, "x", "radar"), "radar.x"),
-                k=_nonneg_int(_require(block, "k", "radar"), "radar.k"),
-                l=_nonneg_int(_require(block, "l", "radar"), "radar.l"),
-            )
-        except ConfigError:
-            raise
+            radar = RadarParams(**fields)
         except ValueError as exc:
             raise ConfigError("radar", str(exc)) from exc
 
     lambdas: tuple = ()
     if "attack" in obj:
-        block = obj["attack"]
-        if not isinstance(block, dict):
-            raise ConfigError("attack", "must be an object")
-        raw = _require(block, "lambdas", "attack")
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("attack.lambdas", "expected a nonempty list of positive numbers")
-        vals = []
-        for i, v in enumerate(raw):
-            val = _real(v, f"attack.lambdas[{i}]")
-            if val <= 0:
-                raise ConfigError(f"attack.lambdas[{i}]", f"distortion price must be positive, got {val!r}")
-            vals.append(val)
-        lambdas = tuple(vals)
-
-    tau = None
-    tau_grid = None
-    l_values = None
-    if "sweep" in obj:
-        block = obj["sweep"]
-        if not isinstance(block, dict):
-            raise ConfigError("sweep", "must be an object")
-        for key in block:
-            if key not in {"tau", "tau_grid", "l_values"}:
-                raise ConfigError(f"sweep.{key}", "unknown field")
-        if "tau" in block:
-            tau = _real(block["tau"], "sweep.tau")
-            if tau <= 0:
-                raise ConfigError("sweep.tau", f"threshold must be positive, got {tau!r}")
-        if "tau_grid" in block:
-            raw = block["tau_grid"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError("sweep.tau_grid", "expected a nonempty list")
-            grid = [_real(v, f"sweep.tau_grid[{i}]") for i, v in enumerate(raw)]
-            if any(v <= 0 for v in grid):
-                raise ConfigError("sweep.tau_grid", "thresholds must be positive")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError("sweep.tau_grid", "thresholds must be strictly increasing")
-            tau_grid = tuple(grid)
-        if "l_values" in block:
-            raw = block["l_values"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError("sweep.l_values", "expected a nonempty list")
-            l_values = tuple(_nonneg_int(v, f"sweep.l_values[{i}]") for i, v in enumerate(raw))
-
-    out_path = None
-    out_format = None
-    if "output" in obj:
-        block = obj["output"]
-        if not isinstance(block, dict):
-            raise ConfigError("output", "must be an object")
-        for key in block:
-            if key not in {"path", "format"}:
-                raise ConfigError(f"output.{key}", "unknown field")
-        if "path" in block:
-            if not isinstance(block["path"], str) or not block["path"]:
-                raise ConfigError("output.path", "expected a nonempty string")
-            out_path = block["path"]
-        if "format" in block:
-            if block["format"] not in ("csv", "json"):
-                raise ConfigError("output.format", f"expected 'csv' or 'json', got {block['format']!r}")
-            out_format = block["format"]
-
-    seed = 0
-    if "seed" in obj:
-        seed = _nonneg_int(obj["seed"], "seed")
-
-    verify = VerifyOptions()
-    if "verify" in obj:
-        block = obj["verify"]
-        if not isinstance(block, dict):
-            raise ConfigError("verify", "must be an object")
-        for key in block:
-            if key not in {"instances", "max_dim", "lambdas", "commuting_only", "channel_instances"}:
-                raise ConfigError(f"verify.{key}", "unknown field")
-        kwargs = {}
-        if "instances" in block:
-            kwargs["instances"] = _nonneg_int(block["instances"], "verify.instances")
-        if "max_dim" in block:
-            md = _nonneg_int(block["max_dim"], "verify.max_dim")
-            if md < 2:
-                raise ConfigError("verify.max_dim", "must be at least 2")
-            kwargs["max_dim"] = md
-        if "lambdas" in block:
-            raw = block["lambdas"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError("verify.lambdas", "expected a nonempty list of positive numbers")
-            vals = []
-            for i, v in enumerate(raw):
-                val = _real(v, f"verify.lambdas[{i}]")
-                if val <= 0:
-                    raise ConfigError(f"verify.lambdas[{i}]", "distortion price must be positive")
-                vals.append(val)
-            kwargs["lambdas"] = tuple(vals)
-        if "commuting_only" in block:
-            if not isinstance(block["commuting_only"], bool):
-                raise ConfigError("verify.commuting_only", "expected true or false")
-            kwargs["commuting_only"] = block["commuting_only"]
-        if "channel_instances" in block:
-            kwargs["channel_instances"] = _nonneg_int(block["channel_instances"], "verify.channel_instances")
-        verify = VerifyOptions(**kwargs)
+        lambdas = _fields(obj["attack"], "attack", _ATTACK, required=_ATTACK)["lambdas"]
+    sweep = _fields(obj.get("sweep", {}), "sweep", _SWEEP)
+    output = _fields(obj.get("output", {}), "output", _OUTPUT)
+    seed = _nonneg_int(obj["seed"], "seed") if "seed" in obj else 0
+    verify = VerifyOptions(**_fields(obj.get("verify", {}), "verify", _VERIFY))
 
     return ScenarioConfig(
         explicit=explicit,
         radar=radar,
-        c0=explicit.c0 if explicit is not None else c0,
-        c1=explicit.c1 if explicit is not None else c1,
+        c0=c0,
+        c1=c1,
         lambdas=lambdas,
-        tau=tau,
-        tau_grid=tau_grid,
-        l_values=l_values,
-        out_path=out_path,
-        out_format=out_format,
+        **sweep,
+        out_path=output.get("path"),
+        out_format=output.get("format"),
         seed=seed,
         verify=verify,
     )
+
+
+def apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
+    """Override config fields with the parsed command line's flags, under the fields' rules."""
+    updates = {}
+    if args.seed is not None:
+        updates["seed"] = _nonneg_int(args.seed, "--seed")
+    if args.lambdas:
+        updates["lambdas"] = tuple(_price(v, "--lambda") for v in args.lambdas)
+    if args.tau is not None:
+        updates["tau"] = _threshold(args.tau, "--tau")
+    if args.out is not None:
+        updates["out_path"] = args.out
+    if args.format is not None:
+        updates["out_format"] = args.format
+    return replace(cfg, **updates) if updates else cfg
 
 
 def load_config(path: str) -> ScenarioConfig:

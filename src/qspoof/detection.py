@@ -69,6 +69,16 @@ class ProjectorMeasurement:
         return cls(hermitian_part(v @ v.conj().T), v.shape[1])
 
 
+def check_cost_weights(c0: float, c1: float) -> None:
+    """Raise ValueError unless the weights obey the rule stated on :class:`HypothesisPair`."""
+    if c0 < 0 or c1 < 0:
+        raise ValueError("cost weights must be nonnegative")
+    if abs(c0 + c1 - 1.0) > PRIOR_SUM_TOL:
+        raise ValueError(f"cost weights must sum to 1, got {c0 + c1!r}")
+    if c0 == 0:
+        raise ValueError("c0 must be positive so the threshold c1/c0 is finite")
+
+
 @dataclass(frozen=True, eq=False)
 class HypothesisPair:
     """The two candidate states with their Bayes cost weights.
@@ -85,12 +95,7 @@ class HypothesisPair:
     def __post_init__(self):
         if self.rho0.dim != self.rho1.dim:
             raise ValueError(f"dimension mismatch: {self.rho0.dim} vs {self.rho1.dim}")
-        if self.c0 < 0 or self.c1 < 0:
-            raise ValueError("cost weights must be nonnegative")
-        if abs(self.c0 + self.c1 - 1.0) > PRIOR_SUM_TOL:
-            raise ValueError(f"cost weights must sum to 1, got {self.c0 + self.c1!r}")
-        if self.c0 == 0:
-            raise ValueError("c0 must be positive so the threshold c1/c0 is finite")
+        check_cost_weights(self.c0, self.c1)
 
     @property
     def dim(self) -> int:

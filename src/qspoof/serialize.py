@@ -14,10 +14,6 @@ import math
 
 import numpy as np
 
-from .channels import KrausChannel
-from .detection import HypothesisPair
-from .operators import DensityOperator
-
 
 def entry_from_literal(obj, where: str) -> complex:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
@@ -52,38 +48,6 @@ def matrix_to_literal(m) -> list:
     if np.all(arr.imag == 0.0):
         return [[float(x.real) for x in row] for row in arr]
     return [[[float(x.real), float(x.imag)] for x in row] for row in arr]
-
-
-def pair_to_dict(pair: HypothesisPair) -> dict:
-    return {
-        "rho0": matrix_to_literal(pair.rho0.matrix),
-        "rho1": matrix_to_literal(pair.rho1.matrix),
-        "c0": pair.c0,
-        "c1": pair.c1,
-    }
-
-
-def pair_from_dict(obj: dict, where: str = "pair") -> HypothesisPair:
-    for key in ("rho0", "rho1", "c0", "c1"):
-        if key not in obj:
-            raise ValueError(f"{where}.{key}: missing required field")
-    rho0 = DensityOperator(matrix_from_literal(obj["rho0"], f"{where}.rho0"))
-    rho1 = DensityOperator(matrix_from_literal(obj["rho1"], f"{where}.rho1"))
-    return HypothesisPair(rho0, rho1, float(obj["c0"]), float(obj["c1"]))
-
-
-def channel_to_dict(channel: KrausChannel) -> dict:
-    return {
-        "dim": channel.dim,
-        "operators": [matrix_to_literal(op) for op in channel.operators],
-    }
-
-
-def channel_from_dict(obj: dict, where: str = "channel") -> KrausChannel:
-    if "dim" not in obj or "operators" not in obj:
-        raise ValueError(f"{where}: needs 'dim' and 'operators'")
-    ops = [matrix_from_literal(op, f"{where}.operators[{i}]") for i, op in enumerate(obj["operators"])]
-    return KrausChannel(dim=int(obj["dim"]), operators=tuple(ops))
 
 
 def sig12(value: float) -> str:

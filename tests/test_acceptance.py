@@ -43,19 +43,21 @@ from qspoof.sampling import (
     random_pair,
     random_projector,
 )
+from qspoof.verify import (
+    CHANNEL_TOL,
+    ORACLE_STATE_TOL,
+    ORACLE_UTILITY_TOL,
+    PERTURBATION_RESIDUAL_TOL,
+    PERTURBATION_SHRINK_FACTOR,
+)
 
 RADAR = RadarParams(n_b=0.4, x=0.9, k=1, l=2)
 
 POINT_RATE_TOL = 1e-12
 POINT_STATE_TOL = 1e-5
 POINT_BUDGET_S = 0.1
-ORACLE_STATE_TOL = 1e-5
-ORACLE_UTILITY_TOL = 1e-6
 ORACLE_BUDGET_S = 60.0
 ROC_BUDGET_S = 5.0
-CHANNEL_TOL = 1e-10
-PERTURBATION_TOL = 1e-3
-PERTURBATION_SHRINK = 50.0
 COMMUTING_RESIDUAL_TOL = 1e-12
 RISK_SLACK = 1e-9
 
@@ -323,8 +325,8 @@ def test_criterion_07_perturbation_residuals(acceptance):
         commuting_residual = max(commuting_residual, rep.max_residual)
 
     ok = (
-        worst_residual <= PERTURBATION_TOL
-        and worst_shrink >= PERTURBATION_SHRINK
+        worst_residual <= PERTURBATION_RESIDUAL_TOL
+        and worst_shrink >= PERTURBATION_SHRINK_FACTOR
         and commuting_residual <= COMMUTING_RESIDUAL_TOL
     )
     line = verdict(

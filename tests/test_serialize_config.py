@@ -3,21 +3,16 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
-from qspoof import DensityOperator, HypothesisPair, KrausChannel, RadarParams
+from qspoof import RadarParams, cli
 from qspoof.config import ConfigError, load_config, parse_config
 from qspoof.serialize import (
-    channel_from_dict,
-    channel_to_dict,
     csv_text,
     entry_from_literal,
     json_text,
     matrix_from_literal,
     matrix_to_literal,
-    pair_from_dict,
-    pair_to_dict,
     photon_csv,
     roc_csv,
     sig12,
@@ -64,29 +59,6 @@ def test_matrix_literal_error_names_entry():
         matrix_from_literal([[1.0, 0.0], ["bad", 0.0]], "m")
     with pytest.raises(ValueError, match="row 0"):
         matrix_from_literal([[1.0], [0.0, 1.0]], "m")
-
-
-def test_pair_dict_roundtrip():
-    pair = HypothesisPair(
-        rho0=DensityOperator.from_diagonal([0.6, 0.4]),
-        rho1=DensityOperator.pure(np.array([1.0, 1.0]) / math.sqrt(2)),
-        c0=0.25,
-        c1=0.75,
-    )
-    back = pair_from_dict(pair_to_dict(pair))
-    assert np.allclose(back.rho0.matrix, pair.rho0.matrix, atol=1e-15)
-    assert np.allclose(back.rho1.matrix, pair.rho1.matrix, atol=1e-15)
-    assert (back.c0, back.c1) == (0.25, 0.75)
-
-
-def test_channel_dict_roundtrip():
-    ch = KrausChannel(
-        dim=2,
-        operators=(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])),
-    )
-    back = channel_from_dict(channel_to_dict(ch))
-    assert back.dim == 2
-    assert all(np.allclose(a, b) for a, b in zip(back.operators, ch.operators))
 
 
 # ---------------------------------------------------------------- rendering
@@ -273,3 +245,142 @@ def test_effective_l_values_default_window():
     assert values[0] == 0
     assert len(values) >= 6
     assert values == sorted(set(values))
+
+
+# ---------------------------------------------------------------- rejections
+
+DROP = object()
+
+
+def radar_block(**fields):
+    block = {"n_b": 0.4, "x": 0.9, "k": 1, "l": 2, "c0": 0.5, "c1": 0.5, **fields}
+    return {"radar": {k: v for k, v in block.items() if v is not DROP}}
+
+
+def explicit_block(**fields):
+    block = {"rho0": [[0.5, 0.0], [0.0, 0.5]], "rho1": [[1.0, 0.0], [0.0, 0.0]], "c0": 0.5, "c1": 0.5, **fields}
+    return {"explicit": {k: v for k, v in block.items() if v is not DROP}}
+
+
+def rejected(field, cfg, why):
+    return pytest.param(cfg, field, id=f"{field}-{why}")
+
+
+REJECTIONS = [
+    # root and scenario choice
+    rejected("<root>", [1.0], "not-an-object"),
+    rejected("surplus", radar_config(surplus=1), "unknown"),
+    rejected("explicit|radar", {}, "neither"),
+    rejected("explicit|radar", {**radar_block(), **explicit_block()}, "both"),
+    # each block: not an object, unknown key, missing key
+    rejected("explicit", {"explicit": [1.0]}, "not-an-object"),
+    rejected("radar", {"radar": 3}, "not-an-object"),
+    rejected("attack", radar_config(attack=[1.0]), "not-an-object"),
+    rejected("sweep", radar_config(sweep=None), "not-an-object"),
+    rejected("output", radar_config(output="out.csv"), "not-an-object"),
+    rejected("verify", radar_config(verify=1), "not-an-object"),
+    rejected("explicit.zz", explicit_block(zz=1), "unknown"),
+    rejected("radar.zz", radar_block(zz=1), "unknown"),
+    rejected("sweep.zz", radar_config(sweep={"zz": 1}), "unknown"),
+    rejected("output.zz", radar_config(output={"zz": 1}), "unknown"),
+    rejected("verify.zz", radar_config(verify={"zz": 1}), "unknown"),
+    *[rejected(f"explicit.{k}", explicit_block(**{k: DROP}), "missing") for k in ("rho0", "rho1", "c0", "c1")],
+    *[rejected(f"radar.{k}", radar_block(**{k: DROP}), "missing") for k in ("n_b", "x", "k", "l", "c0", "c1")],
+    rejected("attack.lambdas", radar_config(attack={}), "missing"),
+    # real numbers
+    rejected("radar.n_b", radar_block(n_b="0.4"), "string"),
+    rejected("radar.x", radar_block(x=True), "bool"),
+    rejected("explicit.c1", explicit_block(c1=None), "null"),
+    rejected("radar", radar_block(n_b=1.5), "out-of-range"),
+    # nonnegative integers
+    rejected("radar.k", radar_block(k=-1), "negative"),
+    rejected("radar.l", radar_block(l=1.5), "fractional"),
+    rejected("seed", radar_config(seed=True), "bool"),
+    rejected("seed", radar_config(seed=-1), "negative"),
+    rejected("verify.instances", radar_config(verify={"instances": -1}), "negative"),
+    rejected("verify.channel_instances", radar_config(verify={"channel_instances": "3"}), "string"),
+    rejected("verify.max_dim", radar_config(verify={"max_dim": 1}), "below-two"),
+    rejected("verify.max_dim", radar_config(verify={"max_dim": 2.5}), "fractional"),
+    # positive prices and thresholds
+    rejected("attack.lambdas[1]", radar_config(attack={"lambdas": [1.0, 0.0]}), "zero"),
+    rejected("attack.lambdas[0]", radar_config(attack={"lambdas": ["1"]}), "string"),
+    rejected("verify.lambdas[0]", radar_config(verify={"lambdas": [-2.0]}), "negative"),
+    rejected("sweep.tau", radar_config(sweep={"tau": 0}), "zero"),
+    rejected("sweep.tau", radar_config(sweep={"tau": "1"}), "string"),
+    rejected("sweep.tau_grid[0]", radar_config(sweep={"tau_grid": [-1.0]}), "negative"),
+    rejected("sweep.tau_grid", radar_config(sweep={"tau_grid": [2.0, 1.0]}), "decreasing"),
+    # lists
+    rejected("attack.lambdas", radar_config(attack={"lambdas": []}), "empty"),
+    rejected("attack.lambdas", radar_config(attack={"lambdas": 1.0}), "scalar"),
+    rejected("verify.lambdas", radar_config(verify={"lambdas": []}), "empty"),
+    rejected("sweep.tau_grid", radar_config(sweep={"tau_grid": []}), "empty"),
+    rejected("sweep.l_values", radar_config(sweep={"l_values": "0,1"}), "string"),
+    rejected("sweep.l_values[1]", radar_config(sweep={"l_values": [0, -1]}), "negative"),
+    # other values
+    rejected("verify.commuting_only", radar_config(verify={"commuting_only": 1}), "not-bool"),
+    rejected("output.path", radar_config(output={"path": ""}), "empty"),
+    rejected("output.path", radar_config(output={"path": 3}), "not-string"),
+    rejected("output.format", radar_config(output={"format": "xml"}), "unknown"),
+    # cost weights
+    rejected("radar.c0", radar_block(c0=-0.1, c1=1.1), "negative"),
+    rejected("radar.c0", radar_block(c0=0.5, c1=0.6), "sum"),
+    rejected("radar.c0", radar_block(c0=0.0, c1=1.0), "zero-c0"),
+    rejected("explicit.c0", explicit_block(c0=0.3, c1=0.3), "sum"),
+    rejected("explicit.c0", explicit_block(c0=0, c1=1), "zero-c0"),
+    # explicit matrices
+    rejected("explicit.rho0", explicit_block(rho0="diag"), "not-a-literal"),
+    rejected("explicit.rho0", explicit_block(rho0=[[1.0], [0.0, 1.0]]), "ragged"),
+    rejected("explicit.rho1", explicit_block(rho1=[[1.0, "x"], [0.0, 0.0]]), "bad-entry"),
+    rejected("explicit.rho0", explicit_block(rho0=[[1.5, 0.0], [0.0, -0.5]]), "not-psd"),
+    rejected("explicit.rho1", explicit_block(rho1=[[0.5, 0.4], [0.0, 0.5]]), "not-hermitian"),
+    rejected("explicit.rho1", explicit_block(rho1=[[0.5, 0.0], [0.0, 0.4]]), "trace"),
+    rejected("explicit", explicit_block(rho1=[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), "dimension"),
+    # accepted before numbers had to be finite and the attack block was walked like the others
+    rejected("attack.lambdas[0]", radar_config(attack={"lambdas": [math.nan]}), "nan"),
+    rejected("verify.lambdas[1]", radar_config(verify={"lambdas": [1.0, math.inf]}), "inf"),
+    rejected("sweep.tau", radar_config(sweep={"tau": math.nan}), "nan"),
+    rejected("sweep.tau_grid[1]", radar_config(sweep={"tau_grid": [1.0, math.inf]}), "inf"),
+    rejected("radar.c0", radar_block(c0=math.nan), "nan"),
+    rejected("attack.zz", radar_config(attack={"lambdas": [1.0], "zz": 1}), "unknown"),
+    # rejected before, under the block's name or another field, or by an uncaught OverflowError
+    rejected("radar.n_b", radar_block(n_b=math.nan), "nan"),
+    rejected("explicit.c1", explicit_block(c1=-math.inf), "-inf"),
+    rejected("radar.x", radar_block(x=10**400), "beyond-float-range"),
+]
+
+
+@pytest.mark.parametrize("cfg,field", REJECTIONS)
+def test_config_rejection_names_field(tmp_path, capsys, cfg, field):
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert err.value.field == field
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["detect", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
+FLAG_REJECTIONS = [
+    pytest.param(["detect", "--seed", "-1"], "--seed", id="seed-negative"),
+    pytest.param(["attack", "--lambda", "1", "--lambda", "0"], "--lambda", id="lambda-zero"),
+    pytest.param(["detect", "--tau", "0"], "--tau", id="tau-zero"),
+    pytest.param(["detect", "--tau", "-2"], "--tau", id="tau-negative"),
+    # non-finite values were passed on to the numerics before
+    pytest.param(["attack", "--lambda", "nan"], "--lambda", id="lambda-nan"),
+    pytest.param(["attack", "--lambda", "inf", "--format", "json"], "--lambda", id="lambda-inf-json"),
+    pytest.param(["attack", "--lambda", "inf", "--format", "csv"], "--lambda", id="lambda-inf-csv"),
+    pytest.param(["detect", "--tau", "nan"], "--tau", id="tau-nan"),
+    pytest.param(["detect", "--tau", "inf"], "--tau", id="tau-inf"),
+]
+
+
+@pytest.mark.parametrize("argv,field", FLAG_REJECTIONS)
+def test_flag_rejection_names_field(tmp_path, capsys, argv, field):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(radar_config()), encoding="utf-8")
+    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
