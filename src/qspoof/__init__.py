@@ -18,7 +18,6 @@ from .operators import (
     SpectralDecomposition,
     SupportLog,
     hermitian_part,
-    matrix_exp,
     relative_entropy,
     require_hermitian,
     spectral_decompose,
@@ -66,7 +65,6 @@ __all__ = [
     "SpectralDecomposition",
     "SupportLog",
     "hermitian_part",
-    "matrix_exp",
     "relative_entropy",
     "require_hermitian",
     "spectral_decompose",

@@ -63,14 +63,19 @@ class OracleConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+def _check_price(lam: float) -> None:
+    """The price rule of config's ``lambdas`` fields: a finite positive number."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"distortion price lam must be positive and finite, got {lam!r}")
+
+
 def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: float) -> float:
     """Interceptor objective Tr(Pi1 rho1') + lam (S(rho1'||rho1) + S(rho0'||rho0)).
 
     Returns ``math.inf`` when either distorted state escapes the support of
     the state it replaces (infinite relative-entropy price).
     """
-    if lam <= 0:
-        raise ValueError("distortion price lam must be positive")
+    _check_price(lam)
     s1 = relative_entropy(rho1_prime, pair.rho1)
     s0 = relative_entropy(rho0_prime, pair.rho0)
     if math.isinf(s1) or math.isinf(s0):
@@ -78,11 +83,16 @@ def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: flo
     return trace_product(pi1, rho1_prime) + lam * (s1 + s0)
 
 
-def _support_chart(rho1: DensityOperator, support_eps: float):
-    """Eigenvalues > support_eps (descending) and their eigenvector columns."""
+def _support_chart(rho1, pi1, support_eps: float):
+    """Pi1 as a matrix, the eigenvalues r of rho1 above ``support_eps``
+    (descending), their eigenvector columns v, and Pi1 in that basis,
+    ``hermitian_part(v^dagger Pi1 v)``.
+    """
+    pi_m = as_matrix(pi1)
     dec = spectral_decompose(rho1)
     keep = dec.eigenvalues > support_eps
-    return dec.eigenvalues[keep], dec.eigenvectors[:, keep]
+    r, v = dec.eigenvalues[keep], dec.eigenvectors[:, keep]
+    return pi_m, r, v, hermitian_part(v.conj().T @ pi_m @ v)
 
 
 def optimal_attack(
@@ -98,11 +108,8 @@ def optimal_attack(
     ``support_eps``; ``rho0`` is left untouched, so the genuine false-alarm
     rate equals the counterfactual one exactly.
     """
-    if lam <= 0:
-        raise ValueError("distortion price lam must be positive")
-    pi_m = as_matrix(pi1)
-    r, v = _support_chart(pair.rho1, support_eps)
-    pi_s = hermitian_part(v.conj().T @ pi_m @ v)
+    _check_price(lam)
+    pi_m, r, v, pi_s = _support_chart(pair.rho1, pi1, support_eps)
     h = np.diag(np.log(r).astype(np.complex128)) - pi_s / lam
     w, u = np.linalg.eigh(h)
     ew = np.exp(w)
@@ -131,8 +138,7 @@ def detection_bounds(p_detect: float, lam: float) -> tuple[float, float]:
     empirically in the noncommuting case for lam >= 2 whenever the spectral
     gap condition reported by :func:`gap_condition_sums` is satisfied.
     """
-    if lam <= 0:
-        raise ValueError("distortion price lam must be positive")
+    _check_price(lam)
     return p_detect * math.exp(-1.0 / lam), p_detect
 
 
@@ -181,49 +187,42 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     return np.exp(mean) * ratio
 
 
-def _chart_value_grad(h: np.ndarray, pi_s: np.ndarray, log_r: np.ndarray, lam: float):
+def _chart_value_grad(h: np.ndarray, pi_s: np.ndarray, log_r: np.ndarray, lam: float, grad: bool = True):
     """Objective and gradient at chart point ``h`` (Hermitian, support basis).
 
     The state is sigma = e^h / Z over the support of rho1; the objective is
     Tr(pi_s sigma) + lam * S(sigma || diag(r)).  Gradients use the Frechet
-    derivative of exp expressed through divided differences.
+    derivative of exp expressed through divided differences.  With
+    ``grad=False`` only the value is returned, and a point whose top
+    eigenvalue exceeds 700 (a wildly overshot line-search trial) gives
+    +inf instead of overflowing.
     """
     w, u = np.linalg.eigh(h)
-    ew = np.exp(w)
-    z = float(np.sum(ew))
-    log_z = math.log(z)
-    pi_t = u.conj().T @ pi_s @ u
-    l_t = (u.conj().T * log_r) @ u  # U^dag diag(log_r) U
-    t_pi = float(np.real(np.dot(ew, np.diag(pi_t).real)))
-    # Tr(e^h (h - L)) evaluated in the eigenbasis of h
-    t2 = float(np.dot(ew, w - np.diag(l_t).real))
-    value = t_pi / z + lam * (t2 / z - log_z)
-
-    phi = _exp_divided_differences(w)
-    exp_h = (u * ew) @ u.conj().T
-    grad_pi = u @ (pi_t * phi) @ u.conj().T
-    grad_t2 = u @ ((np.diag(w.astype(np.complex128)) - l_t) * phi) @ u.conj().T + exp_h
-    grad = (
-        grad_pi / z
-        - (t_pi / z**2) * exp_h
-        + lam * (grad_t2 / z - (t2 / z**2) * exp_h)
-        - (lam / z) * exp_h
-    )
-    return value, hermitian_part(grad)
-
-
-def _chart_value(h: np.ndarray, pi_s: np.ndarray, log_r: np.ndarray, lam: float) -> float:
-    w, u = np.linalg.eigh(h)
-    if float(w[-1]) > 700.0:
-        # a wildly overshot line-search trial; report +inf instead of overflowing
+    if not grad and float(w[-1]) > 700.0:
         return math.inf
     ew = np.exp(w)
     z = float(np.sum(ew))
     pi_t = u.conj().T @ pi_s @ u
     l_diag = np.einsum("ji,j,ji->i", u.conj(), log_r, u).real
     t_pi = float(np.real(np.dot(ew, np.diag(pi_t).real)))
+    # Tr(e^h (h - L)) evaluated in the eigenbasis of h
     t2 = float(np.dot(ew, w - l_diag))
-    return t_pi / z + lam * (t2 / z - math.log(z))
+    value = t_pi / z + lam * (t2 / z - math.log(z))
+    if not grad:
+        return value
+
+    l_t = (u.conj().T * log_r) @ u  # U^dag diag(log_r) U
+    phi = _exp_divided_differences(w)
+    exp_h = (u * ew) @ u.conj().T
+    grad_pi = u @ (pi_t * phi) @ u.conj().T
+    grad_t2 = u @ ((np.diag(w.astype(np.complex128)) - l_t) * phi) @ u.conj().T + exp_h
+    gradient = (
+        grad_pi / z
+        - (t_pi / z**2) * exp_h
+        + lam * (grad_t2 / z - (t2 / z**2) * exp_h)
+        - (lam / z) * exp_h
+    )
+    return value, hermitian_part(gradient)
 
 
 def oracle_attack(
@@ -249,11 +248,8 @@ def oracle_attack(
         After ``iterations`` accepted steps without meeting ``tol``; the
         error carries the best iterate and its utility.
     """
-    if lam <= 0:
-        raise ValueError("distortion price lam must be positive")
-    pi_m = as_matrix(pi1)
-    r, v = _support_chart(pair.rho1, support_eps)
-    pi_s = hermitian_part(v.conj().T @ pi_m @ v)
+    _check_price(lam)
+    pi_m, r, v, pi_s = _support_chart(pair.rho1, pi1, support_eps)
     log_r = np.log(r)
 
     def lift(h: np.ndarray) -> DensityOperator:
@@ -274,7 +270,7 @@ def oracle_attack(
         accepted = False
         for _ in range(80):
             h_new = h - trial * grad
-            v_new = _chart_value(h_new, pi_s, log_r, lam)
+            v_new = _chart_value_grad(h_new, pi_s, log_r, lam, grad=False)
             if v_new <= value - 1e-4 * trial * gnorm2:
                 accepted = True
                 break
@@ -314,15 +310,15 @@ def gap_condition_sums(rho1: DensityOperator, pi1) -> np.ndarray:
     The first-order eigenvalue estimate is trustworthy when every entry is
     below one.  Degenerate pairs of eigenvalues produce ``inf`` entries.
     """
-    pi_m = as_matrix(pi1)
-    dec = spectral_decompose(rho1)
-    v = dec.eigenvectors
-    r = dec.eigenvalues
-    overlap = np.abs(v.conj().T @ pi_m @ v)
+    _, r, _, pi_s = _support_chart(rho1, pi1, -math.inf)
+    return _gap_sums(r, pi_s)
+
+
+def _gap_sums(r: np.ndarray, pi_s: np.ndarray) -> np.ndarray:
     gaps = np.abs(r[:, None] - r[None, :])
     off = ~np.eye(r.shape[0], dtype=bool)
     degenerate = off & (gaps == 0.0)
-    terms = np.divide(overlap, gaps, out=np.zeros_like(gaps), where=off & ~degenerate)
+    terms = np.divide(np.abs(pi_s), gaps, out=np.zeros_like(gaps), where=off & ~degenerate)
     out = terms.sum(axis=1)
     out[degenerate.any(axis=1)] = math.inf
     return out
@@ -379,10 +375,8 @@ def perturbation_estimate(
     near-degenerate clusters (eigenvalue gaps below ``cluster_tol``) and
     evaluates the trust condition of :func:`gap_condition_sums`.
     """
-    if lam <= 0:
-        raise ValueError("distortion price lam must be positive")
-    pi_m = as_matrix(pi1)
-    r, v = _support_chart(pair.rho1, support_eps)
+    _check_price(lam)
+    _, r, _, pi_s = _support_chart(pair.rho1, pi1, support_eps)
     n = r.shape[0]
     full_rank = n == pair.rho1.dim
 
@@ -395,11 +389,9 @@ def perturbation_estimate(
             cluster[i + 1] = True
     simple = not bool(cluster.any())
 
-    pi_v = pi_m @ v
-    beta = np.einsum("ji,ji->i", v.conj(), pi_v).real
+    beta = np.diag(pi_s).real
     estimate = np.log(r) - beta / lam
 
-    pi_s = hermitian_part(v.conj().T @ pi_v)
     exponent = hermitian_part(np.diag(np.log(r).astype(np.complex128)) - pi_s / lam)
     w, u = np.linalg.eigh(exponent)
     # overlap of each exact eigenvector (columns of u, support basis) with e_i
@@ -418,7 +410,7 @@ def perturbation_estimate(
     exact = w[matched]
     residual = exact - estimate
 
-    gap_sums = gap_condition_sums(pair.rho1, pi_m) if full_rank else np.full(pair.rho1.dim, math.inf)
+    gap_sums = _gap_sums(r, pi_s) if full_rank else np.full(pair.rho1.dim, math.inf)
     gap_holds = bool(np.all(gap_sums < 1.0))
 
     return PerturbationReport(

@@ -1,4 +1,4 @@
-"""Scenario configuration: JSON schema, validation, and round-tripping.
+"""Scenario configuration: JSON schema and validation.
 
 A scenario names its hypothesis pair either explicitly (matrix literals
 plus cost weights) or through radar parameters.  Grids, seeds and output
@@ -6,8 +6,9 @@ destinations have defaults; physics parameters never default silently.
 
 Each rule for input from outside the program is written here once: one
 walk per block (:func:`_fields`) and one parser per kind of value, which
-the ``--seed``, ``--lambda`` and ``--tau`` flags share
-(:func:`apply_overrides`).  Every rejection names its field or flag.
+the ``--seed``, ``--lambda``, ``--tau`` and ``--out`` flags share
+(:func:`apply_overrides`); matrix literal entries go through the same
+finite-number rule.  Every rejection names its field or flag.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .detection import HypothesisPair, check_cost_weights
 from .operators import DensityOperator
 from .radar import RadarParams, build_radar_pair
-from .serialize import matrix_from_literal, matrix_to_literal
 
 
 class ConfigError(ValueError):
@@ -40,15 +42,6 @@ class VerifyOptions:
     lambdas: tuple = DEFAULT_VERIFY_LAMBDAS
     commuting_only: bool = False
     channel_instances: int = 50
-
-    def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "max_dim": self.max_dim,
-            "lambdas": list(self.lambdas),
-            "commuting_only": self.commuting_only,
-            "channel_instances": self.channel_instances,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,46 +78,6 @@ class ScenarioConfig:
         if self.radar is None:
             raise ConfigError("sweep.l_values", "required for an explicit-pair scenario")
         return tuple(range(0, max(self.radar.k, self.radar.l) + 4))
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.explicit is not None:
-            out["explicit"] = {
-                "rho0": matrix_to_literal(self.explicit.rho0.matrix),
-                "rho1": matrix_to_literal(self.explicit.rho1.matrix),
-                "c0": self.explicit.c0,
-                "c1": self.explicit.c1,
-            }
-        if self.radar is not None:
-            out["radar"] = {
-                "n_b": self.radar.n_b,
-                "x": self.radar.x,
-                "k": self.radar.k,
-                "l": self.radar.l,
-                "c0": self.c0,
-                "c1": self.c1,
-            }
-        if self.lambdas:
-            out["attack"] = {"lambdas": list(self.lambdas)}
-        sweep: dict = {}
-        if self.tau is not None:
-            sweep["tau"] = self.tau
-        if self.tau_grid is not None:
-            sweep["tau_grid"] = list(self.tau_grid)
-        if self.l_values is not None:
-            sweep["l_values"] = list(self.l_values)
-        if sweep:
-            out["sweep"] = sweep
-        output: dict = {}
-        if self.out_path is not None:
-            output["path"] = self.out_path
-        if self.out_format is not None:
-            output["format"] = self.out_format
-        if output:
-            out["output"] = output
-        out["seed"] = self.seed
-        out["verify"] = self.verify.to_dict()
-        return out
 
 
 def _fields(obj, where: str, parsers: dict, required=()) -> dict:
@@ -213,9 +166,33 @@ def _format(value, where: str) -> str:
     return value
 
 
-def _state(value, where: str) -> DensityOperator:
+def entry_from_literal(obj, where: str) -> complex:
+    """A matrix literal entry: a real number or an ``[re, im]`` pair, each part finite."""
+    parts = obj if isinstance(obj, (list, tuple)) and len(obj) == 2 else (obj, 0.0)
     try:
-        return DensityOperator(matrix_from_literal(value, where))
+        return complex(*(_real(v, where) for v in parts))
+    except ConfigError:
+        raise ConfigError(where, f"expected a finite real number or [re, im] pair, got {obj!r}") from None
+
+
+def matrix_from_literal(obj, where: str = "matrix") -> np.ndarray:
+    """Parse a nested row-major literal into a square complex matrix."""
+    if not isinstance(obj, (list, tuple)) or not obj:
+        raise ConfigError(where, "expected a nonempty list of rows")
+    d = len(obj)
+    out = np.zeros((d, d), dtype=np.complex128)
+    for i, row in enumerate(obj):
+        if not isinstance(row, (list, tuple)) or len(row) != d:
+            raise ConfigError(where, f"row {i} must be a list of {d} entries")
+        for j, entry in enumerate(row):
+            out[i, j] = entry_from_literal(entry, f"{where}[{i}][{j}]")
+    return out
+
+
+def _state(value, where: str) -> DensityOperator:
+    matrix = matrix_from_literal(value, where)
+    try:
+        return DensityOperator(matrix)
     except ValueError as exc:
         raise ConfigError(where, str(exc)) from exc
 
@@ -305,7 +282,7 @@ def apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if args.tau is not None:
         updates["tau"] = _threshold(args.tau, "--tau")
     if args.out is not None:
-        updates["out_path"] = args.out
+        updates["out_path"] = _path(args.out, "--out")
     if args.format is not None:
         updates["out_format"] = args.format
     return replace(cfg, **updates) if updates else cfg

@@ -10,6 +10,7 @@ are represented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,6 @@ class ProjectorMeasurement:
         return cls(np.zeros((dim, dim), dtype=np.complex128), 0)
 
     @classmethod
-    def identity(cls, dim: int) -> "ProjectorMeasurement":
-        return cls(np.eye(dim, dtype=np.complex128), dim)
-
-    @classmethod
     def from_columns(cls, columns: np.ndarray) -> "ProjectorMeasurement":
         """Projector onto the span of orthonormal columns."""
         v = np.asarray(columns, dtype=np.complex128)
@@ -71,6 +68,8 @@ class ProjectorMeasurement:
 
 def check_cost_weights(c0: float, c1: float) -> None:
     """Raise ValueError unless the weights obey the rule stated on :class:`HypothesisPair`."""
+    if not (math.isfinite(c0) and math.isfinite(c1)):
+        raise ValueError(f"cost weights must be finite, got c0={c0!r}, c1={c1!r}")
     if c0 < 0 or c1 < 0:
         raise ValueError("cost weights must be nonnegative")
     if abs(c0 + c1 - 1.0) > PRIOR_SUM_TOL:
@@ -83,7 +82,7 @@ def check_cost_weights(c0: float, c1: float) -> None:
 class HypothesisPair:
     """The two candidate states with their Bayes cost weights.
 
-    ``c0`` and ``c1`` are nonnegative, sum to one within ``PRIOR_SUM_TOL``,
+    ``c0`` and ``c1`` are finite and nonnegative, sum to one within ``PRIOR_SUM_TOL``,
     and ``c0 > 0`` so the threshold ``tau = c1/c0`` is finite.
     """
 

@@ -87,16 +87,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the original operator from the eigendata."""
-        v = self.eigenvectors
-        return hermitian_part((v * self.eigenvalues) @ v.conj().T)
-
-    def apply(self, fn) -> np.ndarray:
-        """Evaluate a scalar function on the spectrum: V f(w) V^dagger."""
-        v = self.eigenvectors
-        return hermitian_part((v * fn(self.eigenvalues)) @ v.conj().T)
-
 
 def _eigh_descending(arr: np.ndarray) -> SpectralDecomposition:
     w, v = np.linalg.eigh(arr)
@@ -116,11 +106,6 @@ def spectral_decompose(a, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
     if isinstance(a, DensityOperator):
         return a.spectrum
     return _eigh_descending(require_hermitian(a, tol))
-
-
-def matrix_exp(a) -> np.ndarray:
-    """exp(A) for Hermitian A via the spectral decomposition."""
-    return spectral_decompose(a).apply(np.exp)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import optimal_attack
+from .adversary import _check_price, optimal_attack
 from .detection import HypothesisPair, helstrom_measurement
 from .operators import DensityOperator, as_matrix
 
@@ -104,8 +104,8 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
     if tau <= 0:
         raise ValueError(f"threshold must be positive, got {tau!r}")
     lams = [float(v) for v in lambdas]
-    if any(v <= 0 for v in lams):
-        raise ValueError("distortion prices must be positive")
+    for lam in lams:
+        _check_price(lam)
     ls = [int(v) for v in l_values]
     if any(v < 0 for v in ls):
         raise ValueError("signal levels must be nonnegative")
@@ -172,8 +172,8 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     if np.any(np.diff(grid) <= 0):
         raise ValueError("threshold grid must be strictly increasing")
     lams = sorted({float(v) for v in lambdas})
-    if any(v <= 0 for v in lams):
-        raise ValueError("distortion prices must be positive")
+    for lam in lams:
+        _check_price(lam)
 
     rho0, rho1 = _radar_states(params)
     base_points = []

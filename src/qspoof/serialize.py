@@ -1,45 +1,18 @@
-"""Serialization: JSON matrix literals and deterministic CSV emission.
+"""Output writers: JSON matrix literals, deterministic CSV and JSON text.
 
 Matrix literal format: a matrix is a nested row-major array; each entry is
-either a plain real number or a two-element array ``[re, im]``.  Writers
-emit plain numbers whenever the matrix is exactly real, so real scenarios
-stay human-readable.  CSV output uses 12 significant digits, a header row,
-LF line endings and UTF-8; identical inputs produce identical bytes.
+either a plain real number or a two-element array ``[re, im]``.  The
+writer emits plain numbers whenever the matrix is exactly real, so real
+matrices stay human-readable; ``config`` parses literals.  CSV output uses
+12 significant digits, a header row, LF line endings and UTF-8; identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
-
-
-def entry_from_literal(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        if not math.isfinite(obj):
-            raise ValueError(f"{where}: entries must be finite, got {obj!r}")
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        re, im = obj
-        ok = all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in (re, im))
-        if ok:
-            return complex(re, im)
-    raise ValueError(f"{where}: expected a real number or [re, im] pair, got {obj!r}")
-
-
-def matrix_from_literal(obj, where: str = "matrix") -> np.ndarray:
-    """Parse a nested row-major literal into a square complex matrix."""
-    if not isinstance(obj, (list, tuple)) or not obj:
-        raise ValueError(f"{where}: expected a nonempty list of rows")
-    d = len(obj)
-    out = np.zeros((d, d), dtype=np.complex128)
-    for i, row in enumerate(obj):
-        if not isinstance(row, (list, tuple)) or len(row) != d:
-            raise ValueError(f"{where}: row {i} must be a list of {d} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = entry_from_literal(entry, f"{where}[{i}][{j}]")
-    return out
 
 
 def matrix_to_literal(m) -> list:

@@ -12,7 +12,7 @@ reported but never failed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,23 +64,7 @@ class RunReport:
         return all(c.passed for c in self.checks if c.assertion_class)
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "seed": self.seed,
-            "options": self.options.to_dict(),
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "assertion_class": c.assertion_class,
-                    "detail": c.detail,
-                    "stats": c.stats,
-                }
-                for c in self.checks
-            ],
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _draw_pair(rng, options: VerifyOptions):

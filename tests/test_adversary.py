@@ -22,7 +22,7 @@ from qspoof import (
     spectral_decompose,
 )
 from qspoof import operators
-from qspoof.adversary import _chart_value, _chart_value_grad
+from qspoof.adversary import _chart_value_grad
 from qspoof.sampling import (
     near_commuting_pair,
     random_commuting_pair,
@@ -133,6 +133,22 @@ def test_attack_rejects_nonpositive_lambda():
     for lam in (0.0, -1.0):
         with pytest.raises(ValueError):
             optimal_attack(pair, res.pi1, lam)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_price_entry_points_reject_nonfinite_lambda(lam):
+    pair = radar_pair()
+    pi1 = helstrom_measurement(pair).pi1
+    calls = (
+        lambda: optimal_attack(pair, pi1, lam),
+        lambda: oracle_attack(pair, pi1, lam),
+        lambda: perturbation_estimate(pair, pi1, lam),
+        lambda: attacker_utility(pair.rho1, pair.rho0, pi1, pair, lam),
+        lambda: detection_bounds(0.9, lam),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            call()
 
 
 def test_attack_zero_projector_is_identity_map():
@@ -422,8 +438,8 @@ def test_chart_gradient_matches_finite_differences():
             else:
                 de[i, j] = de[j, i] = 0.5  # real symmetric direction
             num = (
-                _chart_value(h + eps * de, pi_s, log_r, 1.3)
-                - _chart_value(h - eps * de, pi_s, log_r, 1.3)
+                _chart_value_grad(h + eps * de, pi_s, log_r, 1.3, grad=False)
+                - _chart_value_grad(h - eps * de, pi_s, log_r, 1.3, grad=False)
             ) / (2 * eps)
             ana = float(np.real(np.sum(grad.conj() * de)))
             assert abs(num - ana) <= 1e-6 * max(1.0, abs(num))

@@ -47,6 +47,19 @@ def test_pair_rejects_zero_c0():
         HypothesisPair(rho0=rho, rho1=rho, c0=0.0, c1=1.0)
 
 
+@pytest.mark.parametrize("c0,c1", [(math.nan, math.nan), (math.nan, 0.5), (0.5, math.nan), (math.inf, -math.inf)])
+def test_pair_rejects_nonfinite_weights(c0, c1):
+    rho = DensityOperator.maximally_mixed(2)
+    with pytest.raises(ValueError, match="finite"):
+        HypothesisPair(rho0=rho, rho1=rho, c0=c0, c1=c1)
+
+
+def test_pair_from_tau_rejects_nan():
+    rho = DensityOperator.maximally_mixed(2)
+    with pytest.raises(ValueError, match="finite"):
+        HypothesisPair.from_tau(rho, rho, math.nan)
+
+
 def test_pair_rejects_dim_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         HypothesisPair(
@@ -84,7 +97,7 @@ def test_projector_rejects_non_idempotent():
 
 def test_projector_zero_and_identity():
     assert ProjectorMeasurement.zero(3).rank == 0
-    assert ProjectorMeasurement.identity(3).rank == 3
+    assert ProjectorMeasurement(np.eye(3)).rank == 3
 
 
 def test_projector_from_columns():
@@ -172,7 +185,7 @@ def test_rates_free_function_matches_result():
 def test_bayes_risk_extreme_projectors():
     pair = plus_vs_zero(c0=0.3, c1=0.7)
     assert abs(bayes_risk(ProjectorMeasurement.zero(2), pair) - 0.7) <= 1e-15
-    assert abs(bayes_risk(ProjectorMeasurement.identity(2), pair) - 0.3) <= 1e-15
+    assert abs(bayes_risk(ProjectorMeasurement(np.eye(2)), pair) - 0.3) <= 1e-15
 
 
 def test_helstrom_beats_random_projectors():
@@ -237,4 +250,4 @@ def test_sample_outcomes_three_sigma():
 def test_sample_outcomes_rejects_bad_n():
     pair = plus_vs_zero()
     with pytest.raises(ValueError):
-        sample_outcomes(pair.rho1, ProjectorMeasurement.identity(2), 0, seed=0)
+        sample_outcomes(pair.rho1, ProjectorMeasurement(np.eye(2)), 0, seed=0)

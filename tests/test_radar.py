@@ -182,6 +182,14 @@ def test_roc_rejects_bad_grid():
         roc_sweep(REF, lambdas=[1.0], tau_grid=[-1.0, 1.0])
 
 
+@pytest.mark.parametrize("lam", [0.0, math.nan, math.inf])
+def test_sweeps_reject_bad_price(lam):
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        roc_sweep(REF, lambdas=[1.0, lam], tau_grid=[1.0])
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        photon_sweep(REF, tau=1.0, lambdas=[lam], l_values=[0, 1])
+
+
 def test_default_tau_grid_shape():
     grid = default_tau_grid()
     assert len(grid) == 60

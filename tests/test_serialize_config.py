@@ -6,12 +6,10 @@ import math
 import pytest
 
 from qspoof import RadarParams, cli
-from qspoof.config import ConfigError, load_config, parse_config
+from qspoof.config import ConfigError, entry_from_literal, load_config, matrix_from_literal, parse_config
 from qspoof.serialize import (
     csv_text,
-    entry_from_literal,
     json_text,
-    matrix_from_literal,
     matrix_to_literal,
     photon_csv,
     roc_csv,
@@ -218,14 +216,6 @@ def test_parse_verify_block():
     assert cfg.verify.commuting_only
 
 
-def test_config_roundtrip_through_to_dict():
-    cfg = parse_config(
-        radar_config(attack={"lambdas": [0.5, 1.0]}, sweep={"tau": 2.0}, seed=7)
-    )
-    again = parse_config(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
-
-
 def test_load_config_reports_json_position(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"scenario": }', encoding="utf-8")
@@ -330,7 +320,7 @@ REJECTIONS = [
     # explicit matrices
     rejected("explicit.rho0", explicit_block(rho0="diag"), "not-a-literal"),
     rejected("explicit.rho0", explicit_block(rho0=[[1.0], [0.0, 1.0]]), "ragged"),
-    rejected("explicit.rho1", explicit_block(rho1=[[1.0, "x"], [0.0, 0.0]]), "bad-entry"),
+    rejected("explicit.rho1[0][1]", explicit_block(rho1=[[1.0, "x"], [0.0, 0.0]]), "bad-entry"),
     rejected("explicit.rho0", explicit_block(rho0=[[1.5, 0.0], [0.0, -0.5]]), "not-psd"),
     rejected("explicit.rho1", explicit_block(rho1=[[0.5, 0.4], [0.0, 0.5]]), "not-hermitian"),
     rejected("explicit.rho1", explicit_block(rho1=[[0.5, 0.0], [0.0, 0.4]]), "trace"),
@@ -346,6 +336,9 @@ REJECTIONS = [
     rejected("radar.n_b", radar_block(n_b=math.nan), "nan"),
     rejected("explicit.c1", explicit_block(c1=-math.inf), "-inf"),
     rejected("radar.x", radar_block(x=10**400), "beyond-float-range"),
+    # literal entries were named after their matrix and then again after the entry
+    rejected("explicit.rho0[1][1]", explicit_block(rho0=[[0.5, 0.0], [0.0, [0.5, math.nan]]]), "nan-imag"),
+    rejected("explicit.rho0[0][0]", explicit_block(rho0=[[math.inf, 0.0], [0.0, 0.5]]), "inf-entry"),
 ]
 
 
@@ -360,6 +353,7 @@ def test_config_rejection_names_field(tmp_path, capsys, cfg, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}: ")
+    assert captured.err.count(f"{field}: ") == 1
 
 
 FLAG_REJECTIONS = [
@@ -373,6 +367,8 @@ FLAG_REJECTIONS = [
     pytest.param(["attack", "--lambda", "inf", "--format", "csv"], "--lambda", id="lambda-inf-csv"),
     pytest.param(["detect", "--tau", "nan"], "--tau", id="tau-nan"),
     pytest.param(["detect", "--tau", "inf"], "--tau", id="tau-inf"),
+    # an empty path failed as an i/o error (exit 4) before
+    pytest.param(["detect", "--out", ""], "--out", id="out-empty"),
 ]
 
 
