@@ -12,9 +12,14 @@ over density operators ``rho1'``, ``rho0'``.  The minimizer is closed-form:
 
     rho1' = exp(ln rho1 - Pi1/lam) / Z1,   Z1 = Tr exp(ln rho1 - Pi1/lam),
 
-evaluated entirely on the support of ``rho1``.  ``oracle_attack`` provides
-an independent numerical minimizer over the same feasible set for
-cross-checking; it never touches the closed form.
+evaluated entirely on the support of ``rho1``.  At the optimum the
+utility is -lam ln Z1 (Gibbs variational principle), which
+``optimal_attack`` reads off the exponent's spectrum.
+``attacker_utility`` evaluates the objective through the relative
+entropies instead; it is the independent audit that ``verify``, the
+oracle and the tests hold the closed form to.  ``oracle_attack``
+provides an independent numerical minimizer over the same feasible set
+for cross-checking; it never touches the closed form.
 """
 
 from __future__ import annotations
@@ -38,11 +43,23 @@ from .operators import (
 
 # Default tolerance when flagging bound violations.
 BOUND_TOL = 1e-9
+# Prices at or above this take the utility from the second-order Kubo-Mori
+# series instead of -lam * log-sum-exp: the series' truncation error falls
+# like 1/lam^2, the log-sum-exp's rounding error grows like eps * lam.
+# Against a 60-digit reference on generic pairs at d = 4, 12 and 24 the
+# worst errors were 1.3e-12 (series) against 1.0e-10 (log-sum-exp) at
+# lam = 1e5, and 1.3e-10 against 6.7e-12 at lam = 1e4.
+SERIES_PRICE = 1e5
 
 
 @dataclass(frozen=True, eq=False)
 class AttackerSolution:
-    """Distorted state pair with its normalizer, genuine rates and utility."""
+    """Distorted state pair with its normalizer, genuine rates and utility.
+
+    ``utility`` is the optimal objective -lam ln Z1, computed from the
+    exponent's spectrum; ``attacker_utility`` of the two states is the
+    independent audit of it.
+    """
 
     rho1_prime: DensityOperator
     rho0_prime: DensityOperator
@@ -85,14 +102,50 @@ def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: flo
 
 def _support_chart(rho1, pi1, support_eps: float):
     """Pi1 as a matrix, the eigenvalues r of rho1 above ``support_eps``
-    (descending), their eigenvector columns v, and Pi1 in that basis,
-    ``hermitian_part(v^dagger Pi1 v)``.
+    (descending), their eigenvector columns v, the remaining (kernel)
+    columns, and Pi1 in the support basis, ``hermitian_part(v^dagger Pi1 v)``.
     """
     pi_m = as_matrix(pi1)
     dec = spectral_decompose(rho1)
     keep = dec.eigenvalues > support_eps
     r, v = dec.eigenvalues[keep], dec.eigenvectors[:, keep]
-    return pi_m, r, v, hermitian_part(v.conj().T @ pi_m @ v)
+    return pi_m, r, v, dec.eigenvectors[:, ~keep], hermitian_part(v.conj().T @ pi_m @ v)
+
+
+def _lift(v: np.ndarray, kernel: np.ndarray, w: np.ndarray, u: np.ndarray) -> tuple[DensityOperator, float]:
+    """The state e^h / Tr e^h for the chart point h = u diag(w) u^dagger, and Tr e^h.
+
+    Its spectrum is known without another decomposition: eigenvalues
+    e^w / Tr e^h on the columns of v u, and zero on the kernel of rho1.
+    """
+    ew = np.exp(w)
+    z = float(np.sum(ew))
+    p = ew / z
+    sigma = hermitian_part((u * p) @ u.conj().T)
+    state = DensityOperator._from_spectrum(
+        hermitian_part(v @ sigma @ v.conj().T),
+        np.concatenate([p, np.zeros(kernel.shape[1])]),
+        np.hstack([v @ u, kernel]),
+    )
+    return state, z
+
+
+def _optimal_utility(w: np.ndarray, r: np.ndarray, pi_s: np.ndarray, lam: float) -> float:
+    """-lam ln Z1 for the support spectrum r normalized to unit sum.
+
+    ``w`` is the spectrum of ln r - pi_s/lam.  Below ``SERIES_PRICE`` this
+    is -lam * (LSE(w) - ln sum r) with a shifted log-sum-exp; from there on
+    it is the Kubo-Mori series <Pi1> - Var_KM(Pi1)/(2 lam), whose terms do
+    not cancel as lam grows.
+    """
+    total = float(np.sum(r))
+    if lam < SERIES_PRICE:
+        top = float(w[-1])
+        return -lam * (top + math.log(float(np.sum(np.exp(w - top)))) - math.log(total))
+    p = r / total
+    mean = float(np.dot(p, np.diag(pi_s).real))
+    second = float(np.sum(np.abs(pi_s) ** 2 * _exp_divided_differences(np.log(p))))
+    return mean - (second - mean * mean) / (2.0 * lam)
 
 
 def optimal_attack(
@@ -106,19 +159,18 @@ def optimal_attack(
     The replacement for ``rho1`` is exp(ln rho1 - Pi1/lam)/Z1 computed in
     the eigenbasis of ``rho1`` restricted to eigenvalues above
     ``support_eps``; ``rho0`` is left untouched, so the genuine false-alarm
-    rate equals the counterfactual one exactly.
+    rate equals the counterfactual one exactly.  The exponent is the only
+    matrix decomposed: rho1' takes its spectrum from it, and the utility
+    is -lam ln Z1 (see ``_optimal_utility``).
     """
     _check_price(lam)
-    pi_m, r, v, pi_s = _support_chart(pair.rho1, pi1, support_eps)
+    pi_m, r, v, kernel, pi_s = _support_chart(pair.rho1, pi1, support_eps)
     h = np.diag(np.log(r).astype(np.complex128)) - pi_s / lam
     w, u = np.linalg.eigh(h)
-    ew = np.exp(w)
-    z1 = float(np.sum(ew))
-    sigma = hermitian_part((u * (ew / z1)) @ u.conj().T)
-    rho1_prime = DensityOperator(hermitian_part(v @ sigma @ v.conj().T))
+    rho1_prime, z1 = _lift(v, kernel, w, u)
     gpd = _checked_rate(trace_product(pi_m, rho1_prime.matrix))
     gpf = _checked_rate(trace_product(pi_m, pair.rho0.matrix))
-    utility = attacker_utility(rho1_prime, pair.rho0, pi_m, pair, lam)
+    utility = _optimal_utility(w, r, pi_s, lam)
     return AttackerSolution(
         rho1_prime=rho1_prime,
         rho0_prime=pair.rho0,
@@ -249,14 +301,11 @@ def oracle_attack(
         error carries the best iterate and its utility.
     """
     _check_price(lam)
-    pi_m, r, v, pi_s = _support_chart(pair.rho1, pi1, support_eps)
+    pi_m, r, v, kernel, pi_s = _support_chart(pair.rho1, pi1, support_eps)
     log_r = np.log(r)
 
     def lift(h: np.ndarray) -> DensityOperator:
-        w, u = np.linalg.eigh(h)
-        ew = np.exp(w)
-        sigma = hermitian_part((u * (ew / ew.sum())) @ u.conj().T)
-        return DensityOperator(hermitian_part(v @ sigma @ v.conj().T))
+        return _lift(v, kernel, *np.linalg.eigh(h))[0]
 
     h = np.diag(log_r.astype(np.complex128))
     value, grad = _chart_value_grad(h, pi_s, log_r, lam)
@@ -310,7 +359,7 @@ def gap_condition_sums(rho1: DensityOperator, pi1) -> np.ndarray:
     The first-order eigenvalue estimate is trustworthy when every entry is
     below one.  Degenerate pairs of eigenvalues produce ``inf`` entries.
     """
-    _, r, _, pi_s = _support_chart(rho1, pi1, -math.inf)
+    _, r, _, _, pi_s = _support_chart(rho1, pi1, -math.inf)
     return _gap_sums(r, pi_s)
 
 
@@ -376,7 +425,7 @@ def perturbation_estimate(
     evaluates the trust condition of :func:`gap_condition_sums`.
     """
     _check_price(lam)
-    _, r, _, pi_s = _support_chart(pair.rho1, pi1, support_eps)
+    _, r, _, _, pi_s = _support_chart(pair.rho1, pi1, support_eps)
     n = r.shape[0]
     full_rank = n == pair.rho1.dim
 

@@ -88,10 +88,13 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def _eigh_descending(arr: np.ndarray) -> SpectralDecomposition:
-    w, v = np.linalg.eigh(arr)
+def _descending(w: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
     order = np.argsort(w)[::-1]
     return SpectralDecomposition(_read_only(w[order]), _read_only(v[:, order]))
+
+
+def _eigh_descending(arr: np.ndarray) -> SpectralDecomposition:
+    return _descending(*np.linalg.eigh(arr))
 
 
 def spectral_decompose(a, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
@@ -217,7 +220,9 @@ class DensityOperator:
     stores the exactly symmetrized matrix read-only.  The eigendecomposition
     that the positivity check computes is kept as ``spectrum`` (descending,
     read-only); ``spectral_decompose`` hands it to every later consumer
-    instead of decomposing the matrix again.  ``support_log`` likewise
+    instead of decomposing the matrix again.  A state the attack layer
+    builds from a spectrum it already knows (``_from_spectrum``) keeps
+    that spectrum and is never decomposed.  ``support_log`` likewise
     builds the state's support log (``ln rho`` on the support, projector,
     rank) lazily, once per cutoff, and keeps it with the state.
     """
@@ -228,10 +233,27 @@ class DensityOperator:
 
     def __post_init__(self):
         m = require_hermitian(self.matrix)
+        self._settle(m, _eigh_descending(m))
+
+    @classmethod
+    def _from_spectrum(cls, matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "DensityOperator":
+        """A state built with its eigendecomposition already known.
+
+        Runs the public constructor's Hermiticity and trace checks on
+        ``matrix`` and its positivity check on ``eigenvalues``, and keeps
+        the given pairs (sorted descending) as ``spectrum`` instead of
+        decomposing the matrix.  The caller vouches that the columns of
+        ``eigenvectors`` are orthonormal eigenvectors of ``matrix``.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "_support_logs", {})
+        state._settle(require_hermitian(matrix), _descending(eigenvalues, eigenvectors))
+        return state
+
+    def _settle(self, m: np.ndarray, spectrum: SpectralDecomposition) -> None:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density operator trace {tr!r} deviates from 1 by more than {TRACE_TOL:.1e}")
-        spectrum = _eigh_descending(m)
         wmin = float(spectrum.eigenvalues[-1])
         if wmin < -PSD_TOL:
             raise ValueError(

@@ -17,6 +17,7 @@ projector per threshold, and report both counterfactual and genuine
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,12 @@ def default_tau_grid(n: int = 60, lo: float = 1e-2, hi: float = 1e2) -> np.ndarr
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
+def _check_threshold(tau: float) -> None:
+    """The threshold rule of config's ``tau`` fields: a finite positive number."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
+
+
 @dataclass(frozen=True)
 class PhotonSweepRow:
     """One signal-level sample: counterfactual and genuine detection rates."""
@@ -101,8 +108,7 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
     its risk-optimal projector are rebuilt for every ``l``.  Rows come back
     ordered by (lam, l).
     """
-    if tau <= 0:
-        raise ValueError(f"threshold must be positive, got {tau!r}")
+    _check_threshold(tau)
     lams = [float(v) for v in lambdas]
     for lam in lams:
         _check_price(lam)
@@ -167,8 +173,8 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("threshold grid must be a nonempty 1-d sequence")
-    if np.any(grid <= 0):
-        raise ValueError("thresholds must be positive")
+    for tau in grid:
+        _check_threshold(float(tau))
     if np.any(np.diff(grid) <= 0):
         raise ValueError("threshold grid must be strictly increasing")
     lams = sorted({float(v) for v in lambdas})

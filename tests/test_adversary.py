@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspoof import (
     BoundReport,
@@ -11,7 +13,9 @@ from qspoof import (
     HypothesisPair,
     OracleConvergenceError,
     ProjectorMeasurement,
+    RadarParams,
     attacker_utility,
+    build_radar_pair,
     detection_bounds,
     gap_condition_sums,
     helstrom_measurement,
@@ -21,15 +25,17 @@ from qspoof import (
     relative_entropy,
     spectral_decompose,
 )
-from qspoof import operators
-from qspoof.adversary import _chart_value_grad
+from qspoof import adversary, operators
+from qspoof.adversary import BOUND_TOL, SERIES_PRICE, _chart_value_grad
 from qspoof.sampling import (
+    haar_unitary,
     near_commuting_pair,
     random_commuting_pair,
     random_density,
     random_pair,
     random_projector,
 )
+from qspoof.verify import ORACLE_UTILITY_TOL
 
 STATE_TOL = 1e-10
 ORACLE_TOL = 1e-6
@@ -227,15 +233,20 @@ def _count_decompositions(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [2, 5, 16])
-def test_attack_decomposes_exponent_and_result_only(monkeypatch, d):
-    # the spectra of rho1 and rho0 were computed when the pair was built;
-    # the attack adds the exponent's eigh and the validation of rho1'
+def test_attack_decomposes_exponent_only(monkeypatch, d):
+    # the spectra of rho1 and rho0 were computed when the pair was built,
+    # rho1' takes its spectrum from the exponent's, and the utility is
+    # read off that spectrum: no relative entropy is taken
     rng = np.random.default_rng(d)
     pair = random_pair(rng, d)
     pi1 = helstrom_measurement(pair).pi1
     calls = _count_decompositions(monkeypatch)
-    optimal_attack(pair, pi1, 0.7)
-    assert calls == {"eigh": 2, "eigvalsh": 0}
+    entropies = []
+    monkeypatch.setattr(adversary, "relative_entropy", lambda *a, **k: entropies.append(a))
+    for lam in (0.7, SERIES_PRICE, 1e12):
+        optimal_attack(pair, pi1, lam)
+    assert calls == {"eigh": 3, "eigvalsh": 0}
+    assert entropies == []
 
 
 def test_perturbation_estimate_decomposes_exponent_only(monkeypatch):
@@ -248,8 +259,9 @@ def test_perturbation_estimate_decomposes_exponent_only(monkeypatch):
 
 
 def test_attack_prices_share_the_support_logs(monkeypatch):
-    # ln rho1 and ln rho0 (with their support projectors) belong to the
-    # states, so a sweep over prices builds each once
+    # the attack builds no support log; ln rho1 and ln rho0 (with their
+    # support projectors) belong to the states, so the relative-entropy
+    # audit over five prices builds each once
     rng = np.random.default_rng(4)
     pair = random_pair(rng, 6)
     pi1 = helstrom_measurement(pair).pi1
@@ -261,8 +273,10 @@ def test_attack_prices_share_the_support_logs(monkeypatch):
         return inner(dec, eps)
 
     monkeypatch.setattr(operators, "_support_log", counted)
-    for lam in (0.01, 0.3, 1.0, 20.0, 1e4):
-        optimal_attack(pair, pi1, lam)
+    sols = [optimal_attack(pair, pi1, lam) for lam in (0.01, 0.3, 1.0, 20.0, 1e4)]
+    assert built == []
+    for sol in sols:
+        attacker_utility(sol.rho1_prime, sol.rho0_prime, pi1, pair, sol.lam)
     assert sorted(map(id, built)) == sorted([id(pair.rho1.spectrum), id(pair.rho0.spectrum)])
 
 
@@ -285,6 +299,108 @@ def test_support_checks_stay_in_blas(monkeypatch):
     perturbation_estimate(pair, pi1, 2.0)
     assert subscripts
     assert [s for s in subscripts if s[1] > 2] == []
+
+
+def _spectrum_pair(kind, rng, d):
+    """A pair of the given kind: generic, rank-deficient radar, or a rho1
+    with a degenerate spectrum in a random basis."""
+    if kind == "generic":
+        return random_pair(rng, d)
+    if kind == "radar":
+        params = RadarParams(float(rng.uniform(0.02, 0.98)), float(rng.uniform(0.02, 0.98)),
+                             int(rng.integers(0, 9)), int(rng.integers(0, 9)))
+        tau = float(10.0 ** rng.uniform(-1.0, 1.0))
+        return build_radar_pair(params, 1.0 / (1.0 + tau), tau / (1.0 + tau))
+    levels = rng.uniform(0.1, 1.0, size=int(rng.integers(1, min(d, 4) + 1)))
+    spectrum = rng.choice(levels, size=d)
+    spectrum /= spectrum.sum()
+    u = haar_unitary(rng, d)
+    rho1 = DensityOperator((u * spectrum) @ u.conj().T)
+    return HypothesisPair(random_density(rng, d, 1e-3), rho1, 0.5, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["generic", "radar", "degenerate"]),
+    st.integers(min_value=2, max_value=128),
+    st.floats(min_value=-2.0, max_value=15.0),
+)
+def test_trusted_spectrum_matches_matrix_property(seed, kind, d, exponent):
+    # rho1' keeps the spectrum the attack derived from the exponent; it
+    # must be the spectrum of the matrix it stores
+    rng = np.random.default_rng(seed)
+    pair = _spectrum_pair(kind, rng, d)
+    pi1 = helstrom_measurement(pair).pi1
+    state = optimal_attack(pair, pi1, 10.0**exponent).rho1_prime
+    w, v = state.spectrum.eigenvalues, state.spectrum.eigenvectors
+    n = state.dim
+    assert list(w) == sorted(w, reverse=True)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(state.matrix)[::-1])) <= 1e-13
+    assert np.max(np.abs((v * w) @ v.conj().T - state.matrix)) <= 1e-13
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-13
+
+
+def test_utility_normalizes_the_support_spectrum():
+    # a state's trace is one only within TRACE_TOL; read off an unnormalized
+    # spectrum, -lam ln Z1 would be off by lam * (trace - 1) = 5e-7 at lam = 1e4
+    pi1 = ProjectorMeasurement(np.diag([0.0, 0.0, 1.0]))
+    for lam in (1e4, 1e9):
+        got = [
+            optimal_attack(
+                HypothesisPair(DensityOperator.from_diagonal([0.6, 0.4, 0.0]),
+                               DensityOperator.from_diagonal(np.array([0.06, 0.04, 0.9]) * scale), 0.5, 0.5),
+                pi1,
+                lam,
+            ).utility
+            for scale in (1.0, 1.0 + 5e-11)
+        ]
+        assert abs(got[0] - got[1]) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=2, max_value=8),
+    st.floats(min_value=-2.0, max_value=15.0),
+)
+def test_utility_envelope_property(seed, d, exponent):
+    # relative entropy is nonnegative and rho1 itself is feasible, so the
+    # optimal utility lies between the genuine and the undistorted rate
+    lam = 10.0**exponent
+    pair = random_pair(np.random.default_rng(seed), d)
+    hel = helstrom_measurement(pair)
+    sol = optimal_attack(pair, hel.pi1, lam)
+    assert all(math.isfinite(x) for x in (sol.utility, sol.z1, sol.genuine_p_detect))
+    assert sol.genuine_p_detect - BOUND_TOL <= sol.utility <= hel.p_detect + BOUND_TOL
+    if lam <= 1e3:
+        audit = attacker_utility(sol.rho1_prime, sol.rho0_prime, hel.pi1, pair, lam)
+        assert abs(sol.utility - audit) <= ORACLE_UTILITY_TOL
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.floats(min_value=-2.0, max_value=15.0))
+def test_diagonal_utility_matches_exact_reference(seed, exponent):
+    # for a diagonal pair Z1 = sum_i r_i e^(-p_i/lam) exactly (r normalized,
+    # p the projector's 0/1 diagonal); log1p(sum_i r_i expm1(-p_i/lam)) is
+    # exact while Z1 >= 1/2, and below that the plain sum of positive terms is
+    lam = 10.0**exponent
+    pair = _spectrum_pair("radar", np.random.default_rng(seed), 0)
+    pi1 = helstrom_measurement(pair).pi1
+    r = np.diag(pair.rho1.matrix).real
+    r = r / r.sum()
+    p = np.diag(pi1.matrix).real
+    s = float(np.sum(r * np.expm1(-p / lam)))
+    log_z1 = math.log1p(s) if s >= -0.5 else math.log(float(np.sum(r * np.exp(-p / lam))))
+    tol = 1e-12
+    if lam < SERIES_PRICE:
+        # rounding of the exponent's entries ln r_i - p_i/lam, scaled by lam
+        support = r > operators.EIGEN_ZERO_TOL
+        tol += 4 * np.finfo(float).eps * lam * float(np.max(np.abs(np.log(r[support]) - p[support] / lam)))
+    else:
+        # series truncation: the third cumulant of a 0/1 observable is below 1/(6 sqrt 3)
+        tol += 0.02 / lam**2
+    assert abs(optimal_attack(pair, pi1, lam).utility - (-lam * log_z1)) <= tol
 
 
 # ---------------------------------------------------------------- bounds

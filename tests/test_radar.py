@@ -182,6 +182,21 @@ def test_roc_rejects_bad_grid():
         roc_sweep(REF, lambdas=[1.0], tau_grid=[-1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: roc_sweep(REF, lambdas=[1.0], tau_grid=[math.nan]),
+        lambda: roc_sweep(REF, lambdas=[1.0], tau_grid=[1.0, math.inf]),
+        lambda: photon_sweep(REF, tau=math.inf, lambdas=[1.0], l_values=[0, 1]),
+        lambda: photon_sweep(REF, tau=math.nan, lambdas=[1.0], l_values=[0, 1]),
+    ],
+    ids=["roc-nan", "roc-inf", "photon-inf", "photon-nan"],
+)
+def test_sweeps_reject_nonfinite_threshold(sweep):
+    with pytest.raises(ValueError, match="threshold tau must be positive and finite"):
+        sweep()
+
+
 @pytest.mark.parametrize("lam", [0.0, math.nan, math.inf])
 def test_sweeps_reject_bad_price(lam):
     with pytest.raises(ValueError, match="lam must be positive and finite"):
