@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .detection import HypothesisPair, _checked_rate
+from .detection import HypothesisPair, _checked_rate, _checked_rates
 from .operators import (
     DensityOperator,
     EIGEN_ZERO_TOL,
@@ -38,7 +39,11 @@ from .operators import (
     relative_entropy,
     spectral_decompose,
     trace_product,
+    _check_unit_trace_psd,
+    _hermitian,
     _read_only,
+    _require_hermitian,
+    _traces,
 )
 
 # Default tolerance when flagging bound violations.
@@ -100,34 +105,93 @@ def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: flo
     return trace_product(pi1, rho1_prime) + lam * (s1 + s0)
 
 
-def _support_chart(rho1, pi1, support_eps: float):
-    """Pi1 as a matrix, the eigenvalues r of rho1 above ``support_eps``
-    (descending), their eigenvector columns v, the remaining (kernel)
-    columns, and Pi1 in the support basis, ``hermitian_part(v^dagger Pi1 v)``.
+def _support_chart(rho1, support_eps: float):
+    """The eigenvalues r of rho1 above ``support_eps`` (descending), their
+    eigenvector columns v, and the remaining (kernel) columns.
     """
-    pi_m = as_matrix(pi1)
     dec = spectral_decompose(rho1)
     keep = dec.eigenvalues > support_eps
-    r, v = dec.eigenvalues[keep], dec.eigenvectors[:, keep]
-    return pi_m, r, v, dec.eigenvectors[:, ~keep], hermitian_part(v.conj().T @ pi_m @ v)
+    return dec.eigenvalues[keep], dec.eigenvectors[:, keep], dec.eigenvectors[:, ~keep]
 
 
-def _lift(v: np.ndarray, kernel: np.ndarray, w: np.ndarray, u: np.ndarray) -> tuple[DensityOperator, float]:
-    """The state e^h / Tr e^h for the chart point h = u diag(w) u^dagger, and Tr e^h.
+def _in_support(v: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """A matrix (or a stack of them) in the support basis, ``hermitian_part(v^dagger Pi v)``."""
+    return _hermitian(v.conj().T @ pi @ v)
 
-    Its spectrum is known without another decomposition: eigenvalues
-    e^w / Tr e^h on the columns of v u, and zero on the kernel of rho1.
+
+class _Gibbs(NamedTuple):
+    """The states e^h / Tr e^h of a (price x projector) stack of chart points h."""
+
+    w: np.ndarray  # spectrum of each h, ascending
+    u: np.ndarray  # its eigenvector columns, in the support basis
+    z1: np.ndarray  # Tr e^h
+    p: np.ndarray  # e^w / Tr e^h
+    matrices: np.ndarray  # e^h / Tr e^h on the full space, checked
+
+
+def _lift_stack(v: np.ndarray, kernel: np.ndarray, h: np.ndarray, lams: np.ndarray, thresholds=None) -> _Gibbs:
+    """The states e^h / Tr e^h for a stack of chart points h of shape (price, projector, n, n).
+
+    One ``eigh`` call decomposes the stack; every state then passes the
+    density-operator checks (Hermiticity and finiteness, unit trace, PSD)
+    together.  Each state's spectrum is known without another
+    decomposition: eigenvalues e^w / Tr e^h on the columns of v u, and
+    zero on the kernel of rho1 (see ``_lifted_state``).  ``lams`` and
+    ``thresholds`` index the two batch axes; they only name the failing
+    point when Tr e^h underflows to zero.
     """
+    w, u = np.linalg.eigh(h)
     ew = np.exp(w)
-    z = float(np.sum(ew))
-    p = ew / z
-    sigma = hermitian_part((u * p) @ u.conj().T)
-    state = DensityOperator._from_spectrum(
-        hermitian_part(v @ sigma @ v.conj().T),
-        np.concatenate([p, np.zeros(kernel.shape[1])]),
-        np.hstack([v @ u, kernel]),
+    z1 = np.sum(ew, axis=-1)
+    gone = ~(z1 > 0.0)
+    if gone.any():
+        i, j = np.unravel_index(int(np.argmax(gone)), gone.shape)
+        at = f"lam={float(lams[i])!r}" + ("" if thresholds is None else f", tau={float(thresholds[j])!r}")
+        raise ValueError(
+            f"Z1 = Tr exp(ln rho1 - Pi1/lam) underflows to 0 at {at}: "
+            "exp of every eigenvalue of the exponent is below the smallest float"
+        )
+    p = ew / z1[..., None]
+    sigma = _hermitian((u * p[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    matrices = _require_hermitian(_hermitian(v @ sigma @ v.conj().T))
+    wmin = p.min(axis=-1)
+    _check_unit_trace_psd(matrices, np.minimum(wmin, 0.0) if kernel.shape[1] else wmin)
+    return _Gibbs(w, u, z1, p, matrices)
+
+
+def _lifted_state(v: np.ndarray, kernel: np.ndarray, gibbs: _Gibbs, at) -> DensityOperator:
+    """The checked state ``gibbs.matrices[at]`` wrapped with its known spectrum."""
+    return DensityOperator._from_spectrum(
+        gibbs.matrices[at],
+        np.concatenate([gibbs.p[at], np.zeros(kernel.shape[1])]),
+        np.hstack([v @ gibbs.u[at], kernel]),
     )
-    return state, z
+
+
+class _AttackStack(NamedTuple):
+    """Closed-form attacks indexed [price, projector]."""
+
+    pi_s: np.ndarray  # each projector in the support basis, indexed [projector]
+    gibbs: _Gibbs  # rho1' and its spectrum
+    genuine_p_detect: np.ndarray
+
+
+def _attack_stack(chart, projectors: np.ndarray, lams: np.ndarray, thresholds=None) -> _AttackStack:
+    """The closed-form attack for every (price, projector) pair in one decomposition.
+
+    ``chart`` is rho1's ``_support_chart``, ``projectors`` a stack of
+    projector matrices and ``lams`` a vector of prices.  The exponents
+    ln r - Pi_s/lam of the whole (price x projector) grid go to one
+    ``eigh`` call (``_lift_stack``); the genuine detection rates
+    Tr(Pi1 rho1') pass the rate check together.  Every point is
+    bit-identical to the same point solved alone.  ``thresholds``, when
+    given, names the threshold behind each projector in errors.
+    """
+    r, v, kernel = chart
+    pi_s = _in_support(v, projectors)
+    h = np.diag(np.log(r).astype(np.complex128)) - pi_s / lams[:, None, None, None]
+    gibbs = _lift_stack(v, kernel, h, lams, thresholds)
+    return _AttackStack(pi_s, gibbs, _checked_rates(_traces(projectors, gibbs.matrices)))
 
 
 def _optimal_utility(w: np.ndarray, r: np.ndarray, pi_s: np.ndarray, lam: float) -> float:
@@ -161,24 +225,28 @@ def optimal_attack(
     ``support_eps``; ``rho0`` is left untouched, so the genuine false-alarm
     rate equals the counterfactual one exactly.  The exponent is the only
     matrix decomposed: rho1' takes its spectrum from it, and the utility
-    is -lam ln Z1 (see ``_optimal_utility``).
+    is -lam ln Z1 (see ``_optimal_utility``).  This is the stacked attack
+    step (the one ``roc_sweep`` runs over its whole price x threshold
+    grid) with a stack of one.
+
+    Raises ``ValueError`` naming Z1 and the price when Z1 underflows to
+    zero, which happens at very small prices on a projector far from
+    rho1's support (about lam <= 1e-3 at threshold 0.01 on the radar
+    scenario).
     """
     _check_price(lam)
-    pi_m, r, v, kernel, pi_s = _support_chart(pair.rho1, pi1, support_eps)
-    h = np.diag(np.log(r).astype(np.complex128)) - pi_s / lam
-    w, u = np.linalg.eigh(h)
-    rho1_prime, z1 = _lift(v, kernel, w, u)
-    gpd = _checked_rate(trace_product(pi_m, rho1_prime.matrix))
-    gpf = _checked_rate(trace_product(pi_m, pair.rho0.matrix))
-    utility = _optimal_utility(w, r, pi_s, lam)
+    pi_m = as_matrix(pi1)
+    r, v, kernel = chart = _support_chart(pair.rho1, support_eps)
+    att = _attack_stack(chart, pi_m[None], np.array([lam]))
+    at = (0, 0)
     return AttackerSolution(
-        rho1_prime=rho1_prime,
+        rho1_prime=_lifted_state(v, kernel, att.gibbs, at),
         rho0_prime=pair.rho0,
         lam=lam,
-        z1=z1,
-        genuine_p_detect=gpd,
-        genuine_p_false=gpf,
-        utility=utility,
+        z1=float(att.gibbs.z1[at]),
+        genuine_p_detect=float(att.genuine_p_detect[at]),
+        genuine_p_false=_checked_rate(trace_product(pi_m, pair.rho0.matrix)),
+        utility=_optimal_utility(att.gibbs.w[at], r, att.pi_s[0], lam),
     )
 
 
@@ -301,11 +369,14 @@ def oracle_attack(
         error carries the best iterate and its utility.
     """
     _check_price(lam)
-    pi_m, r, v, kernel, pi_s = _support_chart(pair.rho1, pi1, support_eps)
+    pi_m = as_matrix(pi1)
+    r, v, kernel = _support_chart(pair.rho1, support_eps)
+    pi_s = _in_support(v, pi_m)
     log_r = np.log(r)
+    lams = np.array([lam])
 
     def lift(h: np.ndarray) -> DensityOperator:
-        return _lift(v, kernel, *np.linalg.eigh(h))[0]
+        return _lifted_state(v, kernel, _lift_stack(v, kernel, h[None, None], lams), (0, 0))
 
     h = np.diag(log_r.astype(np.complex128))
     value, grad = _chart_value_grad(h, pi_s, log_r, lam)
@@ -359,8 +430,8 @@ def gap_condition_sums(rho1: DensityOperator, pi1) -> np.ndarray:
     The first-order eigenvalue estimate is trustworthy when every entry is
     below one.  Degenerate pairs of eigenvalues produce ``inf`` entries.
     """
-    _, r, _, _, pi_s = _support_chart(rho1, pi1, -math.inf)
-    return _gap_sums(r, pi_s)
+    r, v, _ = _support_chart(rho1, -math.inf)
+    return _gap_sums(r, _in_support(v, as_matrix(pi1)))
 
 
 def _gap_sums(r: np.ndarray, pi_s: np.ndarray) -> np.ndarray:
@@ -425,7 +496,8 @@ def perturbation_estimate(
     evaluates the trust condition of :func:`gap_condition_sums`.
     """
     _check_price(lam)
-    _, r, _, _, pi_s = _support_chart(pair.rho1, pi1, support_eps)
+    r, v, _ = _support_chart(pair.rho1, support_eps)
+    pi_s = _in_support(v, as_matrix(pi1))
     n = r.shape[0]
     full_rank = n == pair.rho1.dim
 

@@ -64,6 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs more than parsing with it, and
+# parse_args leaves no state behind (each call fills a fresh namespace).
+_PARSER = build_parser()
+
+
 def _resolve_out(path: str | None) -> str | None:
     if path is None:
         return None
@@ -231,8 +236,7 @@ def cmd_verify(cfg: ScenarioConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.config is not None:
             cfg = load_config(args.config)

@@ -12,17 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .operators import (
     DensityOperator,
     EIGEN_ZERO_TOL,
+    as_matrix,
     hermitian_part,
-    require_hermitian,
-    spectral_decompose,
     trace_product,
+    _hermitian,
     _read_only,
+    _require_hermitian,
+    _sort_descending,
+    _traces,
 )
 
 # Tolerance on ||Pi^2 - Pi||_F when validating a projector.
@@ -40,16 +44,18 @@ class ProjectorMeasurement:
     rank: int | None = None
 
     def __post_init__(self):
-        m = require_hermitian(self.matrix)
-        dev = float(np.linalg.norm(m @ m - m))
-        if dev > IDEMPOTENCY_TOL:
-            raise ValueError(f"not a projector: ||Pi^2 - Pi||_F = {dev:.3e}")
-        tr = float(np.trace(m).real)
+        m, rank = _check_projectors(as_matrix(self.matrix), self.rank)
         if self.rank is None:
-            object.__setattr__(self, "rank", round(tr))
-        if abs(tr - self.rank) > IDEMPOTENCY_TOL:
-            raise ValueError(f"rank {self.rank} does not match trace {tr!r}")
+            object.__setattr__(self, "rank", int(rank))
         object.__setattr__(self, "matrix", _read_only(m))
+
+    @classmethod
+    def _from_checked(cls, matrix: np.ndarray, rank: int) -> "ProjectorMeasurement":
+        """A projector whose matrix has passed ``_check_projectors`` with ``rank``."""
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "matrix", _read_only(matrix))
+        object.__setattr__(pi, "rank", rank)
+        return pi
 
     @property
     def dim(self) -> int:
@@ -64,6 +70,32 @@ class ProjectorMeasurement:
         """Projector onto the span of orthonormal columns."""
         v = np.asarray(columns, dtype=np.complex128)
         return cls(hermitian_part(v @ v.conj().T), v.shape[1])
+
+
+def _check_projectors(m: np.ndarray, ranks=None) -> tuple[np.ndarray, np.ndarray]:
+    """The projector checks over a stack (last two axes): Hermiticity and
+    finiteness, ``||Pi^2 - Pi||_F <= IDEMPOTENCY_TOL``, and each rank
+    against its trace.
+
+    ``ranks`` defaults to each trace rounded to the nearest integer.
+    Returns the symmetrized stack and the ranks.
+    """
+    m = _require_hermitian(m)
+    dev = np.linalg.norm(m @ m - m, axis=(-2, -1))
+    if (dev > IDEMPOTENCY_TOL).any():
+        raise ValueError(f"not a projector: ||Pi^2 - Pi||_F = {float(dev.max()):.3e}")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    ranks = np.rint(tr).astype(int) if ranks is None else np.asarray(ranks)
+    off = np.abs(tr - ranks) > IDEMPOTENCY_TOL
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValueError(f"rank {np.ravel(ranks)[i]} does not match trace {float(np.ravel(tr)[i])!r}")
+    return m, ranks
+
+
+def _cost_weights(tau):
+    """Cost weights c0 = 1/(1+tau), c1 = tau/(1+tau) of a threshold, or of an array of them."""
+    return 1.0 / (1.0 + tau), tau / (1.0 + tau)
 
 
 def check_cost_weights(c0: float, c1: float) -> None:
@@ -109,7 +141,7 @@ class HypothesisPair:
         """Pair with cost weights c0 = 1/(1+tau), c1 = tau/(1+tau)."""
         if tau < 0:
             raise ValueError("threshold must be nonnegative")
-        return cls(rho0, rho1, 1.0 / (1.0 + tau), tau / (1.0 + tau))
+        return cls(rho0, rho1, *_cost_weights(tau))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +155,18 @@ class HelstromResult:
     bayes_risk: float
 
 
+def _checked_rates(t: np.ndarray) -> np.ndarray:
+    """Rates checked to lie in [0, 1] within ``RATE_TOL`` (a NaN does not), then clamped to it."""
+    inside = (t >= -RATE_TOL) & (t <= 1.0 + RATE_TOL)
+    if not inside.all():
+        bad = float(np.ravel(t)[int(np.argmin(inside))])
+        raise ValueError(f"rate {bad!r} outside [0, 1] beyond tolerance")
+    # adding +0.0 turns a clamped -0.0 into +0.0 and leaves every other value as it is
+    return np.minimum(np.maximum(t, 0.0), 1.0) + 0.0
+
+
 def _checked_rate(t: float) -> float:
-    if t < -RATE_TOL or t > 1.0 + RATE_TOL:
-        raise ValueError(f"rate {t!r} outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, t))
+    return float(_checked_rates(np.asarray(t)))
 
 
 def rates(pi1, rho1, rho0) -> tuple[float, float]:
@@ -142,19 +182,53 @@ def bayes_risk(pi1, pair: HypothesisPair) -> float:
     return pair.c1 * (1.0 - p_detect) + pair.c0 * p_false
 
 
+class _HelstromStack(NamedTuple):
+    """Risk-optimal projectors for a vector of thresholds, indexed by threshold."""
+
+    projectors: np.ndarray  # (N, d, d), checked by _check_projectors
+    ranks: np.ndarray
+    eigenvalues: np.ndarray  # (N, d), each spectrum of rho1 - tau*rho0 descending
+    p_detect: np.ndarray
+    p_false: np.ndarray
+
+
+def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, taus: np.ndarray, eig_tol: float = EIGEN_ZERO_TOL) -> _HelstromStack:
+    """The risk-optimal projector of ``rho1 - tau*rho0`` for every threshold in ``taus``.
+
+    ``rho0`` and ``rho1`` are the states' matrices.  One ``eigh`` call
+    decomposes the whole stack; each projector is built from its kept
+    (leading) eigenvector columns, with one matrix product per distinct
+    rank, and the stack then passes the projector and rate checks.  A
+    threshold's result is bit-identical whether it is solved alone or in
+    a stack.
+    """
+    a = _require_hermitian(rho1 - taus[:, None, None] * rho0)
+    w, x = _sort_descending(*np.linalg.eigh(a))
+    ranks = (w > eig_tol).sum(axis=-1)
+    proj = np.empty_like(a)
+    for k in set(ranks.tolist()):
+        sel = ranks == k
+        cols = x[sel, :, :k]
+        proj[sel] = _hermitian(cols @ cols.conj().swapaxes(-1, -2))
+    proj, ranks = _check_projectors(proj, ranks)
+    p_detect = _checked_rates(_traces(proj, rho1))
+    p_false = _checked_rates(_traces(proj, rho0))
+    return _HelstromStack(proj, ranks, w, p_detect, p_false)
+
+
 def helstrom_measurement(pair: HypothesisPair, eig_tol: float = EIGEN_ZERO_TOL) -> HelstromResult:
     """Risk-optimal projector onto the strictly positive eigenspace of rho1 - tau*rho0.
 
     Eigenvalues in ``[-eig_tol, eig_tol]`` are treated as zero and excluded,
-    which resolves ties at zero in favor of announcing H0.
+    which resolves ties at zero in favor of announcing H0.  This is the
+    stacked Helstrom step (the one ``roc_sweep`` runs over its threshold
+    grid) with a stack of one.
     """
-    tau = pair.tau
-    dec = spectral_decompose(pair.rho1.matrix - tau * pair.rho0.matrix)
-    keep = dec.eigenvalues > eig_tol
-    pi1 = ProjectorMeasurement.from_columns(dec.eigenvectors[:, keep])
-    p_detect, p_false = rates(pi1, pair.rho1, pair.rho0)
+    hel = _helstrom_stack(pair.rho0.matrix, pair.rho1.matrix, np.array([pair.tau]), eig_tol)
+    pi1 = ProjectorMeasurement._from_checked(hel.projectors[0], int(hel.ranks[0]))
+    p_detect, p_false = float(hel.p_detect[0]), float(hel.p_false[0])
     risk = pair.c1 * (1.0 - p_detect) + pair.c0 * p_false
-    return HelstromResult(pi1, dec.eigenvalues, p_detect, p_false, risk)
+    return HelstromResult(pi1, _read_only(hel.eigenvalues[0]), p_detect, p_false, risk)
 
 
 def sample_outcomes(rho, pi1, n: int, seed: int) -> tuple[int, int]:

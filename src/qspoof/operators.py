@@ -46,8 +46,12 @@ def as_matrix(a) -> np.ndarray:
 
 def hermitian_part(a) -> np.ndarray:
     """(A + A^dagger)/2 -- exact symmetrization of a square matrix."""
-    arr = as_matrix(a)
-    return (arr + arr.conj().T) / 2.0
+    return _hermitian(as_matrix(a))
+
+
+def _hermitian(arr: np.ndarray) -> np.ndarray:
+    """``hermitian_part`` of every matrix in a stack (last two axes)."""
+    return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
 
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -59,15 +63,23 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
         If any entry of ``A - A^dagger`` exceeds ``tol`` in magnitude, or the
         matrix contains non-finite entries.
     """
-    arr = as_matrix(a)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    return _require_hermitian(as_matrix(a), tol)
+
+
+def _require_hermitian(arr: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """``require_hermitian`` over a stack of complex matrices (last two axes).
+
+    The whole stack passes or the call raises, naming the worst deviation.
+    """
+    if not np.isfinite(arr).all():
         raise NonHermitianError("matrix contains non-finite entries")
-    dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    adjoint = arr.conj().swapaxes(-1, -2)
+    dev = float(np.abs(arr - adjoint).max()) if arr.size else 0.0
     if dev > tol:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e} > {tol:.1e}"
         )
-    return hermitian_part(arr)
+    return (arr + adjoint) / 2.0
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -88,9 +100,16 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
+def _sort_descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of an (N, d) stack (eigenvector columns) reordered so each spectrum descends."""
+    order = np.argsort(w, axis=-1)[:, ::-1]
+    rows = np.arange(w.shape[0])[:, None]
+    return w[rows, order], v.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
+
+
 def _descending(w: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
-    order = np.argsort(w)[::-1]
-    return SpectralDecomposition(_read_only(w[order]), _read_only(v[:, order]))
+    w, v = _sort_descending(w[None], v[None])
+    return SpectralDecomposition(_read_only(w[0]), _read_only(v[0]))
 
 
 def _eigh_descending(arr: np.ndarray) -> SpectralDecomposition:
@@ -180,10 +199,38 @@ def trace_product(a, b, imag_tol: float = 1e-10) -> float:
     bm = as_matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    t = complex(np.einsum("ij,ji->", am, bm))
-    if abs(t.imag) > imag_tol:
-        raise ValueError(f"trace has imaginary residue {t.imag:.3e} > {imag_tol:.1e}")
+    return float(_traces(am, bm, imag_tol))
+
+
+def _traces(a: np.ndarray, b: np.ndarray, imag_tol: float = 1e-10) -> np.ndarray:
+    """``trace_product`` of two stacks of matrices, one trace per slice.
+
+    The two stacks are broadcast against each other and brought to one
+    shape with a single batch axis before the contraction (see
+    ``_filled``), so each slice is summed in the order a lone matrix pair
+    is: a trace taken in a stack is bit-identical to the same trace taken
+    alone.  An einsum that broadcasts over several batch axes reorders
+    the sum instead.
+    """
+    shape = np.broadcast(a, b).shape
+    d = shape[-1]
+    t = np.einsum("kij,kji->k", _filled(a, shape).reshape(-1, d, d), _filled(b, shape).reshape(-1, d, d))
+    t = t.reshape(shape[:-2])
+    residue = np.abs(t.imag)
+    if (residue > imag_tol).any():
+        worst = float(t.imag.flat[int(np.argmax(residue))])
+        raise ValueError(f"trace has imaginary residue {worst:.3e} > {imag_tol:.1e}")
     return t.real
+
+
+def _filled(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """``a`` broadcast to ``shape``: a view when only axes of length one are
+    added, otherwise a contiguous copy."""
+    if a.size == math.prod(shape):
+        return a.reshape(shape)
+    out = np.empty(shape, dtype=a.dtype)
+    out[...] = a
+    return out
 
 
 def relative_entropy(nu1, nu0, eps: float = EIGEN_ZERO_TOL) -> float:
@@ -211,6 +258,25 @@ def relative_entropy(nu1, nu0, eps: float = EIGEN_ZERO_TOL) -> float:
     return ent1 - cross
 
 
+def _check_unit_trace_psd(m: np.ndarray, wmin) -> None:
+    """The density-operator checks after Hermiticity, over a stack of states.
+
+    ``m`` holds symmetrized matrices in its last two axes and ``wmin`` the
+    smallest eigenvalue of each.  Raises for the first state whose trace
+    deviates from one by more than ``TRACE_TOL`` or whose smallest
+    eigenvalue is below ``-PSD_TOL``.
+    """
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        bad = float(np.ravel(tr)[int(np.argmax(off))])
+        raise ValueError(f"density operator trace {bad!r} deviates from 1 by more than {TRACE_TOL:.1e}")
+    negative = wmin < -PSD_TOL
+    if negative.any():
+        bad = float(np.ravel(wmin)[int(np.argmax(negative))])
+        raise ValueError(f"density operator is not PSD: smallest eigenvalue {bad:.6e} < -{PSD_TOL:.1e}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Unit-trace positive semidefinite Hermitian matrix.
@@ -222,7 +288,9 @@ class DensityOperator:
     read-only); ``spectral_decompose`` hands it to every later consumer
     instead of decomposing the matrix again.  A state the attack layer
     builds from a spectrum it already knows (``_from_spectrum``) keeps
-    that spectrum and is never decomposed.  ``support_log`` likewise
+    that spectrum and is never decomposed; the attack runs the same
+    checks (``_require_hermitian``, ``_check_unit_trace_psd``) over its
+    whole stack of states before wrapping one.  ``support_log`` likewise
     builds the state's support log (``ln rho`` on the support, projector,
     rank) lazily, once per cutoff, and keeps it with the state.
     """
@@ -233,32 +301,28 @@ class DensityOperator:
 
     def __post_init__(self):
         m = require_hermitian(self.matrix)
-        self._settle(m, _eigh_descending(m))
+        spectrum = _eigh_descending(m)
+        _check_unit_trace_psd(m, spectrum.eigenvalues[-1])
+        self._store(m, spectrum)
 
     @classmethod
     def _from_spectrum(cls, matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "DensityOperator":
-        """A state built with its eigendecomposition already known.
+        """A checked state whose eigendecomposition is already known.
 
-        Runs the public constructor's Hermiticity and trace checks on
-        ``matrix`` and its positivity check on ``eigenvalues``, and keeps
-        the given pairs (sorted descending) as ``spectrum`` instead of
-        decomposing the matrix.  The caller vouches that the columns of
-        ``eigenvectors`` are orthonormal eigenvectors of ``matrix``.
+        The caller has run the public constructor's checks on ``matrix``
+        (``_require_hermitian``, then ``_check_unit_trace_psd`` with the
+        smallest of ``eigenvalues``), usually on a whole stack of states
+        at once.  The given pairs (sorted descending) are kept as
+        ``spectrum`` instead of decomposing the matrix; the caller vouches
+        that the columns of ``eigenvectors`` are orthonormal eigenvectors
+        of ``matrix``.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "_support_logs", {})
-        state._settle(require_hermitian(matrix), _descending(eigenvalues, eigenvectors))
+        state._store(matrix, _descending(eigenvalues, eigenvectors))
         return state
 
-    def _settle(self, m: np.ndarray, spectrum: SpectralDecomposition) -> None:
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density operator trace {tr!r} deviates from 1 by more than {TRACE_TOL:.1e}")
-        wmin = float(spectrum.eigenvalues[-1])
-        if wmin < -PSD_TOL:
-            raise ValueError(
-                f"density operator is not PSD: smallest eigenvalue {wmin:.6e} < -{PSD_TOL:.1e}"
-            )
+    def _store(self, m: np.ndarray, spectrum: SpectralDecomposition) -> None:
         object.__setattr__(self, "matrix", _read_only(m))
         object.__setattr__(self, "spectrum", spectrum)
 

@@ -10,9 +10,13 @@ and the target hypothesis mixes a reflected signal photon state into it,
 
 Everything is diagonal in the number basis, so the scenario doubles as an
 analytically tractable commuting test bed.  Sweeps build the two states
-once per signal level, re-weight them and rebuild the risk-optimal
-projector per threshold, and report both counterfactual and genuine
-(post-distortion) operating rates.
+once per signal level and report both counterfactual and genuine
+(post-distortion) operating rates.  They run the stacked closed forms
+that ``helstrom_measurement`` and ``optimal_attack`` wrap: ``roc_sweep``
+solves its whole threshold grid in one Helstrom step and its whole
+price x threshold grid in one attack step, and ``photon_sweep`` runs one
+attack step per signal level over all of its prices.  Every point is
+bit-identical to the one the scalar functions give.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import _check_price, optimal_attack
-from .detection import HypothesisPair, helstrom_measurement
-from .operators import DensityOperator, as_matrix
+from .adversary import _attack_stack, _check_price, _support_chart
+from .detection import HypothesisPair, _cost_weights, _helstrom_stack, helstrom_measurement
+from .operators import DensityOperator, EIGEN_ZERO_TOL, as_matrix
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,10 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
     """Detection rates across signal levels ``l`` for each distortion price.
 
     The detector threshold ``tau`` is held fixed; the hypothesis pair and
-    its risk-optimal projector are rebuilt for every ``l``.  Rows come back
-    ordered by (lam, l).
+    its risk-optimal projector are rebuilt for every ``l`` (one
+    ``helstrom_measurement`` each).  Levels differ in dimension, so each
+    gets its own attack step, covering all prices at once.  Rows come
+    back ordered by (lam, l).
     """
     _check_threshold(tau)
     lams = [float(v) for v in lambdas]
@@ -115,27 +121,21 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
     ls = [int(v) for v in l_values]
     if any(v < 0 for v in ls):
         raise ValueError("signal levels must be nonnegative")
-    per_l = {}
-    for l in sorted(set(ls)):
+    levels = sorted(set(ls))
+    prices = np.array(sorted(set(lams)))
+    solved = []
+    for l in levels:
         pair = HypothesisPair.from_tau(*_radar_states(base.with_l(l)), tau)
-        hel = helstrom_measurement(pair)
-        nbar = mean_photon(pair.rho1)
-        per_l[l] = (pair, hel, nbar)
-    rows = []
-    for lam in sorted(set(lams)):
-        for l in sorted(set(ls)):
-            pair, hel, nbar = per_l[l]
-            sol = optimal_attack(pair, hel.pi1, lam)
-            rows.append(
-                PhotonSweepRow(
-                    l=l,
-                    mean_photon=nbar,
-                    lam=lam,
-                    p_detect=hel.p_detect,
-                    genuine_p_detect=sol.genuine_p_detect,
-                )
-            )
-    return rows
+        solved.append((l, pair, helstrom_measurement(pair)))
+    columns = []  # per level: l, mean photon number, P_D and the genuine P_D per price
+    for l, pair, hel in solved:
+        att = _attack_stack(_support_chart(pair.rho1, EIGEN_ZERO_TOL), hel.pi1.matrix[None], prices, [tau])
+        columns.append((l, mean_photon(pair.rho1), hel.p_detect, att.genuine_p_detect[:, 0].tolist()))
+    return [
+        PhotonSweepRow(l=l, mean_photon=nbar, lam=lam, p_detect=p_detect, genuine_p_detect=genuine[i])
+        for i, lam in enumerate(prices.tolist())
+        for l, nbar, p_detect, genuine in columns
+    ]
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,12 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     counterfactual ones) followed by one curve per distortion price in
     ascending order.  Cost weights at each threshold are c0 = 1/(1+tau),
     c1 = tau/(1+tau).
+
+    After the two states are built, the sweep makes two decompositions
+    in all: one stacked Helstrom step over the grid and one stacked
+    attack step over every (price, threshold) pair.  Each point equals
+    (``==``) ``helstrom_measurement`` and ``optimal_attack`` run on
+    ``HypothesisPair.from_tau(rho0, rho1, tau)``.
     """
     grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -182,34 +188,14 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
         _check_price(lam)
 
     rho0, rho1 = _radar_states(params)
-    base_points = []
-    solved = []  # (pair, helstrom) per tau
-    for tau in grid:
-        pair = HypothesisPair.from_tau(rho0, rho1, float(tau))
-        hel = helstrom_measurement(pair)
-        solved.append((pair, hel))
-        base_points.append(
-            RocPoint(
-                tau=float(tau),
-                p_false=hel.p_false,
-                p_detect=hel.p_detect,
-                genuine_p_false=hel.p_false,
-                genuine_p_detect=hel.p_detect,
-            )
-        )
-    curves = [RocCurve(lam=None, points=tuple(base_points))]
-    for lam in lams:
-        points = []
-        for tau, (pair, hel) in zip(grid, solved):
-            sol = optimal_attack(pair, hel.pi1, lam)
-            points.append(
-                RocPoint(
-                    tau=float(tau),
-                    p_false=hel.p_false,
-                    p_detect=hel.p_detect,
-                    genuine_p_false=sol.genuine_p_false,
-                    genuine_p_detect=sol.genuine_p_detect,
-                )
-            )
-        curves.append(RocCurve(lam=lam, points=tuple(points)))
+    # the threshold a pair from HypothesisPair.from_tau carries: c1/c0
+    # after the round trip through the cost weights
+    c0, c1 = _cost_weights(grid)
+    hel = _helstrom_stack(rho0.matrix, rho1.matrix, c1 / c0)
+    taus, p_false, p_detect = grid.tolist(), hel.p_false.tolist(), hel.p_detect.tolist()
+    curves = [RocCurve(lam=None, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, p_detect)))]
+    att = _attack_stack(_support_chart(rho1, EIGEN_ZERO_TOL), hel.projectors, np.array(lams), taus)
+    for lam, genuine in zip(lams, att.genuine_p_detect.tolist()):
+        # rho0 is never distorted: the genuine false-alarm rate is P_F
+        curves.append(RocCurve(lam=lam, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, genuine))))
     return curves

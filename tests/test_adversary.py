@@ -25,7 +25,8 @@ from qspoof import (
     relative_entropy,
     spectral_decompose,
 )
-from qspoof import adversary, operators
+from qspoof import adversary, detection, operators
+from qspoof.operators import EIGEN_ZERO_TOL
 from qspoof.adversary import BOUND_TOL, SERIES_PRICE, _chart_value_grad
 from qspoof.sampling import (
     haar_unitary,
@@ -247,6 +248,38 @@ def test_attack_decomposes_exponent_only(monkeypatch, d):
         optimal_attack(pair, pi1, lam)
     assert calls == {"eigh": 3, "eigvalsh": 0}
     assert entropies == []
+
+
+@pytest.mark.parametrize("d", [3, 8, 32])
+def test_stacked_steps_equal_their_batch_of_one(d):
+    # on generic (dense, complex) pairs every member of a stacked Helstrom
+    # or attack step is bit-identical to the same point solved alone
+    rng = np.random.default_rng(40 + d)
+    base = random_pair(rng, d)
+    pairs = [HypothesisPair.from_tau(base.rho0, base.rho1, tau) for tau in (0.3, 1.0, 2.5)]
+    hel = detection._helstrom_stack(base.rho0.matrix, base.rho1.matrix, np.array([p.tau for p in pairs]))
+    lams = np.array([0.05, 1.0, 3e4, 1e9])
+    att = adversary._attack_stack(adversary._support_chart(base.rho1, EIGEN_ZERO_TOL), hel.projectors, lams)
+    for j, pair in enumerate(pairs):
+        one = helstrom_measurement(pair)
+        assert np.array_equal(hel.projectors[j], one.pi1.matrix)
+        assert np.array_equal(hel.eigenvalues[j], one.eigenvalues)
+        assert (hel.p_detect[j], hel.p_false[j]) == (one.p_detect, one.p_false)
+        for i, lam in enumerate(lams):
+            sol = optimal_attack(pair, one.pi1, float(lam))
+            assert np.array_equal(att.gibbs.matrices[i, j], sol.rho1_prime.matrix)
+            assert (att.gibbs.z1[i, j], att.genuine_p_detect[i, j]) == (sol.z1, sol.genuine_p_detect)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_attack_names_the_z1_underflow():
+    # at threshold 0.01 and lam = 1e-3 every exp(w) underflows to 0; the
+    # attack names Z1 and the price before it would divide 0 by 0
+    base = radar_pair()
+    pair = HypothesisPair.from_tau(base.rho0, base.rho1, 0.01)
+    pi1 = helstrom_measurement(pair).pi1
+    with pytest.raises(ValueError, match=r"^Z1 = Tr exp\(ln rho1 - Pi1/lam\) underflows to 0 at lam=0\.001:"):
+        optimal_attack(pair, pi1, 1e-3)
 
 
 def test_perturbation_estimate_decomposes_exponent_only(monkeypatch):

@@ -240,6 +240,53 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert code == 3
 
 
+def test_roc_names_the_z1_underflow(capsys, tmp_path):
+    # at threshold 0.01 and lam = 1e-3 every exp(w) underflows; the error
+    # names Z1 and the grid point instead of a downstream non-finite matrix
+    cfg = {
+        "radar": {"n_b": 0.4, "x": 0.9, "k": 1, "l": 2, "c0": 0.5, "c1": 0.5},
+        "sweep": {"tau_grid": [0.01, 1.0]},
+    }
+    p = tmp_path / "underflow.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run_cli(capsys, "roc", "--config", str(p), "--lambda", "1e-3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Z1 = Tr exp(ln rho1 - Pi1/lam) underflows to 0 at lam=0.001, tau=0.01")
+
+
+# ---------------------------------------------------------------- parser reuse
+
+def test_main_calls_share_no_parser_state(capsys, radar_config_path, tmp_path):
+    # the parser is built once per process; appended --lambda values and
+    # usage errors must not leak from one call into the next
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    common = ("attack", "--config", radar_config_path, "--format", "csv")
+    assert run_cli(capsys, *common, "--lambda", "0.5", "--lambda", "2", "--out", str(first))[0] == 0
+    assert run_cli(capsys, *common, "--lambda", "2", "--out", str(second))[0] == 0
+    assert len(first.read_text(encoding="utf-8").splitlines()) == 3
+    lines = second.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("2.00000000000e+00,")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["attack", "--lambda", "1"])
+        assert usage.value.code == 2
+        assert "--config" in capsys.readouterr().err
+    # a config value is used again once no flag overrides it
+    code, out, _ = run_cli(capsys, "attack", "--config", radar_config_path, "--format", "csv")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["1.00000000000e+00"]
+
+
+def test_version_flag_unchanged_across_calls(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["--version"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out == f"qspoof {cli.__version__}\n"
+
+
 # ---------------------------------------------------------------- errors and I/O
 
 def test_missing_config_is_io_error(capsys, tmp_path):

@@ -14,6 +14,7 @@ from qspoof import (
     rates,
     sample_outcomes,
 )
+from qspoof import detection, operators
 from qspoof.sampling import random_pair, random_projector
 
 RATE_TOL = 1e-12
@@ -98,6 +99,32 @@ def test_projector_rejects_non_idempotent():
 def test_projector_zero_and_identity():
     assert ProjectorMeasurement.zero(3).rank == 0
     assert ProjectorMeasurement(np.eye(3)).rank == 3
+
+
+def test_stacked_checks_reject_one_bad_member():
+    # the sweeps check whole stacks with the code the constructors run on a
+    # stack of one; one bad member among good ones fails the stack
+    good = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="not a projector"):
+        detection._check_projectors(np.stack([good, good, np.diag([0.5, 0.0]).astype(complex), good]))
+    with pytest.raises(ValueError, match=r"rank 2 does not match trace 1\.0"):
+        detection._check_projectors(np.stack([good, good]), np.array([1, 2]))
+    with pytest.raises(ValueError, match=r"trace 1\.5 deviates"):
+        operators._check_unit_trace_psd(np.stack([good, 1.5 * good]), np.zeros(2))
+    with pytest.raises(ValueError, match=r"smallest eigenvalue -1\.000000e-03"):
+        operators._check_unit_trace_psd(np.stack([good, good]), np.array([0.0, -1e-3]))
+    with pytest.raises(ValueError, match=r"rate 1\.5 outside"):
+        detection._checked_rates(np.array([[0.2, 1.5], [0.0, 1.0]]))
+    with pytest.raises(operators.NonHermitianError, match="non-finite"):
+        detection._check_projectors(np.stack([good, np.full((2, 2), np.nan)]))
+
+
+def test_rate_check_rejects_nan_and_clamps_to_positive_zero():
+    with pytest.raises(ValueError, match="rate nan outside"):
+        rates(ProjectorMeasurement(np.eye(2)), np.full((2, 2), np.nan), np.eye(2) / 2)
+    clamped = detection._checked_rates(np.array([-0.0, -1e-12, 1.0 + 1e-12, 0.25]))
+    assert clamped.tolist() == [0.0, 0.0, 1.0, 0.25]
+    assert not np.signbit(clamped).any()
 
 
 def test_projector_from_columns():

@@ -1,20 +1,24 @@
 """Photon-number radar scenario: state construction, ROC and signal sweeps."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from qspoof import (
     HypothesisPair,
+    PhotonSweepRow,
     RadarParams,
     build_radar_pair,
     default_tau_grid,
     helstrom_measurement,
     mean_photon,
+    optimal_attack,
     photon_sweep,
     roc_sweep,
 )
+from qspoof import radar
 
 REF = RadarParams(n_b=0.4, x=0.9, k=1, l=2)
 
@@ -212,3 +216,107 @@ def test_default_tau_grid_shape():
     assert abs(grid[-1] - 1e2) <= 1e-12
     ratios = np.diff(np.log(grid))
     assert np.allclose(ratios, ratios[0], atol=1e-12)
+
+
+# ---------------------------------------------------------------- stacked sweeps against the scalar API
+
+# (n_b, x, k, l): the reference, the degenerate levels k = 0 and l in {0, k}
+# (down to d = 1), then seeded radar_cli-style draws
+STACK_SCENARIOS = [(0.4, 0.9, 1, 2), (0.4, 0.9, 0, 2), (0.3, 0.6, 3, 3), (0.7, 0.2, 4, 0), (0.5, 0.5, 0, 0)] + [
+    (float(r.uniform(0.02, 0.98)), float(r.uniform(0.02, 0.98)), int(r.integers(0, 9)), int(r.integers(0, 9)))
+    for r in map(np.random.default_rng, range(7))
+]
+
+
+def _stack_inputs(i):
+    rng = np.random.default_rng([i, 8])
+    prices = [1e-2, 1e15] + [float(v) for v in 10.0 ** rng.uniform(-2.0, 15.0, 3)]
+    grids = [None, [0.01, 0.3, 1.0, 3.7, 100.0], sorted(10.0 ** rng.uniform(-2.0, 2.0, 9))]
+    return RadarParams(*STACK_SCENARIOS[i]), prices, grids[i % 3]
+
+
+@pytest.mark.parametrize("i", range(len(STACK_SCENARIOS)))
+def test_roc_sweep_equals_scalar_api(i):
+    # every point of the stacked sweep is exactly what helstrom_measurement
+    # and optimal_attack give for that threshold and price alone
+    params, prices, grid = _stack_inputs(i)
+    curves = roc_sweep(params, prices, grid)
+    base = build_radar_pair(params, 0.5, 0.5)
+    taus = default_tau_grid() if grid is None else grid
+    solved = []
+    for tau in map(float, taus):
+        pair = HypothesisPair.from_tau(base.rho0, base.rho1, tau)
+        solved.append((tau, pair, helstrom_measurement(pair)))
+    assert [c.lam for c in curves] == [None] + sorted(prices)
+    assert [astuple(p) for p in curves[0].points] == [
+        (tau, hel.p_false, hel.p_detect, hel.p_false, hel.p_detect) for tau, _, hel in solved
+    ]
+    for curve in curves[1:]:
+        want = []
+        for tau, pair, hel in solved:
+            sol = optimal_attack(pair, hel.pi1, curve.lam)
+            want.append((tau, hel.p_false, hel.p_detect, sol.genuine_p_false, sol.genuine_p_detect))
+        assert [astuple(p) for p in curve.points] == want
+
+
+@pytest.mark.parametrize("i", range(len(STACK_SCENARIOS)))
+def test_photon_sweep_equals_scalar_api(i):
+    params, prices, _ = _stack_inputs(i)
+    tau = float(10.0 ** np.random.default_rng([i, 9]).uniform(-2.0, 2.0))
+    levels = [0, params.k, 3, 8]
+    rows = photon_sweep(params, levels, prices, tau)
+    want = []
+    for lam in sorted(prices):
+        for l in sorted(set(levels)):
+            base = build_radar_pair(params.with_l(l), 0.5, 0.5)
+            pair = HypothesisPair.from_tau(base.rho0, base.rho1, tau)
+            hel = helstrom_measurement(pair)
+            sol = optimal_attack(pair, hel.pi1, lam)
+            want.append(PhotonSweepRow(l, mean_photon(pair.rho1), lam, hel.p_detect, sol.genuine_p_detect))
+    assert rows == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_roc_sweep_names_the_z1_underflow():
+    # at threshold 0.01 and lam <= 1e-3 every exp(w) underflows; the error
+    # names Z1, the price and the threshold of the first failing point
+    with pytest.raises(ValueError, match=r"^Z1 = Tr exp\(ln rho1 - Pi1/lam\) underflows to 0 at lam=1e-06, tau=0\.01:"):
+        roc_sweep(REF, lambdas=[1.0, 1e-6, 1e-3], tau_grid=[0.01, 1.0])
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    inner = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a)[:-2])
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_tau", [1, 7, 60])
+@pytest.mark.parametrize("n_lam", [1, 4])
+def test_roc_sweep_decomposes_twice_after_state_setup(monkeypatch, n_tau, n_lam):
+    # building rho0 and rho1 validates each with one eigh; then one stacked
+    # Helstrom step over the grid and one stacked attack step over it all
+    calls = _count_eigh(monkeypatch)
+    roc_sweep(REF, lambdas=[0.5 * (j + 1) for j in range(n_lam)], tau_grid=default_tau_grid(n_tau))
+    assert calls == [(), (), (n_tau,), (n_lam, n_tau)]
+
+
+@pytest.mark.parametrize("levels", [[2], [0, 1, 4], range(6)])
+@pytest.mark.parametrize("n_lam", [1, 3])
+def test_photon_sweep_decomposes_once_per_level_and_step(monkeypatch, levels, n_lam):
+    # per level: two state validations, one Helstrom step and one attack
+    # step over all prices
+    steps = []
+    for name in ("helstrom_measurement", "_attack_stack"):
+        inner = getattr(radar, name)
+        monkeypatch.setattr(radar, name, lambda *a, _inner=inner, _name=name, **k: steps.append(_name) or _inner(*a, **k))
+    calls = _count_eigh(monkeypatch)
+    photon_sweep(REF, levels, [0.5 * (j + 1) for j in range(n_lam)], tau=1.0)
+    n = len(list(levels))
+    assert calls == [(), (), (1,)] * n + [(n_lam, 1)] * n
+    assert steps == ["helstrom_measurement"] * n + ["_attack_stack"] * n
