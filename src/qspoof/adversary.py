@@ -46,8 +46,10 @@ from .operators import (
     _traces,
 )
 
-# Default tolerance when flagging bound violations.
+# Slack allowed when flagging bound violations.
 BOUND_TOL = 1e-9
+# Adjacent eigenvalues of rho1 closer than this form a near-degenerate cluster.
+CLUSTER_TOL = 1e-8
 # Prices at or above this take the utility from the second-order Kubo-Mori
 # series instead of -lam * log-sum-exp: the series' truncation error falls
 # like 1/lam^2, the log-sum-exp's rounding error grows like eps * lam.
@@ -105,12 +107,12 @@ def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: flo
     return trace_product(pi1, rho1_prime) + lam * (s1 + s0)
 
 
-def _support_chart(rho1, support_eps: float):
-    """The eigenvalues r of rho1 above ``support_eps`` (descending), their
-    eigenvector columns v, and the remaining (kernel) columns.
+def _support_chart(rho1):
+    """The eigenvalues r of rho1 above ``EIGEN_ZERO_TOL`` (descending),
+    their eigenvector columns v, and the remaining (kernel) columns.
     """
     dec = spectral_decompose(rho1)
-    keep = dec.eigenvalues > support_eps
+    keep = dec.eigenvalues > EIGEN_ZERO_TOL
     return dec.eigenvalues[keep], dec.eigenvectors[:, keep], dec.eigenvectors[:, ~keep]
 
 
@@ -160,11 +162,12 @@ def _lift_stack(v: np.ndarray, kernel: np.ndarray, h: np.ndarray, lams: np.ndarr
 
 
 def _lifted_state(v: np.ndarray, kernel: np.ndarray, gibbs: _Gibbs, at) -> DensityOperator:
-    """The checked state ``gibbs.matrices[at]`` wrapped with its known spectrum."""
+    """The checked state ``gibbs.matrices[at]`` wrapped with its known
+    spectrum, descending: the ascending ``gibbs.p`` reversed, then zeros."""
     return DensityOperator._from_spectrum(
         gibbs.matrices[at],
-        np.concatenate([gibbs.p[at], np.zeros(kernel.shape[1])]),
-        np.hstack([v @ gibbs.u[at], kernel]),
+        np.concatenate([gibbs.p[at][::-1], np.zeros(kernel.shape[1])]),
+        np.hstack([(v @ gibbs.u[at])[:, ::-1], kernel]),
     )
 
 
@@ -212,22 +215,17 @@ def _optimal_utility(w: np.ndarray, r: np.ndarray, pi_s: np.ndarray, lam: float)
     return mean - (second - mean * mean) / (2.0 * lam)
 
 
-def optimal_attack(
-    pair: HypothesisPair,
-    pi1,
-    lam: float,
-    support_eps: float = EIGEN_ZERO_TOL,
-) -> AttackerSolution:
+def optimal_attack(pair: HypothesisPair, pi1, lam: float) -> AttackerSolution:
     """Closed-form minimizer of the interceptor objective for price ``lam``.
 
     The replacement for ``rho1`` is exp(ln rho1 - Pi1/lam)/Z1 computed in
     the eigenbasis of ``rho1`` restricted to eigenvalues above
-    ``support_eps``; ``rho0`` is left untouched, so the genuine false-alarm
-    rate equals the counterfactual one exactly.  The exponent is the only
-    matrix decomposed: rho1' takes its spectrum from it, and the utility
-    is -lam ln Z1 (see ``_optimal_utility``).  This is the stacked attack
-    step (the one ``roc_sweep`` runs over its whole price x threshold
-    grid) with a stack of one.
+    ``EIGEN_ZERO_TOL``; ``rho0`` is left untouched, so the genuine
+    false-alarm rate equals the counterfactual one exactly.  The exponent
+    is the only matrix decomposed: rho1' takes its spectrum from it, and
+    the utility is -lam ln Z1 (see ``_optimal_utility``).  This is the
+    stacked attack step (the one ``roc_sweep`` runs over its whole
+    price x threshold grid) with a stack of one.
 
     Raises ``ValueError`` naming Z1 and the price when Z1 underflows to
     zero, which happens at very small prices on a projector far from
@@ -236,7 +234,7 @@ def optimal_attack(
     """
     _check_price(lam)
     pi_m = as_matrix(pi1)
-    r, v, kernel = chart = _support_chart(pair.rho1, support_eps)
+    r, v, kernel = chart = _support_chart(pair.rho1)
     att = _attack_stack(chart, pi_m[None], np.array([lam]))
     at = (0, 0)
     return AttackerSolution(
@@ -275,9 +273,8 @@ class BoundReport:
     upper_satisfied: bool
 
     @classmethod
-    def evaluate(
-        cls, p_detect: float, genuine_p_detect: float, lam: float, tol: float = BOUND_TOL
-    ) -> "BoundReport":
+    def evaluate(cls, p_detect: float, genuine_p_detect: float, lam: float) -> "BoundReport":
+        """The envelope of ``detection_bounds``, each side flagged within ``BOUND_TOL``."""
         lower, upper = detection_bounds(p_detect, lam)
         return cls(
             p_detect=p_detect,
@@ -285,8 +282,8 @@ class BoundReport:
             lam=lam,
             lower=lower,
             upper=upper,
-            lower_satisfied=genuine_p_detect >= lower - tol,
-            upper_satisfied=genuine_p_detect <= upper + tol,
+            lower_satisfied=genuine_p_detect >= lower - BOUND_TOL,
+            upper_satisfied=genuine_p_detect <= upper + BOUND_TOL,
         )
 
 
@@ -351,7 +348,6 @@ def oracle_attack(
     lam: float,
     iterations: int = 5000,
     tol: float = 1e-14,
-    support_eps: float = EIGEN_ZERO_TOL,
 ) -> DensityOperator:
     """Numerical minimizer of the interceptor objective, independent of the closed form.
 
@@ -370,7 +366,7 @@ def oracle_attack(
     """
     _check_price(lam)
     pi_m = as_matrix(pi1)
-    r, v, kernel = _support_chart(pair.rho1, support_eps)
+    r, v, kernel = _support_chart(pair.rho1)
     pi_s = _in_support(v, pi_m)
     log_r = np.log(r)
     lams = np.array([lam])
@@ -430,8 +426,8 @@ def gap_condition_sums(rho1: DensityOperator, pi1) -> np.ndarray:
     The first-order eigenvalue estimate is trustworthy when every entry is
     below one.  Degenerate pairs of eigenvalues produce ``inf`` entries.
     """
-    r, v, _ = _support_chart(rho1, -math.inf)
-    return _gap_sums(r, _in_support(v, as_matrix(pi1)))
+    dec = spectral_decompose(rho1)
+    return _gap_sums(dec.eigenvalues, _in_support(dec.eigenvectors, as_matrix(pi1)))
 
 
 def _gap_sums(r: np.ndarray, pi_s: np.ndarray) -> np.ndarray:
@@ -479,24 +475,18 @@ class PerturbationReport:
         return float(np.max(np.abs(self.residual))) if self.residual.size else 0.0
 
 
-def perturbation_estimate(
-    pair: HypothesisPair,
-    pi1,
-    lam: float,
-    support_eps: float = EIGEN_ZERO_TOL,
-    cluster_tol: float = 1e-8,
-) -> PerturbationReport:
+def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> PerturbationReport:
     """First-order eigenvalue diagnostics for the closed-form exponent.
 
     Compares the exact eigenvalues alpha_j of ln rho1 - Pi1/lam (on the
     support of rho1) with ln r_j - beta_j/lam.  Exact eigenvalues are
     paired to levels of rho1 by maximal eigenvector overlap, so reordering
     caused by the shift cannot corrupt the residuals.  The report flags
-    near-degenerate clusters (eigenvalue gaps below ``cluster_tol``) and
+    near-degenerate clusters (eigenvalue gaps below ``CLUSTER_TOL``) and
     evaluates the trust condition of :func:`gap_condition_sums`.
     """
     _check_price(lam)
-    r, v, _ = _support_chart(pair.rho1, support_eps)
+    r, v, _ = _support_chart(pair.rho1)
     pi_s = _in_support(v, as_matrix(pi1))
     n = r.shape[0]
     full_rank = n == pair.rho1.dim
@@ -505,7 +495,7 @@ def perturbation_estimate(
     min_gap = float(np.min(-diffs)) if n > 1 else math.inf
     cluster = np.zeros(n, dtype=bool)
     for i in range(n - 1):
-        if r[i] - r[i + 1] < cluster_tol:
+        if r[i] - r[i + 1] < CLUSTER_TOL:
             cluster[i] = True
             cluster[i + 1] = True
     simple = not bool(cluster.any())

@@ -81,8 +81,9 @@ def realize_channel(rho: DensityOperator, rho_target: DensityOperator) -> KrausC
     return KrausChannel(dim=d, operators=tuple(ops))
 
 
-def apply_channel(channel: KrausChannel, rho, completeness_tol: float = COMPLETENESS_TOL) -> DensityOperator:
-    """Apply sum_k E_k rho E_k^dagger; refuses channels that fail completeness.
+def apply_channel(channel: KrausChannel, rho) -> DensityOperator:
+    """Apply sum_k E_k rho E_k^dagger; refuses channels whose completeness
+    residual exceeds ``COMPLETENESS_TOL``.
 
     The output is validated as a density operator (Hermitian, unit trace,
     PSD), so a channel that barely passes the completeness gate can still
@@ -90,9 +91,9 @@ def apply_channel(channel: KrausChannel, rho, completeness_tol: float = COMPLETE
     within the density-operator tolerance.
     """
     residual = completeness_residual(channel)
-    if residual > completeness_tol:
+    if residual > COMPLETENESS_TOL:
         raise ValueError(
-            f"channel is not trace preserving: completeness residual {residual:.3e} > {completeness_tol:.1e}"
+            f"channel is not trace preserving: completeness residual {residual:.3e} > {COMPLETENESS_TOL:.1e}"
         )
     m = as_matrix(rho)
     if m.shape != (channel.dim, channel.dim):

@@ -67,10 +67,10 @@ class ScenarioConfig:
         return build_radar_pair(self.radar, self.c0, self.c1)
 
     def effective_tau(self) -> float:
-        """Sweep threshold: explicit ``sweep.tau`` wins, else derived from the cost weights."""
+        """Sweep threshold: explicit ``sweep.tau`` wins, else c1/c0 of the cost weights."""
         if self.tau is not None:
             return self.tau
-        return self.build_pair().tau
+        return self.c1 / self.c0
 
     def effective_l_values(self) -> tuple:
         if self.l_values is not None:

@@ -192,7 +192,7 @@ class _HelstromStack(NamedTuple):
     p_false: np.ndarray
 
 
-def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, taus: np.ndarray, eig_tol: float = EIGEN_ZERO_TOL) -> _HelstromStack:
+def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, taus: np.ndarray) -> _HelstromStack:
     """The risk-optimal projector of ``rho1 - tau*rho0`` for every threshold in ``taus``.
 
     ``rho0`` and ``rho1`` are the states' matrices.  One ``eigh`` call
@@ -204,7 +204,7 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, taus: np.ndarray, eig_to
     """
     a = _require_hermitian(rho1 - taus[:, None, None] * rho0)
     w, x = _sort_descending(*np.linalg.eigh(a))
-    ranks = (w > eig_tol).sum(axis=-1)
+    ranks = (w > EIGEN_ZERO_TOL).sum(axis=-1)
     proj = np.empty_like(a)
     for k in set(ranks.tolist()):
         sel = ranks == k
@@ -216,15 +216,15 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, taus: np.ndarray, eig_to
     return _HelstromStack(proj, ranks, w, p_detect, p_false)
 
 
-def helstrom_measurement(pair: HypothesisPair, eig_tol: float = EIGEN_ZERO_TOL) -> HelstromResult:
+def helstrom_measurement(pair: HypothesisPair) -> HelstromResult:
     """Risk-optimal projector onto the strictly positive eigenspace of rho1 - tau*rho0.
 
-    Eigenvalues in ``[-eig_tol, eig_tol]`` are treated as zero and excluded,
-    which resolves ties at zero in favor of announcing H0.  This is the
-    stacked Helstrom step (the one ``roc_sweep`` runs over its threshold
-    grid) with a stack of one.
+    Eigenvalues in ``[-EIGEN_ZERO_TOL, EIGEN_ZERO_TOL]`` are treated as
+    zero and excluded, which resolves ties at zero in favor of announcing
+    H0.  This is the stacked Helstrom step (the one ``roc_sweep`` runs
+    over its threshold grid) with a stack of one.
     """
-    hel = _helstrom_stack(pair.rho0.matrix, pair.rho1.matrix, np.array([pair.tau]), eig_tol)
+    hel = _helstrom_stack(pair.rho0.matrix, pair.rho1.matrix, np.array([pair.tau]))
     pi1 = ProjectorMeasurement._from_checked(hel.projectors[0], int(hel.ranks[0]))
     p_detect, p_false = float(hel.p_detect[0]), float(hel.p_false[0])
     risk = pair.c1 * (1.0 - p_detect) + pair.c0 * p_false

@@ -23,6 +23,8 @@ EIGEN_ZERO_TOL = 1e-12
 PSD_TOL = 1e-10
 # Allowed deviation of a density operator's trace from one.
 TRACE_TOL = 1e-10
+# Imaginary residue of Tr(AB) for Hermitian A, B above which the input is rejected.
+TRACE_RESIDUE_TOL = 1e-10
 # Mass of nu1 outside the support of nu0 above which S(nu1||nu0) = +inf.
 SUPPORT_LEAK_TOL = 1e-9
 
@@ -54,19 +56,19 @@ def _hermitian(arr: np.ndarray) -> np.ndarray:
     return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate conjugate symmetry within ``tol`` and return the symmetrized matrix.
+def require_hermitian(a) -> np.ndarray:
+    """Validate conjugate symmetry within ``HERMITIAN_TOL``; return the symmetrized matrix.
 
     Raises
     ------
     NonHermitianError
-        If any entry of ``A - A^dagger`` exceeds ``tol`` in magnitude, or the
-        matrix contains non-finite entries.
+        If any entry of ``A - A^dagger`` exceeds ``HERMITIAN_TOL`` in
+        magnitude, or the matrix contains non-finite entries.
     """
-    return _require_hermitian(as_matrix(a), tol)
+    return _require_hermitian(as_matrix(a))
 
 
-def _require_hermitian(arr: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def _require_hermitian(arr: np.ndarray) -> np.ndarray:
     """``require_hermitian`` over a stack of complex matrices (last two axes).
 
     The whole stack passes or the call raises, naming the worst deviation.
@@ -75,9 +77,9 @@ def _require_hermitian(arr: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarra
         raise NonHermitianError("matrix contains non-finite entries")
     adjoint = arr.conj().swapaxes(-1, -2)
     dev = float(np.abs(arr - adjoint).max()) if arr.size else 0.0
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise NonHermitianError(
-            f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e} > {tol:.1e}"
+            f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e} > {HERMITIAN_TOL:.1e}"
         )
     return (arr + adjoint) / 2.0
 
@@ -95,47 +97,37 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def _sort_descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of an (N, d) stack (eigenvector columns) reordered so each spectrum descends."""
-    order = np.argsort(w, axis=-1)[:, ::-1]
-    rows = np.arange(w.shape[0])[:, None]
-    return w[rows, order], v.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
-
-
-def _descending(w: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
-    w, v = _sort_descending(w[None], v[None])
-    return SpectralDecomposition(_read_only(w[0]), _read_only(v[0]))
+    """``np.linalg.eigh`` output (a matrix or a stack; spectra ascending)
+    with each spectrum and its eigenvector columns reversed to descend."""
+    return w[..., ::-1], v[..., ::-1]
 
 
 def _eigh_descending(arr: np.ndarray) -> SpectralDecomposition:
-    return _descending(*np.linalg.eigh(arr))
+    w, v = _sort_descending(*np.linalg.eigh(arr))
+    return SpectralDecomposition(_read_only(w), _read_only(v))
 
 
-def spectral_decompose(a, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+def spectral_decompose(a) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     A ``DensityOperator`` hands back the spectrum it computed when it was
-    validated; anything else is checked for Hermiticity within ``tol`` and
-    decomposed.  Degenerate eigenspaces come back with an arbitrary
-    orthonormal basis, which every downstream consumer must (and does)
-    tolerate.
+    validated; anything else is checked for Hermiticity within
+    ``HERMITIAN_TOL`` and decomposed.  Degenerate eigenspaces come back
+    with an arbitrary orthonormal basis, which every downstream consumer
+    must (and does) tolerate.
     """
     if isinstance(a, DensityOperator):
         return a.spectrum
-    return _eigh_descending(require_hermitian(a, tol))
+    return _eigh_descending(require_hermitian(a))
 
 
 @dataclass(frozen=True, eq=False)
 class SupportLog:
     """ln(rho) restricted to the support, plus the support projector and rank.
 
-    Both arrays are read-only: a ``DensityOperator`` keeps its support log
-    per cutoff and hands the same object to every caller.
+    Both arrays are read-only.
     """
 
     matrix: np.ndarray
@@ -143,42 +135,32 @@ class SupportLog:
     rank: int
 
 
-def support_log(rho, eps: float = EIGEN_ZERO_TOL) -> SupportLog:
+def support_log(rho) -> SupportLog:
     """Logarithm of a PSD operator on its support; zero on the kernel.
 
-    A ``DensityOperator`` computes its support log at most once per cutoff
-    ``eps``, from its stored spectrum, and keeps it for its own lifetime;
-    anything else is decomposed on every call.
+    A ``DensityOperator`` supplies its stored spectrum; anything else is
+    decomposed.  Eigenvalues at or below ``EIGEN_ZERO_TOL`` are treated as
+    zero and excluded from the support.
 
     Parameters
     ----------
     rho : operator-like
         Positive semidefinite matrix (a density operator in practice).
-    eps : float
-        Eigenvalues at or below ``eps`` are treated as zero and excluded
-        from the support.
 
     Returns
     -------
     SupportLog
-        ``matrix`` is sum_j ln(w_j) |v_j><v_j| over eigenvalues w_j > eps,
-        ``projector`` the corresponding support projector, ``rank`` its rank.
+        ``matrix`` is sum_j ln(w_j) |v_j><v_j| over eigenvalues
+        w_j > ``EIGEN_ZERO_TOL``, ``projector`` the corresponding support
+        projector, ``rank`` its rank.
     """
-    if not isinstance(rho, DensityOperator):
-        return _support_log(spectral_decompose(rho), eps)
-    log = rho._support_logs.get(eps)
-    if log is None:
-        log = rho._support_logs[eps] = _support_log(rho.spectrum, eps)
-    return log
-
-
-def _support_log(dec: SpectralDecomposition, eps: float) -> SupportLog:
+    dec = spectral_decompose(rho)
     radius = float(np.abs(dec.eigenvalues).max(initial=0.0))
     if dec.eigenvalues[-1] < -PSD_TOL * max(1.0, radius):
         raise ValueError(
             f"operator is not positive semidefinite: eigenvalue {dec.eigenvalues[-1]:.3e}"
         )
-    keep = dec.eigenvalues > eps
+    keep = dec.eigenvalues > EIGEN_ZERO_TOL
     rank = int(np.count_nonzero(keep))
     if rank == 0:
         raise ValueError("operator is numerically zero; no support to take a log on")
@@ -189,20 +171,21 @@ def _support_log(dec: SpectralDecomposition, eps: float) -> SupportLog:
     return SupportLog(_read_only(log), _read_only(proj), rank)
 
 
-def trace_product(a, b, imag_tol: float = 1e-10) -> float:
+def trace_product(a, b) -> float:
     """Real part of Tr(AB) for Hermitian A, B.
 
     The imaginary residue of the trace is asserted to be at most
-    ``imag_tol``; anything larger indicates non-Hermitian input and raises.
+    ``TRACE_RESIDUE_TOL``; anything larger indicates non-Hermitian input
+    and raises.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return float(_traces(am, bm, imag_tol))
+    return float(_traces(am, bm))
 
 
-def _traces(a: np.ndarray, b: np.ndarray, imag_tol: float = 1e-10) -> np.ndarray:
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``trace_product`` of two stacks of matrices, one trace per slice.
 
     The two stacks are broadcast against each other and brought to one
@@ -217,9 +200,9 @@ def _traces(a: np.ndarray, b: np.ndarray, imag_tol: float = 1e-10) -> np.ndarray
     t = np.einsum("kij,kji->k", _filled(a, shape).reshape(-1, d, d), _filled(b, shape).reshape(-1, d, d))
     t = t.reshape(shape[:-2])
     residue = np.abs(t.imag)
-    if (residue > imag_tol).any():
+    if (residue > TRACE_RESIDUE_TOL).any():
         worst = float(t.imag.flat[int(np.argmax(residue))])
-        raise ValueError(f"trace has imaginary residue {worst:.3e} > {imag_tol:.1e}")
+        raise ValueError(f"trace has imaginary residue {worst:.3e} > {TRACE_RESIDUE_TOL:.1e}")
     return t.real
 
 
@@ -233,20 +216,20 @@ def _filled(a: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def relative_entropy(nu1, nu0, eps: float = EIGEN_ZERO_TOL) -> float:
+def relative_entropy(nu1, nu0) -> float:
     """Quantum relative entropy S(nu1 || nu0) = Tr nu1 (ln nu1 - ln nu0).
 
     Returns ``math.inf`` (explicit sentinel) when some eigenvector of nu1
-    with eigenvalue above ``eps`` carries more than ``SUPPORT_LEAK_TOL``
-    of its weight outside the support of nu0.
+    with eigenvalue above ``EIGEN_ZERO_TOL`` carries more than
+    ``SUPPORT_LEAK_TOL`` of its weight outside the support of nu0.
     """
     m1 = as_matrix(nu1)
     m0 = as_matrix(nu0)
     if m1.shape != m0.shape:
         raise ValueError(f"dimension mismatch: {m1.shape} vs {m0.shape}")
     dec1 = spectral_decompose(nu1)
-    log0 = support_log(nu0, eps)
-    keep = dec1.eigenvalues > eps
+    log0 = support_log(nu0)
+    keep = dec1.eigenvalues > EIGEN_ZERO_TOL
     w = dec1.eigenvalues[keep]
     v = dec1.eigenvectors[:, keep]
     # support condition: each retained eigenvector of nu1 must lie in supp(nu0)
@@ -290,14 +273,11 @@ class DensityOperator:
     builds from a spectrum it already knows (``_from_spectrum``) keeps
     that spectrum and is never decomposed; the attack runs the same
     checks (``_require_hermitian``, ``_check_unit_trace_psd``) over its
-    whole stack of states before wrapping one.  ``support_log`` likewise
-    builds the state's support log (``ln rho`` on the support, projector,
-    rank) lazily, once per cutoff, and keeps it with the state.
+    whole stack of states before wrapping one.
     """
 
     matrix: np.ndarray
     spectrum: SpectralDecomposition = field(init=False, repr=False)
-    _support_logs: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         m = require_hermitian(self.matrix)
@@ -312,14 +292,13 @@ class DensityOperator:
         The caller has run the public constructor's checks on ``matrix``
         (``_require_hermitian``, then ``_check_unit_trace_psd`` with the
         smallest of ``eigenvalues``), usually on a whole stack of states
-        at once.  The given pairs (sorted descending) are kept as
-        ``spectrum`` instead of decomposing the matrix; the caller vouches
-        that the columns of ``eigenvectors`` are orthonormal eigenvectors
-        of ``matrix``.
+        at once.  The given pairs, which the caller passes in descending
+        order, are kept as ``spectrum`` instead of decomposing the matrix;
+        the caller vouches that the columns of ``eigenvectors`` are
+        orthonormal eigenvectors of ``matrix``.
         """
         state = object.__new__(cls)
-        object.__setattr__(state, "_support_logs", {})
-        state._store(matrix, _descending(eigenvalues, eigenvectors))
+        state._store(matrix, SpectralDecomposition(_read_only(eigenvalues), _read_only(eigenvectors)))
         return state
 
     def _store(self, m: np.ndarray, spectrum: SpectralDecomposition) -> None:
@@ -347,7 +326,3 @@ class DensityOperator:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         return cls(np.eye(dim, dtype=np.complex128) / dim)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum in descending order."""
-        return spectral_decompose(self).eigenvalues

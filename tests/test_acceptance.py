@@ -272,7 +272,7 @@ def test_criterion_06_channel_realizations(acceptance):
         worst_action = max(
             worst_action, float(np.linalg.norm(out.matrix - target.matrix))
         )
-        w = out.eigenvalues()
+        w = out.spectrum.eigenvalues
         invariants_ok = invariants_ok and (
             isinstance(out, DensityOperator)
             and abs(float(np.trace(out.matrix).real) - 1.0) <= 1e-10

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from qspoof import cli
@@ -164,6 +165,24 @@ def test_photon_sweep_csv(capsys, radar_config_path):
     row2 = lines[3].split(",")  # l = 2 row
     assert row2[0] == "2"
     assert row2[4] == "7.68030683316e-01"
+
+
+def test_photon_sweep_decomposes_four_matrices_per_level(capsys, radar_config_path, monkeypatch):
+    # per signal level: the two states, one Helstrom step and one attack
+    # step; the sweep threshold comes from the cost weights without
+    # building a pair
+    calls = []
+    inner = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    code, out, _ = run_cli(capsys, "photon-sweep", "--config", radar_config_path)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 6
+    assert len(calls) == 4 * 6
 
 
 def test_photon_sweep_needs_radar(capsys, tmp_path):
