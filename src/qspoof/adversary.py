@@ -25,6 +25,7 @@ for cross-checking; it never touches the closed form.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,6 +58,8 @@ CLUSTER_TOL = 1e-8
 # worst errors were 1.3e-12 (series) against 1.0e-10 (log-sum-exp) at
 # lam = 1e5, and 1.3e-10 against 6.7e-12 at lam = 1e4.
 SERIES_PRICE = 1e5
+# Step and gradient-change pairs the oracle's L-BFGS search keeps.
+ORACLE_MEMORY = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,42 +307,81 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     return np.exp(mean) * ratio
 
 
-def _chart_value_grad(h: np.ndarray, pi_s: np.ndarray, log_r: np.ndarray, lam: float, grad: bool = True):
-    """Objective and gradient at chart point ``h`` (Hermitian, support basis).
+class _ChartPoint(NamedTuple):
+    """A chart point h, decomposed once, with its objective value."""
 
-    The state is sigma = e^h / Z over the support of rho1; the objective is
-    Tr(pi_s sigma) + lam * S(sigma || diag(r)).  Gradients use the Frechet
-    derivative of exp expressed through divided differences.  With
-    ``grad=False`` only the value is returned, and a point whose top
-    eigenvalue exceeds 700 (a wildly overshot line-search trial) gives
-    +inf instead of overflowing.
+    value: float
+    w: np.ndarray  # spectrum of h minus its top eigenvalue, ascending
+    u: np.ndarray  # eigenvector columns of h
+    z: float  # sum of e^w
+    p: np.ndarray  # e^w / z, the spectrum of sigma
+    mean: float  # sum(p * (diag(K~) + lam w)), the value plus lam ln z
+
+
+def _chart_point(h: np.ndarray, cost: np.ndarray, lam: float) -> _ChartPoint:
+    """Objective at chart point ``h`` (Hermitian, support basis).
+
+    The state is sigma = e^h / Tr e^h over the support of rho1, and the
+    objective Tr(pi_s sigma) + lam * S(sigma || diag(r)) equals
+    Tr(K sigma) + lam * Tr(sigma ln sigma) with ``cost`` K = pi_s - lam ln r.
+    In the eigenbasis of h it reads sum(p * (diag(K~) + lam w)) - lam ln z,
+    K~ = u^dagger K u, with the exponentials shifted by the top eigenvalue
+    (as in ``_optimal_utility``), so no point overflows and z >= 1.  The
+    decomposition is kept for ``_chart_gradient``.
     """
     w, u = np.linalg.eigh(h)
-    if not grad and float(w[-1]) > 700.0:
-        return math.inf
+    w = w - w[-1]
     ew = np.exp(w)
     z = float(np.sum(ew))
-    pi_t = u.conj().T @ pi_s @ u
-    l_diag = np.einsum("ji,j,ji->i", u.conj(), log_r, u).real
-    t_pi = float(np.real(np.dot(ew, np.diag(pi_t).real)))
-    # Tr(e^h (h - L)) evaluated in the eigenbasis of h
-    t2 = float(np.dot(ew, w - l_diag))
-    value = t_pi / z + lam * (t2 / z - math.log(z))
-    if not grad:
-        return value
+    p = ew / z
+    cost_diag = (u.conj() * (cost @ u)).sum(axis=0).real
+    mean = float(p @ (cost_diag + lam * w))
+    return _ChartPoint(mean - lam * math.log(z), w, u, z, p, mean)
 
-    l_t = (u.conj().T * log_r) @ u  # U^dag diag(log_r) U
-    phi = _exp_divided_differences(w)
-    exp_h = (u * ew) @ u.conj().T
-    grad_pi = u @ (pi_t * phi) @ u.conj().T
-    grad_t2 = u @ ((np.diag(w.astype(np.complex128)) - l_t) * phi) @ u.conj().T + exp_h
-    gradient = (
-        grad_pi / z
-        - (t_pi / z**2) * exp_h
-        + lam * (grad_t2 / z - (t2 / z**2) * exp_h)
-        - (lam / z) * exp_h
-    )
-    return value, hermitian_part(gradient)
+
+def _chart_gradient(point: _ChartPoint, cost: np.ndarray, lam: float) -> np.ndarray:
+    """Gradient of the objective at a decomposed chart point.
+
+    The Frechet derivative of exp is, in the eigenbasis of h, the Hadamard
+    product with its divided differences phi, so the gradient is one
+    sandwich u M u^dagger with
+
+        M = ((K~ + lam diag w) o phi) / z - mean * diag(p).
+
+    The +e^h from differentiating Tr(e^h h) cancels the -lam e^h / Tr e^h
+    from ln Tr e^h, so neither appears; the diagonal of (lam diag w) o phi / z
+    is lam w p.
+    """
+    u = point.u
+    uh = u.conj().T
+    m = (uh @ cost @ u) * (_exp_divided_differences(point.w) / point.z)
+    m.reshape(-1)[:: u.shape[0] + 1] += point.p * (lam * point.w - point.mean)
+    return _hermitian(u @ m @ uh)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Real inner product Re Tr(a^dagger b) of two chart directions."""
+    return float(np.vdot(a, b).real)
+
+
+def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """-H grad by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4).
+
+    ``pairs`` holds (s, y, 1 / s.y), oldest first; the initial inverse
+    Hessian is (s.y / y.y) I from the newest pair, and I when none is kept.
+    """
+    q = grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * _dot(s, q)
+        alphas.append(alpha)
+        q = q - alpha * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        q = q / (rho * _dot(y, y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - rho * _dot(y, q)) * s
+    return -q
 
 
 def oracle_attack(
@@ -352,11 +394,16 @@ def oracle_attack(
     """Numerical minimizer of the interceptor objective, independent of the closed form.
 
     Optimizes over the exponential-family chart sigma = exp(H)/Tr exp(H)
-    with H Hermitian on the support of ``rho1``, by gradient descent with
-    a backtracking (Armijo) line search; the initial step of each iteration
-    comes from the previous secant pair.  Descent starts at the undistorted
-    state H = ln rho1 and stops once an accepted step improves the utility
-    by less than ``tol``.
+    with H Hermitian on the support of ``rho1``, by L-BFGS: the search
+    direction comes from the last ``ORACLE_MEMORY`` step and gradient-change
+    pairs (only pairs with positive curvature s.y are kept), and the step
+    length from a backtracking (Armijo) line search that first tries the
+    full step.  When rounding makes the direction fail to descend, the
+    pairs are dropped and the search restarts from the negative gradient.
+    Each trial point is decomposed once; the accepted one's decomposition
+    also gives its gradient.  Descent starts at the undistorted state
+    H = ln rho1 and stops once an accepted step improves the utility by
+    less than ``tol``.
 
     Raises
     ------
@@ -374,37 +421,40 @@ def oracle_attack(
     def lift(h: np.ndarray) -> DensityOperator:
         return _lifted_state(v, kernel, _lift_stack(v, kernel, h[None, None], lams), (0, 0))
 
+    cost = pi_s - lam * np.diag(log_r)
     h = np.diag(log_r.astype(np.complex128))
-    value, grad = _chart_value_grad(h, pi_s, log_r, lam)
-    step = 1.0
+    point = _chart_point(h, cost, lam)
+    grad = _chart_gradient(point, cost, lam)
+    pairs = deque(maxlen=ORACLE_MEMORY)
     improvement = math.inf
     for _ in range(iterations):
-        gnorm2 = float(np.vdot(grad, grad).real)
+        gnorm2 = _dot(grad, grad)
         if gnorm2 <= 1e-28:
             return lift(h)
-        trial = step
-        accepted = False
+        direction = _lbfgs_direction(grad, pairs)
+        slope = _dot(grad, direction)
+        if not slope < 0.0:
+            # rounding broke the curvature model: restart from steepest descent
+            pairs.clear()
+            direction, slope = -grad, -gnorm2
+        trial = 1.0
         for _ in range(80):
-            h_new = h - trial * grad
-            v_new = _chart_value_grad(h_new, pi_s, log_r, lam, grad=False)
-            if v_new <= value - 1e-4 * trial * gnorm2:
-                accepted = True
+            h_new = h + trial * direction
+            new = _chart_point(h_new, cost, lam)
+            if new.value <= point.value + 1e-4 * trial * slope:
                 break
             trial *= 0.5
-        if not accepted:
+        else:
             # no representable step improves the objective: converged in float
             return lift(h)
-        improvement = value - v_new
-        v_next, grad_new = _chart_value_grad(h_new, pi_s, log_r, lam)
-        # secant-based initial step for the next iteration (Barzilai-Borwein)
+        improvement = point.value - new.value
+        grad_new = _chart_gradient(new, cost, lam)
         s = h_new - h
         y = grad_new - grad
-        sy = float(np.vdot(s, y).real)
-        if sy > 0:
-            step = min(max(float(np.vdot(s, s).real) / sy, 1e-8), 1e3)
-        else:
-            step = min(trial * 2.0, 1e3)
-        h, value, grad = h_new, v_next, grad_new
+        sy = _dot(s, y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        h, point, grad = h_new, new, grad_new
         if improvement < tol:
             return lift(h)
     best = lift(h)
@@ -491,13 +541,12 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
     n = r.shape[0]
     full_rank = n == pair.rho1.dim
 
-    diffs = np.diff(r)
-    min_gap = float(np.min(-diffs)) if n > 1 else math.inf
+    gaps = -np.diff(r)
+    min_gap = float(np.min(gaps)) if n > 1 else math.inf
+    close = gaps < CLUSTER_TOL
     cluster = np.zeros(n, dtype=bool)
-    for i in range(n - 1):
-        if r[i] - r[i + 1] < CLUSTER_TOL:
-            cluster[i] = True
-            cluster[i + 1] = True
+    cluster[:-1] |= close
+    cluster[1:] |= close
     simple = not bool(cluster.any())
 
     beta = np.diag(pi_s).real
@@ -507,17 +556,9 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
     w, u = np.linalg.eigh(exponent)
     # overlap of each exact eigenvector (columns of u, support basis) with e_i
     weights = np.abs(u) ** 2  # weights[i, k] = |<phi_i | alpha_k>|^2
-    matched = np.full(n, -1, dtype=int)
-    match_overlap = np.zeros(n)
-    matching_ok = True
-    taken = set()
-    for i in range(n):
-        k = int(np.argmax(weights[i]))
-        matched[i] = k
-        match_overlap[i] = float(weights[i, k])
-        if k in taken or match_overlap[i] < 0.5:
-            matching_ok = False
-        taken.add(k)
+    matched = np.argmax(weights, axis=1)
+    match_overlap = weights[np.arange(n), matched]
+    matching_ok = bool(np.all(match_overlap >= 0.5) and np.bincount(matched).max() == 1)
     exact = w[matched]
     residual = exact - estimate
 

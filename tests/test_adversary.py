@@ -19,6 +19,7 @@ from qspoof import (
     detection_bounds,
     gap_condition_sums,
     helstrom_measurement,
+    hermitian_part,
     optimal_attack,
     oracle_attack,
     perturbation_estimate,
@@ -26,7 +27,7 @@ from qspoof import (
     spectral_decompose,
 )
 from qspoof import adversary, detection, operators
-from qspoof.adversary import BOUND_TOL, SERIES_PRICE, _chart_value_grad
+from qspoof.adversary import BOUND_TOL, SERIES_PRICE, _chart_gradient, _chart_point
 from qspoof.sampling import (
     haar_unitary,
     near_commuting_pair,
@@ -35,7 +36,7 @@ from qspoof.sampling import (
     random_pair,
     random_projector,
 )
-from qspoof.verify import ORACLE_UTILITY_TOL
+from qspoof.verify import ORACLE_STATE_TOL, ORACLE_UTILITY_TOL
 
 STATE_TOL = 1e-10
 ORACLE_TOL = 1e-6
@@ -562,6 +563,55 @@ def test_oracle_nonconvergence_carries_best_iterate():
     assert math.isfinite(err.value.best_utility)
 
 
+def test_oracle_matches_closed_form_on_rank_deficient_rho1():
+    # rho1 of rank 2 in a Haar basis: the oracle's lift puts zero weight on
+    # the two kernel columns, as the closed form does
+    rng = np.random.default_rng(8)
+    u = haar_unitary(rng, 4)
+    rho1 = DensityOperator(u @ np.diag([0.6, 0.4, 0.0, 0.0]) @ u.conj().T)
+    pair = HypothesisPair(random_density(rng, 4, 1e-3), rho1, 0.5, 0.5)
+    pi1 = helstrom_measurement(pair).pi1
+    for lam in (0.5, 1.0, 2.0, 5.0):
+        sol = optimal_attack(pair, pi1, lam)
+        sigma = oracle_attack(pair, pi1, lam)
+        assert np.linalg.norm(sigma.matrix - sol.rho1_prime.matrix) <= ORACLE_STATE_TOL
+        gap = attacker_utility(sigma, pair.rho0, pi1, pair, lam) - sol.utility
+        assert abs(gap) <= ORACLE_UTILITY_TOL
+
+
+def test_oracle_eigh_budget(monkeypatch):
+    # each chart point the oracle visits is decomposed once; the budget is
+    # half the 766 calls of Barzilai-Borwein steepest descent, which also
+    # decomposed every accepted point a second time for its gradient
+    cases = []
+    for seed, d in ((3, 4), (99, 2), (21, 6)):
+        pair = random_pair(np.random.default_rng(seed), d)
+        cases.append((pair, helstrom_measurement(pair).pi1))
+    calls = _count_decompositions(monkeypatch)
+    for pair, pi1 in cases:
+        for lam in (0.5, 5.0):
+            oracle_attack(pair, pi1, lam)
+    assert calls["eigh"] <= 383
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.3, 1e3])
+def test_chart_value_is_invariant_under_identity_shifts(lam):
+    # e^(h + cI) / Tr e^(h + cI) is the same state for every c; with the
+    # exponentials shifted by the top eigenvalue no c overflows or underflows
+    rng = np.random.default_rng(5)
+    pair = random_pair(rng, 4)
+    r, v = np.linalg.eigh(pair.rho1.matrix)
+    pi_s = v.conj().T @ helstrom_measurement(pair).pi1.matrix @ v
+    log_r = np.log(r)
+    cost = pi_s - lam * np.diag(log_r)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = np.diag(log_r).astype(np.complex128) + 0.3 * (g + g.conj().T) / 2
+    base = _chart_point(h, cost, lam).value
+    for c in (-800.0, 0.0, 800.0):
+        value = _chart_point(h + c * np.eye(4), cost, lam).value
+        assert abs(value - base) <= 1e-9 * max(1.0, lam)
+
+
 def test_chart_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     dim = 3
@@ -574,7 +624,9 @@ def test_chart_gradient_matches_finite_differences():
     h += 0.05 * (lambda a: (a + a.conj().T) / 2)(
         rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     )
-    val, grad = _chart_value_grad(h, pi_s, log_r, 1.3)
+    cost = pi_s - 1.3 * np.diag(log_r)
+    point = _chart_point(h, cost, 1.3)
+    val, grad = point.value, _chart_gradient(point, cost, 1.3)
     eps = 1e-6
     for i in range(dim):
         for j in range(i, dim):
@@ -584,8 +636,8 @@ def test_chart_gradient_matches_finite_differences():
             else:
                 de[i, j] = de[j, i] = 0.5  # real symmetric direction
             num = (
-                _chart_value_grad(h + eps * de, pi_s, log_r, 1.3, grad=False)
-                - _chart_value_grad(h - eps * de, pi_s, log_r, 1.3, grad=False)
+                _chart_point(h + eps * de, cost, 1.3).value
+                - _chart_point(h - eps * de, cost, 1.3).value
             ) / (2 * eps)
             ana = float(np.real(np.sum(grad.conj() * de)))
             assert abs(num - ana) <= 1e-6 * max(1.0, abs(num))
@@ -668,6 +720,51 @@ def test_gap_condition_sums_commuting_are_zero():
     pair = radar_pair()
     pi1 = ProjectorMeasurement(np.diag([0.0, 0.0, 1.0]))
     assert np.allclose(gap_condition_sums(pair.rho1, pi1), 0.0, atol=1e-14)
+
+
+def _clusters_and_matching_loop(pair, pi1, lam):
+    """Reference: cluster flags and overlap matching, one level at a time."""
+    r, v, _ = adversary._support_chart(pair.rho1)
+    n = r.shape[0]
+    cluster = np.zeros(n, dtype=bool)
+    for i in range(n - 1):
+        if r[i] - r[i + 1] < adversary.CLUSTER_TOL:
+            cluster[i] = cluster[i + 1] = True
+    pi_s = adversary._in_support(v, np.asarray(pi1.matrix))
+    w, u = np.linalg.eigh(hermitian_part(np.diag(np.log(r).astype(np.complex128)) - pi_s / lam))
+    weights = np.abs(u) ** 2
+    matched, overlap, ok, taken = [], [], True, set()
+    for i in range(n):
+        k = int(np.argmax(weights[i]))
+        matched.append(k)
+        overlap.append(float(weights[i, k]))
+        if k in taken or overlap[-1] < 0.5:
+            ok = False
+        taken.add(k)
+    return cluster, w[matched], np.array(overlap), ok
+
+
+def test_perturbation_clusters_and_matching_match_loop_reference():
+    rng = np.random.default_rng(43)
+    cases = []
+    for d in (2, 4, 6):
+        for _ in range(3):
+            pair = random_pair(rng, d)
+            projectors = (helstrom_measurement(pair).pi1, random_projector(rng, d))
+            cases += [(pair, pi, lam) for pi in projectors for lam in (0.01, 0.3, 10.0)]
+    for diag in ([0.4, 0.4, 0.2], [0.5, 0.5 - 1e-9, 1e-9], [0.6, 0.4, 0.0], [0.3, 0.3, 0.3 + 1e-9, 0.1 - 1e-9]):
+        pair = HypothesisPair(DensityOperator.maximally_mixed(len(diag)), DensityOperator.from_diagonal(diag), 0.5, 0.5)
+        cases += [(pair, random_projector(rng, len(diag)), lam) for lam in (0.001, 0.05, 10.0)]
+    seen = set()
+    for pair, pi1, lam in cases:
+        rep = perturbation_estimate(pair, pi1, lam)
+        cluster, exact, overlap, ok = _clusters_and_matching_loop(pair, pi1, lam)
+        assert np.array_equal(rep.cluster_flags, cluster)
+        assert rep.simple_spectrum == (not cluster.any())
+        assert np.array_equal(rep.exact, exact) and np.array_equal(rep.match_overlap, overlap)
+        assert rep.matching_ok is ok
+        seen.add((bool(cluster.any()), ok))
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_perturbation_zero_projector_exact():
