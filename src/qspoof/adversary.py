@@ -128,49 +128,44 @@ class _Gibbs(NamedTuple):
     """The states e^h / Tr e^h of a (price x projector) stack of chart points h."""
 
     w: np.ndarray  # spectrum of each h, ascending
-    u: np.ndarray  # its eigenvector columns, in the support basis
-    z1: np.ndarray  # Tr e^h
-    p: np.ndarray  # e^w / Tr e^h
+    columns: np.ndarray  # its eigenvector columns on the full space, v u
+    z1: np.ndarray  # Tr e^h; 0.0 where it is below the smallest float
+    p: np.ndarray  # e^w / Tr e^h, from exponentials shifted by the top of w
     matrices: np.ndarray  # e^h / Tr e^h on the full space, checked
 
 
-def _lift_stack(v: np.ndarray, kernel: np.ndarray, h: np.ndarray, lams: np.ndarray, thresholds=None) -> _Gibbs:
-    """The states e^h / Tr e^h for a stack of chart points h of shape (price, projector, n, n).
+def _lift_stack(v: np.ndarray, kernel: np.ndarray, w: np.ndarray, u: np.ndarray) -> _Gibbs:
+    """The states e^h / Tr e^h for a stack of chart points h, given their
+    spectra ``w`` (ascending) and eigenvector columns ``u`` (support basis).
 
-    One ``eigh`` call decomposes the stack; every state then passes the
+    The exponentials are shifted by the top eigenvalue (log-sum-exp
+    scaling), so p = e^(w - w_max) / sum e^(w - w_max) is finite at every
+    price; Z1 = sum e^(w - w_max) * e^w_max reads 0.0 when the true value
+    is below the smallest float.  The columns W = v u carry each state,
+    (W p) W^dagger, and its eigenvectors; every state then passes the
     density-operator checks (Hermiticity and finiteness, unit trace, PSD)
-    together.  Each state's spectrum is known without another
-    decomposition: eigenvalues e^w / Tr e^h on the columns of v u, and
-    zero on the kernel of rho1 (see ``_lifted_state``).  ``lams`` and
-    ``thresholds`` index the two batch axes; they only name the failing
-    point when Tr e^h underflows to zero.
+    together.  Its spectrum is known without another decomposition: p on
+    the columns of W, and zero on the kernel of rho1 (see ``_lifted_state``).
     """
-    w, u = np.linalg.eigh(h)
-    ew = np.exp(w)
-    z1 = np.sum(ew, axis=-1)
-    gone = ~(z1 > 0.0)
-    if gone.any():
-        i, j = np.unravel_index(int(np.argmax(gone)), gone.shape)
-        at = f"lam={float(lams[i])!r}" + ("" if thresholds is None else f", tau={float(thresholds[j])!r}")
-        raise ValueError(
-            f"Z1 = Tr exp(ln rho1 - Pi1/lam) underflows to 0 at {at}: "
-            "exp of every eigenvalue of the exponent is below the smallest float"
-        )
-    p = ew / z1[..., None]
-    sigma = _hermitian((u * p[..., None, :]) @ u.conj().swapaxes(-1, -2))
-    matrices = _require_hermitian(_hermitian(v @ sigma @ v.conj().T))
+    top = w[..., -1:]
+    ew = np.exp(w - top)
+    total = np.sum(ew, axis=-1)
+    p = ew / total[..., None]
+    columns = v @ u
+    matrices = _require_hermitian((columns * p[..., None, :]) @ columns.conj().swapaxes(-1, -2))
     wmin = p.min(axis=-1)
     _check_unit_trace_psd(matrices, np.minimum(wmin, 0.0) if kernel.shape[1] else wmin)
-    return _Gibbs(w, u, z1, p, matrices)
+    return _Gibbs(w, columns, total * np.exp(top[..., 0]), p, matrices)
 
 
-def _lifted_state(v: np.ndarray, kernel: np.ndarray, gibbs: _Gibbs, at) -> DensityOperator:
+def _lifted_state(kernel: np.ndarray, gibbs: _Gibbs, at) -> DensityOperator:
     """The checked state ``gibbs.matrices[at]`` wrapped with its known
-    spectrum, descending: the ascending ``gibbs.p`` reversed, then zeros."""
+    spectrum, descending: the ascending ``gibbs.p`` reversed on the
+    reversed ``gibbs.columns``, then zeros on the kernel of rho1."""
     return DensityOperator._from_spectrum(
         gibbs.matrices[at],
         np.concatenate([gibbs.p[at][::-1], np.zeros(kernel.shape[1])]),
-        np.hstack([(v @ gibbs.u[at])[:, ::-1], kernel]),
+        np.hstack([gibbs.columns[at][:, ::-1], kernel]),
     )
 
 
@@ -182,21 +177,21 @@ class _AttackStack(NamedTuple):
     genuine_p_detect: np.ndarray
 
 
-def _attack_stack(chart, projectors: np.ndarray, lams: np.ndarray, thresholds=None) -> _AttackStack:
+def _attack_stack(chart, projectors: np.ndarray, lams: np.ndarray) -> _AttackStack:
     """The closed-form attack for every (price, projector) pair in one decomposition.
 
     ``chart`` is rho1's ``_support_chart``, ``projectors`` a stack of
     projector matrices and ``lams`` a vector of prices.  The exponents
     ln r - Pi_s/lam of the whole (price x projector) grid go to one
-    ``eigh`` call (``_lift_stack``); the genuine detection rates
-    Tr(Pi1 rho1') pass the rate check together.  Every point is
-    bit-identical to the same point solved alone.  ``thresholds``, when
-    given, names the threshold behind each projector in errors.
+    ``eigh`` call, and ``_lift_stack`` builds the states from the
+    spectra; the genuine detection rates Tr(Pi1 rho1') pass the rate
+    check together.  Every point is bit-identical to the same point
+    solved alone.
     """
     r, v, kernel = chart
     pi_s = _in_support(v, projectors)
     h = np.diag(np.log(r).astype(np.complex128)) - pi_s / lams[:, None, None, None]
-    gibbs = _lift_stack(v, kernel, h, lams, thresholds)
+    gibbs = _lift_stack(v, kernel, *np.linalg.eigh(h))
     return _AttackStack(pi_s, gibbs, _checked_rates(_traces(projectors, gibbs.matrices)))
 
 
@@ -230,18 +225,19 @@ def optimal_attack(pair: HypothesisPair, pi1, lam: float) -> AttackerSolution:
     stacked attack step (the one ``roc_sweep`` runs over its whole
     price x threshold grid) with a stack of one.
 
-    Raises ``ValueError`` naming Z1 and the price when Z1 underflows to
-    zero, which happens at very small prices on a projector far from
-    rho1's support (about lam <= 1e-3 at threshold 0.01 on the radar
-    scenario).
+    Every finite positive price gives a state: its spectrum comes from
+    exponentials shifted by the exponent's top eigenvalue.  ``z1`` is
+    0.0 when Z1 is below the smallest float (at very small prices on a
+    projector far from rho1's support, e.g. lam <= 1e-3 at threshold
+    0.01 on the radar scenario); the utility does not go through it.
     """
     _check_price(lam)
     pi_m = as_matrix(pi1)
-    r, v, kernel = chart = _support_chart(pair.rho1)
+    r, _, kernel = chart = _support_chart(pair.rho1)
     att = _attack_stack(chart, pi_m[None], np.array([lam]))
     at = (0, 0)
     return AttackerSolution(
-        rho1_prime=_lifted_state(v, kernel, att.gibbs, at),
+        rho1_prime=_lifted_state(kernel, att.gibbs, at),
         rho0_prime=pair.rho0,
         lam=lam,
         z1=float(att.gibbs.z1[at]),
@@ -401,9 +397,9 @@ def oracle_attack(
     full step.  When rounding makes the direction fail to descend, the
     pairs are dropped and the search restarts from the negative gradient.
     Each trial point is decomposed once; the accepted one's decomposition
-    also gives its gradient.  Descent starts at the undistorted state
-    H = ln rho1 and stops once an accepted step improves the utility by
-    less than ``tol``.
+    also gives its gradient, and the last one's the returned state.
+    Descent starts at the undistorted state H = ln rho1 and stops once an
+    accepted step improves the utility by less than ``tol``.
 
     Raises
     ------
@@ -416,10 +412,10 @@ def oracle_attack(
     r, v, kernel = _support_chart(pair.rho1)
     pi_s = _in_support(v, pi_m)
     log_r = np.log(r)
-    lams = np.array([lam])
 
-    def lift(h: np.ndarray) -> DensityOperator:
-        return _lifted_state(v, kernel, _lift_stack(v, kernel, h[None, None], lams), (0, 0))
+    def lift(point: _ChartPoint) -> DensityOperator:
+        gibbs = _lift_stack(v, kernel, point.w[None, None], point.u[None, None])
+        return _lifted_state(kernel, gibbs, (0, 0))
 
     cost = pi_s - lam * np.diag(log_r)
     h = np.diag(log_r.astype(np.complex128))
@@ -430,7 +426,7 @@ def oracle_attack(
     for _ in range(iterations):
         gnorm2 = _dot(grad, grad)
         if gnorm2 <= 1e-28:
-            return lift(h)
+            return lift(point)
         direction = _lbfgs_direction(grad, pairs)
         slope = _dot(grad, direction)
         if not slope < 0.0:
@@ -446,7 +442,7 @@ def oracle_attack(
             trial *= 0.5
         else:
             # no representable step improves the objective: converged in float
-            return lift(h)
+            return lift(point)
         improvement = point.value - new.value
         grad_new = _chart_gradient(new, cost, lam)
         s = h_new - h
@@ -456,8 +452,8 @@ def oracle_attack(
             pairs.append((s, y, 1.0 / sy))
         h, point, grad = h_new, new, grad_new
         if improvement < tol:
-            return lift(h)
-    best = lift(h)
+            return lift(point)
+    best = lift(point)
     raise OracleConvergenceError(
         f"no convergence after {iterations} iterations (last improvement {improvement:.3e})",
         best_state=best,

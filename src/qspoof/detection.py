@@ -22,7 +22,6 @@ from .operators import (
     as_matrix,
     hermitian_part,
     trace_product,
-    _hermitian,
     _read_only,
     _require_hermitian,
     _sort_descending,
@@ -209,7 +208,7 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, taus: np.ndarray) -> _He
     for k in set(ranks.tolist()):
         sel = ranks == k
         cols = x[sel, :, :k]
-        proj[sel] = _hermitian(cols @ cols.conj().swapaxes(-1, -2))
+        proj[sel] = cols @ cols.conj().swapaxes(-1, -2)
     proj, ranks = _check_projectors(proj, ranks)
     p_detect = _checked_rates(_traces(proj, rho1))
     p_false = _checked_rates(_traces(proj, rho0))

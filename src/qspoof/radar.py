@@ -129,7 +129,7 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
         solved.append((l, pair, helstrom_measurement(pair)))
     columns = []  # per level: l, mean photon number, P_D and the genuine P_D per price
     for l, pair, hel in solved:
-        att = _attack_stack(_support_chart(pair.rho1), hel.pi1.matrix[None], prices, [tau])
+        att = _attack_stack(_support_chart(pair.rho1), hel.pi1.matrix[None], prices)
         columns.append((l, mean_photon(pair.rho1), hel.p_detect, att.genuine_p_detect[:, 0].tolist()))
     return [
         PhotonSweepRow(l=l, mean_photon=nbar, lam=lam, p_detect=p_detect, genuine_p_detect=genuine[i])
@@ -194,7 +194,7 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     hel = _helstrom_stack(rho0.matrix, rho1.matrix, c1 / c0)
     taus, p_false, p_detect = grid.tolist(), hel.p_false.tolist(), hel.p_detect.tolist()
     curves = [RocCurve(lam=None, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, p_detect)))]
-    att = _attack_stack(_support_chart(rho1), hel.projectors, np.array(lams), taus)
+    att = _attack_stack(_support_chart(rho1), hel.projectors, np.array(lams))
     for lam, genuine in zip(lams, att.genuine_p_detect.tolist()):
         # rho0 is never distorted: the genuine false-alarm rate is P_F
         curves.append(RocCurve(lam=lam, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, genuine))))

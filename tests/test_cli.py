@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, overrides, exit codes, determinism."""
 
+import csv
+import io
 import json
+import math
 import os
 
 import numpy as np
@@ -259,19 +262,22 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert code == 3
 
 
-def test_roc_names_the_z1_underflow(capsys, tmp_path):
-    # at threshold 0.01 and lam = 1e-3 every exp(w) underflows; the error
-    # names Z1 and the grid point instead of a downstream non-finite matrix
+def test_roc_with_an_underflowing_z1_exits_zero(capsys, tmp_path):
+    # at threshold 0.01 and lam = 1e-3 every exp(w) is below the smallest
+    # float; the sweep still prints finite rates with each genuine P_D <= P_D
     cfg = {
         "radar": {"n_b": 0.4, "x": 0.9, "k": 1, "l": 2, "c0": 0.5, "c1": 0.5},
         "sweep": {"tau_grid": [0.01, 1.0]},
     }
     p = tmp_path / "underflow.json"
     p.write_text(json.dumps(cfg), encoding="utf-8")
-    code, out, err = run_cli(capsys, "roc", "--config", str(p), "--lambda", "1e-3")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: Z1 = Tr exp(ln rho1 - Pi1/lam) underflows to 0 at lam=0.001, tau=0.01")
+    code, out, err = run_cli(capsys, "roc", "--config", str(p), "--lambda", "1e-3", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["tau"] for row in rows] == ["1.00000000000e-02", "1.00000000000e+00"] * 2
+    for row in rows:
+        p_detect, genuine = float(row["p_detect"]), float(row["genuine_p_detect"])
+        assert math.isfinite(genuine) and 0.0 <= genuine <= p_detect
 
 
 # ---------------------------------------------------------------- parser reuse

@@ -12,6 +12,7 @@ from qspoof import (
     RadarParams,
     build_radar_pair,
     default_tau_grid,
+    detection_bounds,
     helstrom_measurement,
     mean_photon,
     optimal_attack,
@@ -19,6 +20,7 @@ from qspoof import (
     roc_sweep,
 )
 from qspoof import radar
+from qspoof.adversary import BOUND_TOL
 
 REF = RadarParams(n_b=0.4, x=0.9, k=1, l=2)
 
@@ -277,11 +279,16 @@ def test_photon_sweep_equals_scalar_api(i):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_roc_sweep_names_the_z1_underflow():
-    # at threshold 0.01 and lam <= 1e-3 every exp(w) underflows; the error
-    # names Z1, the price and the threshold of the first failing point
-    with pytest.raises(ValueError, match=r"^Z1 = Tr exp\(ln rho1 - Pi1/lam\) underflows to 0 at lam=1e-06, tau=0\.01:"):
-        roc_sweep(REF, lambdas=[1.0, 1e-6, 1e-3], tau_grid=[0.01, 1.0])
+def test_roc_sweep_with_an_underflowing_z1_stays_in_its_envelope():
+    # at threshold 0.01 and lam <= 1e-3 every exp(w) is below the smallest
+    # float; each genuine P_D still lies in its envelope
+    curves = roc_sweep(REF, lambdas=[1.0, 1e-6, 1e-3], tau_grid=[0.01, 1.0])
+    assert [c.lam for c in curves] == [None, 1e-6, 1e-3, 1.0]
+    for curve in curves[1:]:
+        for pt in curve.points:
+            lower, upper = detection_bounds(pt.p_detect, curve.lam)
+            assert math.isfinite(pt.genuine_p_detect)
+            assert lower - BOUND_TOL <= pt.genuine_p_detect <= upper + BOUND_TOL
 
 
 def _count_eigh(monkeypatch):
