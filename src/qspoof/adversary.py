@@ -14,7 +14,10 @@ over density operators ``rho1'``, ``rho0'``.  The minimizer is closed-form:
 
 evaluated entirely on the support of ``rho1``.  At the optimum the
 utility is -lam ln Z1 (Gibbs variational principle), which
-``optimal_attack`` reads off the exponent's spectrum.
+``optimal_attack`` reads off the exponent's spectrum.  Everything but
+the exponent depends only on (rho1, rho0, Pi1): rho1's support chart,
+Pi1 in that basis and the genuine false-alarm rate are computed once
+per pair and ``ProjectorMeasurement`` and shared by every price.
 ``attacker_utility`` evaluates the objective through the relative
 entropies instead; it is the independent audit that ``verify``, the
 oracle and the tests hold the closed form to.  ``oracle_attack``
@@ -25,13 +28,14 @@ for cross-checking; it never touches the closed form.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .detection import HypothesisPair, _checked_rate, _checked_rates
+from .detection import HypothesisPair, ProjectorMeasurement, _checked_rate, _checked_rates
 from .operators import (
     DensityOperator,
     EIGEN_ZERO_TOL,
@@ -140,12 +144,14 @@ def _lift_stack(v: np.ndarray, kernel: np.ndarray, w: np.ndarray, u: np.ndarray)
 
     The exponentials are shifted by the top eigenvalue (log-sum-exp
     scaling), so p = e^(w - w_max) / sum e^(w - w_max) is finite at every
-    price; Z1 = sum e^(w - w_max) * e^w_max reads 0.0 when the true value
-    is below the smallest float.  The columns W = v u carry each state,
-    (W p) W^dagger, and its eigenvectors; every state then passes the
-    density-operator checks (Hermiticity and finiteness, unit trace, PSD)
-    together.  Its spectrum is known without another decomposition: p on
-    the columns of W, and zero on the kernel of rho1 (see ``_lifted_state``).
+    price; Z1 = sum e^(w - w_max) * e^w_max, taken as the one exponential
+    e^(w_max + ln sum e^(w - w_max)) where that product is subnormal,
+    reads 0.0 when the true value is below the smallest float.  The
+    columns W = v u carry each state, (W p) W^dagger, and its
+    eigenvectors; every state then passes the density-operator checks
+    (Hermiticity and finiteness, unit trace, PSD) together.  Its spectrum
+    is known without another decomposition: p on the columns of W, and
+    zero on the kernel of rho1 (see ``_lifted_state``).
     """
     top = w[..., -1:]
     ew = np.exp(w - top)
@@ -155,7 +161,10 @@ def _lift_stack(v: np.ndarray, kernel: np.ndarray, w: np.ndarray, u: np.ndarray)
     matrices = _require_hermitian((columns * p[..., None, :]) @ columns.conj().swapaxes(-1, -2))
     wmin = p.min(axis=-1)
     _check_unit_trace_psd(matrices, np.minimum(wmin, 0.0) if kernel.shape[1] else wmin)
-    return _Gibbs(w, columns, total * np.exp(top[..., 0]), p, matrices)
+    z1 = total * np.exp(top[..., 0])
+    # a subnormal product rounds twice; one exponential rounds once
+    z1 = np.where(z1 < np.finfo(float).tiny, np.exp(top[..., 0] + np.log(total)), z1)
+    return _Gibbs(w, columns, z1, p, matrices)
 
 
 def _lifted_state(kernel: np.ndarray, gibbs: _Gibbs, at) -> DensityOperator:
@@ -169,30 +178,75 @@ def _lifted_state(kernel: np.ndarray, gibbs: _Gibbs, at) -> DensityOperator:
     )
 
 
+class _AttackView(NamedTuple):
+    """The price-independent inputs of the closed-form attack on rho1 and a
+    stack of projectors."""
+
+    r: np.ndarray  # rho1's support chart (see _support_chart)
+    v: np.ndarray
+    kernel: np.ndarray
+    projectors: np.ndarray  # the projector matrices, indexed [projector]
+    pi_s: np.ndarray  # each projector in the support basis
+
+
+def _attack_view(rho1, projectors: np.ndarray) -> _AttackView:
+    r, v, kernel = _support_chart(rho1)
+    return _AttackView(r, v, kernel, projectors, _in_support(v, projectors))
+
+
+class _StoredView(NamedTuple):
+    """The view of one ``ProjectorMeasurement`` and the pair it was built for."""
+
+    rho1: weakref.ref
+    rho0: weakref.ref
+    view: _AttackView  # a stack of one
+    genuine_p_false: float  # Tr(Pi1 rho0), checked
+
+
+# One stored view per projector; an entry goes with its projector.
+_VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _pair_view(pair: HypothesisPair, pi1) -> tuple[_AttackView, float]:
+    """The attack view of (pair, pi1) and the genuine false-alarm rate.
+
+    Both are stored when ``pi1`` is a ``ProjectorMeasurement`` (validated
+    and read-only) and found again only for the same rho1 and rho0
+    objects; a bare array may be written to between calls, so it is
+    never stored.  Found or built, they hold the same values.
+    """
+    store = isinstance(pi1, ProjectorMeasurement)
+    entry = _VIEWS.get(pi1) if store else None
+    if entry is not None and entry.rho1() is pair.rho1 and entry.rho0() is pair.rho0:
+        return entry.view, entry.genuine_p_false
+    pi_m = as_matrix(pi1)
+    view = _attack_view(pair.rho1, pi_m[None])
+    p_false = _checked_rate(trace_product(pi_m, pair.rho0.matrix))
+    if store:
+        _VIEWS[pi1] = _StoredView(weakref.ref(pair.rho1), weakref.ref(pair.rho0), view, p_false)
+    return view, p_false
+
+
 class _AttackStack(NamedTuple):
     """Closed-form attacks indexed [price, projector]."""
 
-    pi_s: np.ndarray  # each projector in the support basis, indexed [projector]
     gibbs: _Gibbs  # rho1' and its spectrum
     genuine_p_detect: np.ndarray
 
 
-def _attack_stack(chart, projectors: np.ndarray, lams: np.ndarray) -> _AttackStack:
+def _attack_stack(view: _AttackView, lams: np.ndarray) -> _AttackStack:
     """The closed-form attack for every (price, projector) pair in one decomposition.
 
-    ``chart`` is rho1's ``_support_chart``, ``projectors`` a stack of
-    projector matrices and ``lams`` a vector of prices.  The exponents
-    ln r - Pi_s/lam of the whole (price x projector) grid go to one
-    ``eigh`` call, and ``_lift_stack`` builds the states from the
-    spectra; the genuine detection rates Tr(Pi1 rho1') pass the rate
-    check together.  Every point is bit-identical to the same point
-    solved alone.
+    ``view`` holds rho1's support chart and the projectors, and ``lams``
+    is a vector of prices.  The exponents ln r - Pi_s/lam of the whole
+    (price x projector) grid go to one ``eigh`` call, and ``_lift_stack``
+    builds the states from the spectra; the genuine detection rates
+    Tr(Pi1 rho1') pass the rate check together.  Every point is
+    bit-identical to the same point solved alone.
     """
-    r, v, kernel = chart
-    pi_s = _in_support(v, projectors)
-    h = np.diag(np.log(r).astype(np.complex128)) - pi_s / lams[:, None, None, None]
-    gibbs = _lift_stack(v, kernel, *np.linalg.eigh(h))
-    return _AttackStack(pi_s, gibbs, _checked_rates(_traces(projectors, gibbs.matrices)))
+    h = np.diag(np.log(view.r).astype(np.complex128)) - view.pi_s / lams[:, None, None, None]
+    gibbs = _lift_stack(view.v, view.kernel, *np.linalg.eigh(h))
+    return _AttackStack(gibbs, _checked_rates(_traces(view.projectors, gibbs.matrices)))
 
 
 def _optimal_utility(w: np.ndarray, r: np.ndarray, pi_s: np.ndarray, lam: float) -> float:
@@ -225,6 +279,12 @@ def optimal_attack(pair: HypothesisPair, pi1, lam: float) -> AttackerSolution:
     stacked attack step (the one ``roc_sweep`` runs over its whole
     price x threshold grid) with a stack of one.
 
+    Only the exponent depends on the price.  For a ``ProjectorMeasurement``
+    the rest (rho1's support chart, Pi1 in it and the genuine false-alarm
+    rate) is built at the first call on a pair and reused by later calls
+    on the same rho1 and rho0; a bare array is taken afresh every call.
+    Either way the result is the same, to the bit.
+
     Every finite positive price gives a state: its spectrum comes from
     exponentials shifted by the exponent's top eigenvalue.  ``z1`` is
     0.0 when Z1 is below the smallest float (at very small prices on a
@@ -232,18 +292,17 @@ def optimal_attack(pair: HypothesisPair, pi1, lam: float) -> AttackerSolution:
     0.01 on the radar scenario); the utility does not go through it.
     """
     _check_price(lam)
-    pi_m = as_matrix(pi1)
-    r, _, kernel = chart = _support_chart(pair.rho1)
-    att = _attack_stack(chart, pi_m[None], np.array([lam]))
+    view, p_false = _pair_view(pair, pi1)
+    att = _attack_stack(view, np.array([lam]))
     at = (0, 0)
     return AttackerSolution(
-        rho1_prime=_lifted_state(kernel, att.gibbs, at),
+        rho1_prime=_lifted_state(view.kernel, att.gibbs, at),
         rho0_prime=pair.rho0,
         lam=lam,
         z1=float(att.gibbs.z1[at]),
         genuine_p_detect=float(att.genuine_p_detect[at]),
-        genuine_p_false=_checked_rate(trace_product(pi_m, pair.rho0.matrix)),
-        utility=_optimal_utility(att.gibbs.w[at], r, att.pi_s[0], lam),
+        genuine_p_false=p_false,
+        utility=_optimal_utility(att.gibbs.w[at], view.r, view.pi_s[0], lam),
     )
 
 
@@ -529,11 +588,14 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
     paired to levels of rho1 by maximal eigenvector overlap, so reordering
     caused by the shift cannot corrupt the residuals.  The report flags
     near-degenerate clusters (eigenvalue gaps below ``CLUSTER_TOL``) and
-    evaluates the trust condition of :func:`gap_condition_sums`.
+    evaluates the trust condition of :func:`gap_condition_sums`.  Like
+    ``optimal_attack`` it takes rho1's support chart and Pi1 in it from
+    the view stored for a ``ProjectorMeasurement``; the gap sums are
+    computed per call.
     """
     _check_price(lam)
-    r, v, _ = _support_chart(pair.rho1)
-    pi_s = _in_support(v, as_matrix(pi1))
+    view, _ = _pair_view(pair, pi1)
+    r, pi_s = view.r, view.pi_s[0]
     n = r.shape[0]
     full_rank = n == pair.rho1.dim
 

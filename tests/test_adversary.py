@@ -1,6 +1,10 @@
 """Interceptor layer: closed-form distortion, oracle, bounds, perturbation."""
 
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from qspoof import (
     DensityOperator,
     HypothesisPair,
     OracleConvergenceError,
+    PerturbationReport,
     ProjectorMeasurement,
     RadarParams,
     attacker_utility,
@@ -272,8 +277,8 @@ def test_stacked_steps_equal_their_batch_of_one(d, rank):
     pairs = [HypothesisPair.from_tau(base.rho0, base.rho1, tau) for tau in (0.3, 1.0, 2.5)]
     hel = detection._helstrom_stack(base.rho0.matrix, base.rho1.matrix, np.array([p.tau for p in pairs]))
     lams = np.array([0.05, 1.0, 3e4, 1e9])
-    chart = adversary._support_chart(base.rho1)
-    att = adversary._attack_stack(chart, hel.projectors, lams)
+    view = adversary._attack_view(base.rho1, hel.projectors)
+    att = adversary._attack_stack(view, lams)
     for j, pair in enumerate(pairs):
         one = helstrom_measurement(pair)
         assert np.array_equal(hel.projectors[j], one.pi1.matrix)
@@ -281,7 +286,7 @@ def test_stacked_steps_equal_their_batch_of_one(d, rank):
         assert (hel.p_detect[j], hel.p_false[j]) == (one.p_detect, one.p_false)
         for i, lam in enumerate(lams):
             sol = optimal_attack(pair, one.pi1, float(lam))
-            stacked = adversary._lifted_state(chart[2], att.gibbs, (i, j))
+            stacked = adversary._lifted_state(view.kernel, att.gibbs, (i, j))
             assert np.array_equal(att.gibbs.matrices[i, j], sol.rho1_prime.matrix)
             assert np.array_equal(stacked.spectrum.eigenvalues, sol.rho1_prime.spectrum.eigenvalues)
             assert np.array_equal(stacked.spectrum.eigenvectors, sol.rho1_prime.spectrum.eigenvectors)
@@ -305,6 +310,16 @@ def test_attack_with_an_underflowing_z1_stays_in_its_envelope():
         assert sol.genuine_p_detect - BOUND_TOL <= sol.utility <= hel.p_detect + BOUND_TOL
         report = BoundReport.evaluate(hel.p_detect, sol.genuine_p_detect, lam)
         assert report.lower_satisfied and report.upper_satisfied
+
+
+def test_subnormal_z1_is_rounded_once():
+    # at threshold 0.01 the projector is the identity and Z1 = e^-740 =
+    # 4.18874e-322 (50 digits); the product sum * e^w_max rounded twice to
+    # 4.15e-322, one exponential gives the nearest subnormal
+    base = radar_pair()
+    pair = HypothesisPair.from_tau(base.rho0, base.rho1, 0.01)
+    sol = optimal_attack(pair, helstrom_measurement(pair).pi1, 1.0 / 740.0)
+    assert sol.z1 == 4.18874e-322
 
 
 def test_perturbation_estimate_decomposes_exponent_only(monkeypatch):
@@ -334,6 +349,142 @@ def test_attack_builds_no_support_log(monkeypatch):
     assert built == []
     attacker_utility(sols[0].rho1_prime, sols[0].rho0_prime, pi1, pair, sols[0].lam)
     assert built == [pair.rho1, pair.rho0]
+
+
+# ------------------------------------------------ stored attack view
+
+VIEW_PRICES = (1e-6, 0.03, 1.0, 40.0, 1e6)
+
+
+def _assert_same_solution(a, b):
+    assert np.array_equal(a.rho1_prime.matrix, b.rho1_prime.matrix)
+    assert np.array_equal(a.rho1_prime.spectrum.eigenvalues, b.rho1_prime.spectrum.eigenvalues)
+    assert np.array_equal(a.rho1_prime.spectrum.eigenvectors, b.rho1_prime.spectrum.eigenvectors)
+    assert a.rho0_prime is b.rho0_prime
+    assert (a.lam, a.z1, a.genuine_p_detect, a.genuine_p_false, a.utility) == (
+        b.lam, b.z1, b.genuine_p_detect, b.genuine_p_false, b.utility
+    )
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d,rank", [(5, 5), (32, 32), (6, 3)])
+def test_stored_view_gives_the_bare_array_result(d, rank):
+    # a ProjectorMeasurement reuses its view after the first price; the bare
+    # array builds it every call, and every field is the same to the bit
+    rng = np.random.default_rng(60 + d)
+    pair = random_pair(rng, d) if rank == d else _rank_deficient_pair(rng, d, rank)
+    pi1 = helstrom_measurement(pair).pi1
+    for lam in VIEW_PRICES:
+        _assert_same_solution(optimal_attack(pair, pi1, lam), optimal_attack(pair, pi1.matrix, lam))
+
+
+def test_stored_view_is_built_once_per_pair_and_projector(monkeypatch):
+    rng = np.random.default_rng(61)
+    pair = random_pair(rng, 6)
+    pi1 = helstrom_measurement(pair).pi1
+    in_support = _count_calls(monkeypatch, adversary, "_in_support")
+    calls = _count_decompositions(monkeypatch)
+    for k, lam in enumerate(VIEW_PRICES, start=1):
+        optimal_attack(pair, pi1, lam)
+        assert calls == {"eigh": k, "eigvalsh": 0}
+    assert len(in_support) == 1
+    # a bare array is never stored
+    for lam in VIEW_PRICES:
+        optimal_attack(pair, pi1.matrix, lam)
+    assert len(in_support) == 1 + len(VIEW_PRICES)
+
+
+def test_stored_view_follows_the_pair():
+    # the same projector on a new rho1, then a new rho0, gives the fresh
+    # result, never the one stored for the old pair
+    rng = np.random.default_rng(62)
+    first = random_pair(rng, 4)
+    pi1 = helstrom_measurement(first).pi1
+    other = random_pair(rng, 4)
+    new_rho1 = HypothesisPair(first.rho0, other.rho1, 0.5, 0.5)
+    new_rho0 = HypothesisPair(other.rho0, other.rho1, 0.5, 0.5)
+    before = optimal_attack(first, pi1, 0.7)
+    for pair in (new_rho1, new_rho0, first):
+        sol = optimal_attack(pair, pi1, 0.7)
+        _assert_same_solution(sol, optimal_attack(pair, pi1.matrix, 0.7))
+    assert optimal_attack(new_rho1, pi1, 0.7).utility != before.utility
+    assert optimal_attack(new_rho0, pi1, 0.7).genuine_p_false != before.genuine_p_false
+    # the entry refers to its states weakly, so a state built after the
+    # stored one is collected can never pass for it, even at its address
+    pair = HypothesisPair(first.rho0, DensityOperator(np.array(first.rho1.matrix)), 0.5, 0.5)
+    optimal_attack(pair, pi1, 0.7)
+    del pair
+    gc.collect()
+    assert adversary._VIEWS[pi1].rho1() is None
+    pair = HypothesisPair(first.rho0, DensityOperator(np.diag(np.diag(first.rho1.matrix))), 0.5, 0.5)
+    _assert_same_solution(optimal_attack(pair, pi1, 0.7), optimal_attack(pair, pi1.matrix, 0.7))
+
+
+def test_stored_view_goes_with_its_projector():
+    rng = np.random.default_rng(63)
+    pair = random_pair(rng, 4)
+    gc.collect()
+    stored = len(adversary._VIEWS)
+    pi1 = helstrom_measurement(pair).pi1
+    optimal_attack(pair, pi1, 1.0)
+    assert pi1 in adversary._VIEWS and len(adversary._VIEWS) == stored + 1
+    ref = weakref.ref(pi1)
+    del pi1
+    gc.collect()
+    assert ref() is None
+    assert len(adversary._VIEWS) == stored
+
+
+def test_used_projector_pickles_and_copies():
+    rng = np.random.default_rng(64)
+    pair = random_pair(rng, 4)
+    pi1 = helstrom_measurement(pair).pi1
+    optimal_attack(pair, pi1, 1.0)
+    perturbation_estimate(pair, pi1, 10.0)
+    for twin in (pickle.loads(pickle.dumps(pi1)), copy.deepcopy(pi1)):
+        assert np.array_equal(twin.matrix, pi1.matrix)
+        assert twin.rank == pi1.rank
+
+
+def test_oracle_builds_its_own_chart(monkeypatch):
+    # the oracle stays independent of the closed form: a warm view for the
+    # same (pair, projector) does not feed it
+    rng = np.random.default_rng(65)
+    pair = random_pair(rng, 3)
+    pi1 = helstrom_measurement(pair).pi1
+    optimal_attack(pair, pi1, 1.0)
+    in_support = _count_calls(monkeypatch, adversary, "_in_support")
+    for lam in (0.5, 2.0):
+        oracle_attack(pair, pi1, lam)
+    assert len(in_support) == 2
+
+
+def test_perturbation_estimate_reads_the_view(monkeypatch):
+    rng = np.random.default_rng(66)
+    pair = random_pair(rng, 5)
+    pi1 = helstrom_measurement(pair).pi1
+    in_support = _count_calls(monkeypatch, adversary, "_in_support")
+    for lam in (10.0, 100.0):
+        got = perturbation_estimate(pair, pi1, lam)
+        want = perturbation_estimate(pair, pi1.matrix, lam)
+        for name in PerturbationReport.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, name
+    # one view for pi1 and one per bare-array call
+    assert len(in_support) == 1 + 2
+    optimal_attack(pair, pi1, 10.0)
+    assert len(in_support) == 3
 
 
 def test_support_checks_stay_in_blas(monkeypatch):
