@@ -40,7 +40,6 @@ from .operators import (
     DensityOperator,
     EIGEN_ZERO_TOL,
     as_matrix,
-    hermitian_part,
     relative_entropy,
     spectral_decompose,
     trace_product,
@@ -234,18 +233,22 @@ class _AttackStack(NamedTuple):
     genuine_p_detect: np.ndarray
 
 
+def _exponents(view: _AttackView, lams: np.ndarray) -> np.ndarray:
+    """The exponents ln r - Pi_s/lam (exactly Hermitian), indexed [price, projector]."""
+    return np.diag(np.log(view.r).astype(np.complex128)) - view.pi_s / lams[:, None, None, None]
+
+
 def _attack_stack(view: _AttackView, lams: np.ndarray) -> _AttackStack:
     """The closed-form attack for every (price, projector) pair in one decomposition.
 
     ``view`` holds rho1's support chart and the projectors, and ``lams``
-    is a vector of prices.  The exponents ln r - Pi_s/lam of the whole
-    (price x projector) grid go to one ``eigh`` call, and ``_lift_stack``
-    builds the states from the spectra; the genuine detection rates
-    Tr(Pi1 rho1') pass the rate check together.  Every point is
-    bit-identical to the same point solved alone.
+    is a vector of prices.  The exponents of the whole (price x projector)
+    grid go to one ``eigh`` call, and ``_lift_stack`` builds the states
+    from the spectra; the genuine detection rates Tr(Pi1 rho1') pass the
+    rate check together.  Every point is bit-identical to the same point
+    solved alone.
     """
-    h = np.diag(np.log(view.r).astype(np.complex128)) - view.pi_s / lams[:, None, None, None]
-    gibbs = _lift_stack(view.v, view.kernel, *np.linalg.eigh(h))
+    gibbs = _lift_stack(view.v, view.kernel, *np.linalg.eigh(_exponents(view, lams)))
     return _AttackStack(gibbs, _checked_rates(_traces(view.projectors, gibbs.matrices)))
 
 
@@ -610,8 +613,7 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
     beta = np.diag(pi_s).real
     estimate = np.log(r) - beta / lam
 
-    exponent = hermitian_part(np.diag(np.log(r).astype(np.complex128)) - pi_s / lam)
-    w, u = np.linalg.eigh(exponent)
+    w, u = np.linalg.eigh(_exponents(view, np.array([lam]))[0, 0])
     # overlap of each exact eigenvector (columns of u, support basis) with e_i
     weights = np.abs(u) ** 2  # weights[i, k] = |<phi_i | alpha_k>|^2
     matched = np.argmax(weights, axis=1)

@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .adversary import BoundReport, optimal_attack
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
-from .detection import HypothesisPair, helstrom_measurement
+from .detection import helstrom_measurement
 from .radar import photon_sweep, roc_sweep
 from .serialize import csv_text, json_text, matrix_to_literal, photon_csv, roc_csv, sig12
 from .verify import run_verification
@@ -87,15 +87,8 @@ def _emit(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-def _scenario_pair(cfg: ScenarioConfig):
-    pair = cfg.build_pair()
-    if cfg.tau is not None:
-        pair = HypothesisPair.from_tau(pair.rho0, pair.rho1, cfg.tau)
-    return pair
-
-
 def cmd_detect(cfg: ScenarioConfig) -> int:
-    pair = _scenario_pair(cfg)
+    pair = cfg.build_pair()
     hel = helstrom_measurement(pair)
     if (cfg.out_format or "json") == "json":
         payload = {
@@ -118,7 +111,7 @@ def cmd_detect(cfg: ScenarioConfig) -> int:
 def cmd_attack(cfg: ScenarioConfig) -> int:
     if not cfg.lambdas:
         raise ConfigError("attack.lambdas", "at least one distortion price is required (or pass --lambda)")
-    pair = _scenario_pair(cfg)
+    pair = cfg.build_pair()
     hel = helstrom_measurement(pair)
     records = []
     for lam in cfg.lambdas:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detection import HypothesisPair, check_cost_weights
+from .detection import HypothesisPair, _cost_weights, _threshold, check_cost_weights
 from .operators import DensityOperator
 from .radar import RadarParams, build_radar_pair
 
@@ -62,15 +62,17 @@ class ScenarioConfig:
     verify: VerifyOptions = field(default_factory=VerifyOptions)
 
     def build_pair(self) -> HypothesisPair:
-        if self.explicit is not None:
-            return self.explicit
-        return build_radar_pair(self.radar, self.c0, self.c1)
+        """The scenario's pair; a ``sweep.tau`` or ``--tau`` threshold replaces its cost weights."""
+        pair = self.explicit if self.explicit is not None else build_radar_pair(self.radar, self.c0, self.c1)
+        if self.tau is not None:
+            pair = HypothesisPair.from_tau(pair.rho0, pair.rho1, self.tau)
+        return pair
 
     def effective_tau(self) -> float:
         """Sweep threshold: explicit ``sweep.tau`` wins, else c1/c0 of the cost weights."""
         if self.tau is not None:
             return self.tau
-        return self.c1 / self.c0
+        return float(_threshold(self.c0, self.c1))
 
     def effective_l_values(self) -> tuple:
         if self.l_values is not None:
@@ -93,6 +95,14 @@ def _fields(obj, where: str, parsers: dict, required=()) -> dict:
     return {key: parse(obj[key], f"{where}.{key}") for key, parse in parsers.items() if key in obj}
 
 
+def _named(where: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a ValueError it raises turned into a ConfigError naming ``where``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
+
+
 def _real(value, where: str) -> float:
     # abs(value) <= max also rejects NaN, the infinities and integers beyond float range
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
@@ -111,8 +121,10 @@ def _price(value, where: str) -> float:
     return _positive(value, where, "distortion price")
 
 
-def _threshold(value, where: str) -> float:
-    return _positive(value, where, "threshold")
+def _tau(value, where: str) -> float:
+    tau = _positive(value, where, "threshold")
+    _named(where, _cost_weights, tau)
+    return tau
 
 
 def _nonneg_int(value, where: str) -> int:
@@ -132,7 +144,7 @@ def _prices(value, where: str) -> tuple:
 
 
 def _tau_grid(value, where: str) -> tuple:
-    grid = _list(value, where, _threshold)
+    grid = _list(value, where, _tau)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(where, "thresholds must be strictly increasing")
     return grid
@@ -190,18 +202,7 @@ def matrix_from_literal(obj, where: str = "matrix") -> np.ndarray:
 
 
 def _state(value, where: str) -> DensityOperator:
-    matrix = matrix_from_literal(value, where)
-    try:
-        return DensityOperator(matrix)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
-
-
-def _check_cost_weights(c0: float, c1: float, where: str) -> None:
-    try:
-        check_cost_weights(c0, c1)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.c0", str(exc)) from exc
+    return _named(where, DensityOperator, matrix_from_literal(value, where))
 
 
 # Each block's parser per field, in the order the fields are checked.  Field
@@ -210,7 +211,7 @@ def _check_cost_weights(c0: float, c1: float, where: str) -> None:
 _EXPLICIT = {"c0": _real, "c1": _real, "rho0": _state, "rho1": _state}
 _RADAR = {"c0": _real, "c1": _real, "n_b": _real, "x": _real, "k": _nonneg_int, "l": _nonneg_int}
 _ATTACK = {"lambdas": _prices}
-_SWEEP = {"tau": _threshold, "tau_grid": _tau_grid, "l_values": _l_values}
+_SWEEP = {"tau": _tau, "tau_grid": _tau_grid, "l_values": _l_values}
 _OUTPUT = {"path": _path, "format": _format}
 _VERIFY = {
     "instances": _nonneg_int,
@@ -236,19 +237,13 @@ def parse_config(obj: dict) -> ScenarioConfig:
     if "explicit" in obj:
         fields = _fields(obj["explicit"], "explicit", _EXPLICIT, required=_EXPLICIT)
         c0, c1 = fields["c0"], fields["c1"]
-        _check_cost_weights(c0, c1, "explicit")
-        try:
-            explicit = HypothesisPair(**fields)
-        except ValueError as exc:
-            raise ConfigError("explicit", str(exc)) from exc
+        _named("explicit.c0", check_cost_weights, c0, c1)
+        explicit = _named("explicit", HypothesisPair, **fields)
     else:
         fields = _fields(obj["radar"], "radar", _RADAR, required=_RADAR)
         c0, c1 = fields.pop("c0"), fields.pop("c1")
-        _check_cost_weights(c0, c1, "radar")
-        try:
-            radar = RadarParams(**fields)
-        except ValueError as exc:
-            raise ConfigError("radar", str(exc)) from exc
+        _named("radar.c0", check_cost_weights, c0, c1)
+        radar = _named("radar", RadarParams, **fields)
 
     lambdas: tuple = ()
     if "attack" in obj:
@@ -280,7 +275,7 @@ def apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if args.lambdas:
         updates["lambdas"] = tuple(_price(v, "--lambda") for v in args.lambdas)
     if args.tau is not None:
-        updates["tau"] = _threshold(args.tau, "--tau")
+        updates["tau"] = _tau(args.tau, "--tau")
     if args.out is not None:
         updates["out_path"] = _path(args.out, "--out")
     if args.format is not None:

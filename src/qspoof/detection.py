@@ -6,6 +6,9 @@ projector ``Pi1``.  The risk-optimal choice projects onto the strictly
 positive eigenspace of ``rho1 - tau*rho0`` with threshold ``tau = c1/c0``.
 Randomized decision rules are out of scope; only projector-valued choices
 are represented.
+
+The threshold convention lives only here: ``_threshold`` (weights to tau,
+which must be finite), ``_cost_weights`` (tau to weights) and ``_risk``.
 """
 
 from __future__ import annotations
@@ -92,9 +95,27 @@ def _check_projectors(m: np.ndarray, ranks=None) -> tuple[np.ndarray, np.ndarray
     return m, ranks
 
 
+def _threshold(c0, c1):
+    """The threshold tau = c1/c0 of cost weights, or of arrays of them; each must be finite."""
+    with np.errstate(all="ignore"):  # a zero or tiny c0 overflows
+        tau = np.divide(c1, c0)
+    finite = np.isfinite(tau)
+    if not finite.all():
+        c0, c1 = (float(np.ravel(c)[np.argmin(finite)]) for c in (c0, c1))
+        raise ValueError(f"threshold c1/c0 must be finite, got c0={c0!r}, c1={c1!r}")
+    return tau
+
+
 def _cost_weights(tau):
-    """Cost weights c0 = 1/(1+tau), c1 = tau/(1+tau) of a threshold, or of an array of them."""
-    return 1.0 / (1.0 + tau), tau / (1.0 + tau)
+    """Cost weights c0 = 1/(1+tau), c1 = tau/(1+tau) of a threshold, or of an array of them, checked."""
+    c0, c1 = 1.0 / (1.0 + tau), tau / (1.0 + tau)
+    _threshold(c0, c1)
+    return c0, c1
+
+
+def _risk(c0, c1, p_detect, p_false):
+    """The Bayes risk c1 (1 - P_D) + c0 P_F, of numbers or of arrays of them."""
+    return c1 * (1.0 - p_detect) + c0 * p_false
 
 
 def check_cost_weights(c0: float, c1: float) -> None:
@@ -105,8 +126,7 @@ def check_cost_weights(c0: float, c1: float) -> None:
         raise ValueError("cost weights must be nonnegative")
     if abs(c0 + c1 - 1.0) > PRIOR_SUM_TOL:
         raise ValueError(f"cost weights must sum to 1, got {c0 + c1!r}")
-    if c0 == 0:
-        raise ValueError("c0 must be positive so the threshold c1/c0 is finite")
+    _threshold(c0, c1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +134,7 @@ class HypothesisPair:
     """The two candidate states with their Bayes cost weights.
 
     ``c0`` and ``c1`` are finite and nonnegative, sum to one within ``PRIOR_SUM_TOL``,
-    and ``c0 > 0`` so the threshold ``tau = c1/c0`` is finite.
+    and the threshold ``tau = c1/c0`` is finite (``_threshold``).
     """
 
     rho0: DensityOperator
@@ -133,7 +153,7 @@ class HypothesisPair:
 
     @property
     def tau(self) -> float:
-        return self.c1 / self.c0
+        return float(_threshold(self.c0, self.c1))
 
     @classmethod
     def from_tau(cls, rho0: DensityOperator, rho1: DensityOperator, tau: float) -> "HypothesisPair":
@@ -177,8 +197,7 @@ def rates(pi1, rho1, rho0) -> tuple[float, float]:
 
 def bayes_risk(pi1, pair: HypothesisPair) -> float:
     """Expected cost c1 (1 - P_D) + c0 P_F of announcing via ``pi1``."""
-    p_detect, p_false = rates(pi1, pair.rho1, pair.rho0)
-    return pair.c1 * (1.0 - p_detect) + pair.c0 * p_false
+    return _risk(pair.c0, pair.c1, *rates(pi1, pair.rho1, pair.rho0))
 
 
 class _HelstromStack(NamedTuple):
@@ -189,18 +208,20 @@ class _HelstromStack(NamedTuple):
     eigenvalues: np.ndarray  # (N, d), each spectrum of rho1 - tau*rho0 descending
     p_detect: np.ndarray
     p_false: np.ndarray
+    bayes_risk: np.ndarray
 
 
-def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, taus: np.ndarray) -> _HelstromStack:
-    """The risk-optimal projector of ``rho1 - tau*rho0`` for every threshold in ``taus``.
+def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> _HelstromStack:
+    """The risk-optimal projector of ``rho1 - tau*rho0`` and its Bayes risk for each cost weight pair.
 
-    ``rho0`` and ``rho1`` are the states' matrices.  One ``eigh`` call
-    decomposes the whole stack; each projector is built from its kept
-    (leading) eigenvector columns, with one matrix product per distinct
-    rank, and the stack then passes the projector and rate checks.  A
-    threshold's result is bit-identical whether it is solved alone or in
-    a stack.
+    ``rho0`` and ``rho1`` are the states' matrices, ``c0`` and ``c1``
+    vectors.  One ``eigh`` call decomposes the whole stack; each projector
+    is built from its kept (leading) eigenvector columns, with one matrix
+    product per distinct rank, and the stack then passes the projector and
+    rate checks.  A threshold's result is bit-identical whether it is
+    solved alone or in a stack.
     """
+    taus = _threshold(c0, c1)
     a = _require_hermitian(rho1 - taus[:, None, None] * rho0)
     w, x = _sort_descending(*np.linalg.eigh(a))
     ranks = (w > EIGEN_ZERO_TOL).sum(axis=-1)
@@ -212,7 +233,7 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, taus: np.ndarray) -> _He
     proj, ranks = _check_projectors(proj, ranks)
     p_detect = _checked_rates(_traces(proj, rho1))
     p_false = _checked_rates(_traces(proj, rho0))
-    return _HelstromStack(proj, ranks, w, p_detect, p_false)
+    return _HelstromStack(proj, ranks, w, p_detect, p_false, _risk(c0, c1, p_detect, p_false))
 
 
 def helstrom_measurement(pair: HypothesisPair) -> HelstromResult:
@@ -223,11 +244,10 @@ def helstrom_measurement(pair: HypothesisPair) -> HelstromResult:
     H0.  This is the stacked Helstrom step (the one ``roc_sweep`` runs
     over its threshold grid) with a stack of one.
     """
-    hel = _helstrom_stack(pair.rho0.matrix, pair.rho1.matrix, np.array([pair.tau]))
+    hel = _helstrom_stack(pair.rho0.matrix, pair.rho1.matrix, np.array([pair.c0]), np.array([pair.c1]))
     pi1 = ProjectorMeasurement._from_checked(hel.projectors[0], int(hel.ranks[0]))
-    p_detect, p_false = float(hel.p_detect[0]), float(hel.p_false[0])
-    risk = pair.c1 * (1.0 - p_detect) + pair.c0 * p_false
-    return HelstromResult(pi1, _read_only(hel.eigenvalues[0]), p_detect, p_false, risk)
+    risk = float(hel.bayes_risk[0])
+    return HelstromResult(pi1, _read_only(hel.eigenvalues[0]), float(hel.p_detect[0]), float(hel.p_false[0]), risk)
 
 
 def sample_outcomes(rho, pi1, n: int, seed: int) -> tuple[int, int]:

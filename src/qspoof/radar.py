@@ -11,12 +11,12 @@ and the target hypothesis mixes a reflected signal photon state into it,
 Everything is diagonal in the number basis, so the scenario doubles as an
 analytically tractable commuting test bed.  Sweeps build the two states
 once per signal level and report both counterfactual and genuine
-(post-distortion) operating rates.  They run the stacked closed forms
-that ``helstrom_measurement`` and ``optimal_attack`` wrap: ``roc_sweep``
-solves its whole threshold grid in one Helstrom step and its whole
-price x threshold grid in one attack step, and ``photon_sweep`` runs one
-attack step per signal level over all of its prices.  Every point is
-bit-identical to the one the scalar functions give.
+(post-distortion) operating rates.  Both run one stacked Helstrom step
+over the thresholds and one stacked attack step over every (price,
+threshold) pair (``_sweep``): ``roc_sweep`` once over its grid,
+``photon_sweep`` once per signal level.  Thresholds take the cost weights
+of ``HypothesisPair.from_tau``, and every point is bit-identical to what
+``helstrom_measurement`` and ``optimal_attack`` give.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import _attack_stack, _attack_view, _check_price
-from .detection import HypothesisPair, _cost_weights, _helstrom_stack, helstrom_measurement
+from .detection import HypothesisPair, _cost_weights, _helstrom_stack
 from .operators import DensityOperator, as_matrix
 
 
@@ -88,10 +88,27 @@ def default_tau_grid(n: int = 60, lo: float = 1e-2, hi: float = 1e2) -> np.ndarr
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
-def _check_threshold(tau: float) -> None:
-    """The threshold rule of config's ``tau`` fields: a finite positive number."""
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
+def _check_sweep(taus: np.ndarray, lambdas) -> tuple:
+    """The cost weights (c0, c1) of a vector of thresholds and the distinct prices, ascending,
+    under the rules of config's ``tau_grid`` and ``lambdas`` fields (thresholds with a finite c1/c0)."""
+    for tau in taus.tolist():
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
+    if np.any(np.diff(taus) <= 0):
+        raise ValueError("threshold grid must be strictly increasing")
+    lams = [float(v) for v in lambdas]
+    for lam in lams:
+        _check_price(lam)
+    return _cost_weights(taus), sorted(set(lams))
+
+
+def _sweep(rho0: DensityOperator, rho1: DensityOperator, weights, lams: np.ndarray):
+    """One Helstrom step over the thresholds' cost weights (c0, c1) and one attack
+    step over (price, threshold): P_F and P_D per threshold, and the genuine
+    P_D per [price, threshold].  rho0 is never distorted: its genuine P_F is P_F."""
+    hel = _helstrom_stack(rho0.matrix, rho1.matrix, *weights)
+    att = _attack_stack(_attack_view(rho1, hel.projectors), lams)
+    return hel.p_false, hel.p_detect, att.genuine_p_detect
 
 
 @dataclass(frozen=True)
@@ -108,32 +125,23 @@ class PhotonSweepRow:
 def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[PhotonSweepRow]:
     """Detection rates across signal levels ``l`` for each distortion price.
 
-    The detector threshold ``tau`` is held fixed; the hypothesis pair and
-    its risk-optimal projector are rebuilt for every ``l`` (one
-    ``helstrom_measurement`` each).  Levels differ in dimension, so each
-    gets its own attack step, covering all prices at once.  Rows come
-    back ordered by (lam, l).
+    The detector threshold ``tau`` is held fixed; the states and their
+    risk-optimal projector are rebuilt for every ``l``.  Levels differ in
+    dimension, so each gets its own Helstrom step at ``tau`` and attack
+    step covering all prices at once.  Rows come back ordered by (lam, l).
     """
-    _check_threshold(tau)
-    lams = [float(v) for v in lambdas]
-    for lam in lams:
-        _check_price(lam)
+    weights, lams = _check_sweep(np.array([tau], dtype=float), lambdas)
     ls = [int(v) for v in l_values]
     if any(v < 0 for v in ls):
         raise ValueError("signal levels must be nonnegative")
-    levels = sorted(set(ls))
-    prices = np.array(sorted(set(lams)))
-    solved = []
-    for l in levels:
-        pair = HypothesisPair.from_tau(*_radar_states(base.with_l(l)), tau)
-        solved.append((l, pair, helstrom_measurement(pair)))
     columns = []  # per level: l, mean photon number, P_D and the genuine P_D per price
-    for l, pair, hel in solved:
-        att = _attack_stack(_attack_view(pair.rho1, hel.pi1.matrix[None]), prices)
-        columns.append((l, mean_photon(pair.rho1), hel.p_detect, att.genuine_p_detect[:, 0].tolist()))
+    for l in sorted(set(ls)):
+        rho0, rho1 = _radar_states(base.with_l(l))
+        _, p_detect, genuine = _sweep(rho0, rho1, weights, np.array(lams))
+        columns.append((l, mean_photon(rho1), float(p_detect[0]), genuine[:, 0].tolist()))
     return [
         PhotonSweepRow(l=l, mean_photon=nbar, lam=lam, p_detect=p_detect, genuine_p_detect=genuine[i])
-        for i, lam in enumerate(prices.tolist())
+        for i, lam in enumerate(lams)
         for l, nbar, p_detect, genuine in columns
     ]
 
@@ -167,8 +175,8 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
 
     Returns one undistorted curve (``lam`` None, genuine rates equal the
     counterfactual ones) followed by one curve per distortion price in
-    ascending order.  Cost weights at each threshold are c0 = 1/(1+tau),
-    c1 = tau/(1+tau).
+    ascending order.  Cost weights at each threshold are those of
+    ``HypothesisPair.from_tau``.
 
     After the two states are built, the sweep makes two decompositions
     in all: one stacked Helstrom step over the grid and one stacked
@@ -179,23 +187,11 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("threshold grid must be a nonempty 1-d sequence")
-    for tau in grid:
-        _check_threshold(float(tau))
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("threshold grid must be strictly increasing")
-    lams = sorted({float(v) for v in lambdas})
-    for lam in lams:
-        _check_price(lam)
+    weights, lams = _check_sweep(grid, lambdas)
 
-    rho0, rho1 = _radar_states(params)
-    # the threshold a pair from HypothesisPair.from_tau carries: c1/c0
-    # after the round trip through the cost weights
-    c0, c1 = _cost_weights(grid)
-    hel = _helstrom_stack(rho0.matrix, rho1.matrix, c1 / c0)
-    taus, p_false, p_detect = grid.tolist(), hel.p_false.tolist(), hel.p_detect.tolist()
+    p_false, p_detect, genuine_p_detect = _sweep(*_radar_states(params), weights, np.array(lams))
+    taus, p_false, p_detect = grid.tolist(), p_false.tolist(), p_detect.tolist()
     curves = [RocCurve(lam=None, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, p_detect)))]
-    att = _attack_stack(_attack_view(rho1, hel.projectors), np.array(lams))
-    for lam, genuine in zip(lams, att.genuine_p_detect.tolist()):
-        # rho0 is never distorted: the genuine false-alarm rate is P_F
+    for lam, genuine in zip(lams, genuine_p_detect.tolist()):
         curves.append(RocCurve(lam=lam, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, genuine))))
     return curves

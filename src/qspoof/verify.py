@@ -18,10 +18,9 @@ import numpy as np
 
 from . import __version__
 from .adversary import (
-    BOUND_TOL,
+    BoundReport,
     OracleConvergenceError,
     attacker_utility,
-    detection_bounds,
     gap_condition_sums,
     optimal_attack,
     oracle_attack,
@@ -126,7 +125,6 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
     lower_asserted = 0
     lower_viol = 0
     informational = []
-    worst_upper = 0.0
     for idx in range(options.instances):
         if options.commuting_only:
             pair = random_commuting_pair(rng, int(rng.integers(2, options.max_dim + 1)))
@@ -139,20 +137,14 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
         gap_ok = bool(np.all(gap_condition_sums(pair.rho1, hel.pi1) < 1.0))
         for lam in options.lambdas:
             sol = optimal_attack(pair, hel.pi1, lam)
-            lower, upper = detection_bounds(hel.p_detect, lam)
-            over = sol.genuine_p_detect - upper
-            worst_upper = max(worst_upper, over)
-            if over > BOUND_TOL:
-                upper_viol += 1
-            assert_lower = commuting or (gap_ok and lam >= 2.0)
-            if assert_lower:
+            rep = BoundReport.evaluate(hel.p_detect, sol.genuine_p_detect, lam)
+            upper_viol += not rep.upper_satisfied
+            if commuting or (gap_ok and lam >= 2.0):
                 lower_asserted += 1
-                if sol.genuine_p_detect < lower - BOUND_TOL:
-                    lower_viol += 1
-            elif sol.genuine_p_detect < lower - BOUND_TOL:
-                informational.append(
-                    {"lam": lam, "shortfall": lower - sol.genuine_p_detect, "gap_condition": gap_ok}
-                )
+                lower_viol += not rep.lower_satisfied
+            elif not rep.lower_satisfied:
+                shortfall = rep.lower - rep.genuine_p_detect
+                informational.append({"lam": lam, "shortfall": shortfall, "gap_condition": gap_ok})
     ok = upper_viol == 0 and lower_viol == 0
     checks.append(
         CheckResult(

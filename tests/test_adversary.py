@@ -275,7 +275,8 @@ def test_stacked_steps_equal_their_batch_of_one(d, rank):
     rng = np.random.default_rng(40 + d)
     base = random_pair(rng, d) if rank == d else _rank_deficient_pair(rng, d, rank)
     pairs = [HypothesisPair.from_tau(base.rho0, base.rho1, tau) for tau in (0.3, 1.0, 2.5)]
-    hel = detection._helstrom_stack(base.rho0.matrix, base.rho1.matrix, np.array([p.tau for p in pairs]))
+    weights = (np.array([p.c0 for p in pairs]), np.array([p.c1 for p in pairs]))
+    hel = detection._helstrom_stack(base.rho0.matrix, base.rho1.matrix, *weights)
     lams = np.array([0.05, 1.0, 3e4, 1e9])
     view = adversary._attack_view(base.rho1, hel.projectors)
     att = adversary._attack_stack(view, lams)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ def test_detect_tau_override(capsys, radar_config_path):
     assert abs(payload["tau"] - 9.0) <= 1e-12
     # only the signal level survives a strict threshold
     assert abs(payload["p_detect"] - 0.9) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_detect_rejects_a_tau_with_an_overflowing_threshold(capsys, radar_config_path):
+    # tau = max float gives c0 = 1/(1+tau) subnormal, and c1/c0 overflows to inf
+    code, out, err = run_cli(capsys, "detect", "--config", radar_config_path, "--tau", repr(sys.float_info.max))
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: --tau: threshold c1/c0 must be finite")
 
 
 # ---------------------------------------------------------------- attack

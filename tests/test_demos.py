@@ -1,4 +1,4 @@
-"""Every narrative script under ``demos/`` runs to completion."""
+"""Every narrative script under ``demos/`` runs to completion without a warning."""
 
 import os
 import subprocess
@@ -16,6 +16,6 @@ def test_demo_runs(tmp_path, script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr

@@ -48,6 +48,13 @@ def test_pair_rejects_zero_c0():
         HypothesisPair(rho0=rho, rho1=rho, c0=0.0, c1=1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pair_rejects_weights_with_an_overflowing_threshold():
+    rho = DensityOperator.maximally_mixed(2)
+    with pytest.raises(ValueError, match=r"threshold c1/c0 must be finite, got c0=1e-320, c1=1.0"):
+        HypothesisPair(rho0=rho, rho1=rho, c0=1e-320, c1=1.0)
+
+
 @pytest.mark.parametrize("c0,c1", [(math.nan, math.nan), (math.nan, 0.5), (0.5, math.nan), (math.inf, -math.inf)])
 def test_pair_rejects_nonfinite_weights(c0, c1):
     rho = DensityOperator.maximally_mixed(2)

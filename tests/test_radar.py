@@ -1,6 +1,7 @@
 """Photon-number radar scenario: state construction, ROC and signal sweeps."""
 
 import math
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -203,6 +204,21 @@ def test_sweeps_reject_nonfinite_threshold(sweep):
         sweep()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: roc_sweep(REF, lambdas=[1.0], tau_grid=[1.0, sys.float_info.max]),
+        lambda: photon_sweep(REF, tau=sys.float_info.max, lambdas=[1.0], l_values=[0, 1]),
+    ],
+    ids=["roc", "photon"],
+)
+def test_sweeps_reject_a_threshold_whose_weights_overflow(sweep):
+    # tau = max float is finite, but its c0 = 1/(1+tau) is subnormal and c1/c0 overflows
+    with pytest.raises(ValueError, match=r"threshold c1/c0 must be finite"):
+        sweep()
+
+
 @pytest.mark.parametrize("lam", [0.0, math.nan, math.inf])
 def test_sweeps_reject_bad_price(lam):
     with pytest.raises(ValueError, match="lam must be positive and finite"):
@@ -319,11 +335,11 @@ def test_photon_sweep_decomposes_once_per_level_and_step(monkeypatch, levels, n_
     # per level: two state validations, one Helstrom step and one attack
     # step over all prices
     steps = []
-    for name in ("helstrom_measurement", "_attack_stack"):
+    for name in ("_helstrom_stack", "_attack_stack"):
         inner = getattr(radar, name)
         monkeypatch.setattr(radar, name, lambda *a, _inner=inner, _name=name, **k: steps.append(_name) or _inner(*a, **k))
     calls = _count_eigh(monkeypatch)
     photon_sweep(REF, levels, [0.5 * (j + 1) for j in range(n_lam)], tau=1.0)
     n = len(list(levels))
-    assert calls == [(), (), (1,)] * n + [(n_lam, 1)] * n
-    assert steps == ["helstrom_measurement"] * n + ["_attack_stack"] * n
+    assert calls == [(), (), (1,), (n_lam, 1)] * n
+    assert steps == ["_helstrom_stack", "_attack_stack"] * n

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -174,6 +175,23 @@ def test_parse_rejects_bad_tau_grid():
         parse_config(radar_config(sweep={"tau_grid": [2.0, 1.0]}))
     with pytest.raises(ConfigError, match="tau_grid"):
         parse_config(radar_config(sweep={"tau_grid": [-1.0]}))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "extra,field",
+    [
+        ({"radar": {"n_b": 0.4, "x": 0.9, "k": 1, "l": 2, "c0": 1e-320, "c1": 1.0}}, "radar.c0"),
+        ({"sweep": {"tau": sys.float_info.max}}, "sweep.tau"),
+        ({"sweep": {"tau_grid": [1.0, sys.float_info.max]}}, "sweep.tau_grid[1]"),
+    ],
+    ids=["c0", "tau", "tau_grid"],
+)
+def test_parse_rejects_an_overflowing_threshold(extra, field):
+    # c1/c0 overflows to inf: for a tiny c0, and for a tau whose c0 = 1/(1+tau) is subnormal
+    with pytest.raises(ConfigError, match=r"threshold c1/c0 must be finite") as err:
+        parse_config(radar_config(**extra))
+    assert err.value.field == field
 
 
 def test_parse_rejects_bool_seed():
