@@ -16,8 +16,9 @@ evaluated entirely on the support of ``rho1``.  At the optimum the
 utility is -lam ln Z1 (Gibbs variational principle), which
 ``optimal_attack`` reads off the exponent's spectrum.  Everything but
 the exponent depends only on (rho1, rho0, Pi1): rho1's support chart,
-Pi1 in that basis and the genuine false-alarm rate are computed once
-per pair and ``ProjectorMeasurement`` and shared by every price.
+Pi1 in that basis and (when an attack first needs it) the genuine
+false-alarm rate are computed once per pair and ``ProjectorMeasurement``
+and shared by every price.
 ``attacker_utility`` evaluates the objective through the relative
 entropies instead; it is the independent audit that ``verify``, the
 oracle and the tests hold the closed form to.  ``oracle_attack``
@@ -123,8 +124,12 @@ def _support_chart(rho1):
 
 
 def _in_support(v: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """A matrix (or a stack of them) in the support basis, ``hermitian_part(v^dagger Pi v)``."""
-    return _hermitian(v.conj().T @ pi @ v)
+    """A matrix in the support basis, ``hermitian_part(v^dagger Pi v)``.
+
+    ``v`` is one chart's columns or a stack of them, ``pi`` a matrix or a
+    stack; the two broadcast against each other over their leading axes.
+    """
+    return _hermitian(v.conj().swapaxes(-1, -2) @ pi @ v)
 
 
 class _Gibbs(NamedTuple):
@@ -193,37 +198,45 @@ def _attack_view(rho1, projectors: np.ndarray) -> _AttackView:
     return _AttackView(r, v, kernel, projectors, _in_support(v, projectors))
 
 
-class _StoredView(NamedTuple):
-    """The view of one ``ProjectorMeasurement`` and the pair it was built for."""
+class _StoredView:
+    """The view of one ``ProjectorMeasurement`` and the pair it was built
+    for, with the genuine false-alarm rate once an attack has asked for it."""
 
-    rho1: weakref.ref
-    rho0: weakref.ref
-    view: _AttackView  # a stack of one
-    genuine_p_false: float  # Tr(Pi1 rho0), checked
+    __slots__ = ("rho1", "rho0", "view", "p_false")
+
+    def __init__(self, pair: HypothesisPair, view: _AttackView):
+        self.rho1 = weakref.ref(pair.rho1)
+        self.rho0 = weakref.ref(pair.rho0)
+        self.view = view  # a stack of one
+        self.p_false = None  # Tr(Pi1 rho0), checked
+
+    def genuine_p_false(self, rho0: DensityOperator) -> float:
+        if self.p_false is None:
+            self.p_false = _checked_rate(trace_product(self.view.projectors[0], rho0.matrix))
+        return self.p_false
 
 
 # One stored view per projector; an entry goes with its projector.
 _VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _pair_view(pair: HypothesisPair, pi1) -> tuple[_AttackView, float]:
-    """The attack view of (pair, pi1) and the genuine false-alarm rate.
+def _pair_view(pair: HypothesisPair, pi1) -> _StoredView:
+    """The attack view of (pair, pi1), holding the genuine false-alarm rate
+    once it is computed.
 
-    Both are stored when ``pi1`` is a ``ProjectorMeasurement`` (validated
-    and read-only) and found again only for the same rho1 and rho0
-    objects; a bare array may be written to between calls, so it is
-    never stored.  Found or built, they hold the same values.
+    The entry is stored when ``pi1`` is a ``ProjectorMeasurement``
+    (validated and read-only) and found again only for the same rho1 and
+    rho0 objects; a bare array may be written to between calls, so it is
+    never stored.  Found or built, an entry holds the same values.
     """
     store = isinstance(pi1, ProjectorMeasurement)
     entry = _VIEWS.get(pi1) if store else None
     if entry is not None and entry.rho1() is pair.rho1 and entry.rho0() is pair.rho0:
-        return entry.view, entry.genuine_p_false
-    pi_m = as_matrix(pi1)
-    view = _attack_view(pair.rho1, pi_m[None])
-    p_false = _checked_rate(trace_product(pi_m, pair.rho0.matrix))
+        return entry
+    entry = _StoredView(pair, _attack_view(pair.rho1, as_matrix(pi1)[None]))
     if store:
-        _VIEWS[pi1] = _StoredView(weakref.ref(pair.rho1), weakref.ref(pair.rho0), view, p_false)
-    return view, p_false
+        _VIEWS[pi1] = entry
+    return entry
 
 
 class _AttackStack(NamedTuple):
@@ -233,9 +246,17 @@ class _AttackStack(NamedTuple):
     genuine_p_detect: np.ndarray
 
 
+def _log_diag(r: np.ndarray) -> np.ndarray:
+    """The complex matrix diag(ln r) of a support spectrum, or a stack of them."""
+    n = r.shape[-1]
+    out = np.zeros(r.shape + (n,), dtype=np.complex128)
+    out.reshape(r.shape[:-1] + (n * n,))[..., :: n + 1] = np.log(r)
+    return out
+
+
 def _exponents(view: _AttackView, lams: np.ndarray) -> np.ndarray:
     """The exponents ln r - Pi_s/lam (exactly Hermitian), indexed [price, projector]."""
-    return np.diag(np.log(view.r).astype(np.complex128)) - view.pi_s / lams[:, None, None, None]
+    return _log_diag(view.r) - view.pi_s / lams[:, None, None, None]
 
 
 def _attack_stack(view: _AttackView, lams: np.ndarray) -> _AttackStack:
@@ -284,9 +305,9 @@ def optimal_attack(pair: HypothesisPair, pi1, lam: float) -> AttackerSolution:
 
     Only the exponent depends on the price.  For a ``ProjectorMeasurement``
     the rest (rho1's support chart, Pi1 in it and the genuine false-alarm
-    rate) is built at the first call on a pair and reused by later calls
-    on the same rho1 and rho0; a bare array is taken afresh every call.
-    Either way the result is the same, to the bit.
+    rate) is built at the first call on a pair that needs it and reused
+    by later calls on the same rho1 and rho0; a bare array is taken afresh
+    every call.  Either way the result is the same, to the bit.
 
     Every finite positive price gives a state: its spectrum comes from
     exponentials shifted by the exponent's top eigenvalue.  ``z1`` is
@@ -294,19 +315,30 @@ def optimal_attack(pair: HypothesisPair, pi1, lam: float) -> AttackerSolution:
     projector far from rho1's support, e.g. lam <= 1e-3 at threshold
     0.01 on the radar scenario); the utility does not go through it.
     """
-    _check_price(lam)
-    view, p_false = _pair_view(pair, pi1)
-    att = _attack_stack(view, np.array([lam]))
-    at = (0, 0)
-    return AttackerSolution(
-        rho1_prime=_lifted_state(view.kernel, att.gibbs, at),
-        rho0_prime=pair.rho0,
-        lam=lam,
-        z1=float(att.gibbs.z1[at]),
-        genuine_p_detect=float(att.genuine_p_detect[at]),
-        genuine_p_false=p_false,
-        utility=_optimal_utility(att.gibbs.w[at], view.r, view.pi_s[0], lam),
-    )
+    return _optimal_attacks(pair, pi1, (lam,))[0]
+
+
+def _optimal_attacks(pair: HypothesisPair, pi1, lams) -> list[AttackerSolution]:
+    """``optimal_attack`` at each price of ``lams``, from one stacked attack
+    step; each solution is bit-identical to the one solved alone."""
+    for lam in lams:
+        _check_price(lam)
+    entry = _pair_view(pair, pi1)
+    p_false = entry.genuine_p_false(pair.rho0)
+    view = entry.view
+    att = _attack_stack(view, np.array(lams, dtype=float))
+    return [
+        AttackerSolution(
+            rho1_prime=_lifted_state(view.kernel, att.gibbs, (i, 0)),
+            rho0_prime=pair.rho0,
+            lam=lam,
+            z1=float(att.gibbs.z1[i, 0]),
+            genuine_p_detect=float(att.genuine_p_detect[i, 0]),
+            genuine_p_false=p_false,
+            utility=_optimal_utility(att.gibbs.w[i, 0], view.r, view.pi_s[0], lam),
+        )
+        for i, lam in enumerate(lams)
+    ]
 
 
 def detection_bounds(p_detect: float, lam: float) -> tuple[float, float]:
@@ -583,6 +615,44 @@ class PerturbationReport:
         return float(np.max(np.abs(self.residual))) if self.residual.size else 0.0
 
 
+class _PerturbationStack(NamedTuple):
+    """First-order diagnostics of the exponent, indexed [pair, price] (levels last)."""
+
+    beta: np.ndarray  # diag of Pi_s, indexed [pair] only
+    exact: np.ndarray
+    estimate: np.ndarray
+    residual: np.ndarray
+    match_overlap: np.ndarray
+    matching_ok: np.ndarray
+
+
+def _perturbation_stack(r: np.ndarray, pi_s: np.ndarray, lams: np.ndarray) -> _PerturbationStack:
+    """The exact eigenvalues of ln r - Pi_s/lam matched to the levels of r,
+    against ln r_i - beta_i/lam, for every (pair, price) in one decomposition.
+
+    ``r`` is a stack of support spectra (descending), all of one length,
+    ``pi_s`` the stack of projectors in those support bases and ``lams`` a
+    vector of prices.  The exponents of the whole (pair x price) grid go
+    to one ``eigh`` call; each exact eigenvalue is the one whose
+    eigenvector overlaps the level most.  Every point is bit-identical to
+    the same point solved alone.
+    """
+    n = r.shape[-1]
+    w, u = np.linalg.eigh(_log_diag(r)[:, None] - pi_s[:, None] / lams[:, None, None])
+    # overlap of each exact eigenvector (columns of u, support basis) with e_i
+    weights = np.abs(u) ** 2  # weights[..., i, k] = |<phi_i | alpha_k>|^2
+    matched = np.argmax(weights, axis=-1)
+    match_overlap = weights.max(axis=-1)
+    distinct = ((matched[..., :, None] == np.arange(n)).sum(axis=-2) == 1).all(axis=-1)
+    beta = np.diagonal(pi_s, axis1=-2, axis2=-1).real
+    estimate = np.log(r)[:, None] - beta[:, None] / lams[:, None]
+    # exact[..., i] = w[..., matched[..., i]], by flat index into the spectra
+    exact = w.reshape(-1)[np.arange(0, w.size, n).reshape(matched.shape[:-1] + (1,)) + matched]
+    return _PerturbationStack(
+        beta, exact, estimate, exact - estimate, match_overlap, (match_overlap >= 0.5).all(axis=-1) & distinct
+    )
+
+
 def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> PerturbationReport:
     """First-order eigenvalue diagnostics for the closed-form exponent.
 
@@ -593,11 +663,13 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
     near-degenerate clusters (eigenvalue gaps below ``CLUSTER_TOL``) and
     evaluates the trust condition of :func:`gap_condition_sums`.  Like
     ``optimal_attack`` it takes rho1's support chart and Pi1 in it from
-    the view stored for a ``ProjectorMeasurement``; the gap sums are
-    computed per call.
+    the view stored for a ``ProjectorMeasurement``.  The spectral part is
+    the stacked step ``_perturbation_stack`` (the one ``verify`` runs over
+    its pairs and prices) with a stack of one; the cluster flags, gap sums
+    and rank flag are computed per call.
     """
     _check_price(lam)
-    view, _ = _pair_view(pair, pi1)
+    view = _pair_view(pair, pi1).view
     r, pi_s = view.r, view.pi_s[0]
     n = r.shape[0]
     full_rank = n == pair.rho1.dim
@@ -610,17 +682,8 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
     cluster[1:] |= close
     simple = not bool(cluster.any())
 
-    beta = np.diag(pi_s).real
-    estimate = np.log(r) - beta / lam
-
-    w, u = np.linalg.eigh(_exponents(view, np.array([lam]))[0, 0])
-    # overlap of each exact eigenvector (columns of u, support basis) with e_i
-    weights = np.abs(u) ** 2  # weights[i, k] = |<phi_i | alpha_k>|^2
-    matched = np.argmax(weights, axis=1)
-    match_overlap = weights[np.arange(n), matched]
-    matching_ok = bool(np.all(match_overlap >= 0.5) and np.bincount(matched).max() == 1)
-    exact = w[matched]
-    residual = exact - estimate
+    pert = _perturbation_stack(r[None], view.pi_s, np.array([lam]))
+    at = (0, 0)
 
     gap_sums = _gap_sums(r, pi_s) if full_rank else np.full(pair.rho1.dim, math.inf)
     gap_holds = bool(np.all(gap_sums < 1.0))
@@ -628,16 +691,16 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
     return PerturbationReport(
         lam=lam,
         r1=_read_only(r),
-        beta=_read_only(beta),
-        exact=_read_only(exact),
-        estimate=_read_only(estimate),
-        residual=_read_only(residual),
-        match_overlap=_read_only(match_overlap),
+        beta=_read_only(pert.beta[0]),
+        exact=_read_only(pert.exact[at]),
+        estimate=_read_only(pert.estimate[at]),
+        residual=_read_only(pert.residual[at]),
+        match_overlap=_read_only(pert.match_overlap[at]),
         cluster_flags=_read_only(cluster),
         min_gap=min_gap,
         gap_sums=_read_only(gap_sums),
         gap_condition_holds=gap_holds,
         full_rank=full_rank,
         simple_spectrum=simple,
-        matching_ok=matching_ok,
+        matching_ok=bool(pert.matching_ok[at]),
     )

@@ -201,7 +201,7 @@ def bayes_risk(pi1, pair: HypothesisPair) -> float:
 
 
 class _HelstromStack(NamedTuple):
-    """Risk-optimal projectors for a vector of thresholds, indexed by threshold."""
+    """Risk-optimal projectors for a stack of (pair, threshold) points, indexed by point."""
 
     projectors: np.ndarray  # (N, d, d), checked by _check_projectors
     ranks: np.ndarray
@@ -214,12 +214,13 @@ class _HelstromStack(NamedTuple):
 def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> _HelstromStack:
     """The risk-optimal projector of ``rho1 - tau*rho0`` and its Bayes risk for each cost weight pair.
 
-    ``rho0`` and ``rho1`` are the states' matrices, ``c0`` and ``c1``
-    vectors.  One ``eigh`` call decomposes the whole stack; each projector
-    is built from its kept (leading) eigenvector columns, with one matrix
-    product per distinct rank, and the stack then passes the projector and
-    rate checks.  A threshold's result is bit-identical whether it is
-    solved alone or in a stack.
+    ``c0`` and ``c1`` are vectors of N weights.  ``rho0`` and ``rho1`` are
+    either the two states' matrices, shared by every threshold, or stacks
+    of N matrices, one pair per weight pair.  One ``eigh`` call decomposes
+    the whole stack; each projector is built from its kept (leading)
+    eigenvector columns, with one matrix product per distinct rank, and
+    the stack then passes the projector and rate checks.  A point's result
+    is bit-identical whether it is solved alone or in a stack.
     """
     taus = _threshold(c0, c1)
     a = _require_hermitian(rho1 - taus[:, None, None] * rho0)

@@ -7,6 +7,13 @@ equality, and first-order perturbation residual scaling.  Checks are
 assertion-class (their failure fails the run) except where a claim only
 holds under assumptions, in which case out-of-assumption behavior is
 reported but never failed.
+
+The closed-form work runs through the library's stacked steps, whose
+members are bit-identical to the public functions' results: checks 1
+and 2 solve each instance's prices in one attack step
+(``_optimal_attacks``), and check 5 solves its 10 pairs in one Helstrom
+step and decomposes their 10 x 2 exponents at once
+(``_perturbation_stack``).  The oracle runs once per (instance, price).
 """
 
 from __future__ import annotations
@@ -24,11 +31,14 @@ from .adversary import (
     gap_condition_sums,
     optimal_attack,
     oracle_attack,
-    perturbation_estimate,
+    _in_support,
+    _optimal_attacks,
+    _perturbation_stack,
+    _support_chart,
 )
 from .channels import apply_channel, completeness_residual, realize_channel
 from .config import VerifyOptions
-from .detection import HypothesisPair, helstrom_measurement
+from .detection import HypothesisPair, _helstrom_stack, helstrom_measurement
 from .operators import DensityOperator, hermitian_part
 from .sampling import haar_unitary, near_commuting_pair, random_commuting_pair, random_density, random_pair
 
@@ -87,8 +97,7 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
     for _ in range(options.instances):
         pair = _draw_pair(rng, options)
         hel = helstrom_measurement(pair)
-        for lam in options.lambdas:
-            sol = optimal_attack(pair, hel.pi1, lam)
+        for lam, sol in zip(options.lambdas, _optimal_attacks(pair, hel.pi1, options.lambdas)):
             try:
                 est = oracle_attack(pair, hel.pi1, lam)
             except OracleConvergenceError as exc:
@@ -135,8 +144,7 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
             pair = random_commuting_pair(rng, d) if commuting else near_commuting_pair(rng, d)
         hel = helstrom_measurement(pair)
         gap_ok = bool(np.all(gap_condition_sums(pair.rho1, hel.pi1) < 1.0))
-        for lam in options.lambdas:
-            sol = optimal_attack(pair, hel.pi1, lam)
+        for lam, sol in zip(options.lambdas, _optimal_attacks(pair, hel.pi1, options.lambdas)):
             rep = BoundReport.evaluate(hel.p_detect, sol.genuine_p_detect, lam)
             upper_viol += not rep.upper_satisfied
             if commuting or (gap_ok and lam >= 2.0):
@@ -215,19 +223,28 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
     )
 
     # 5. perturbation residual scaling on well-gapped simple spectra
+    #    (the 10 pairs in one Helstrom step, their 10 x 2 exponents in one
+    #    decomposition; each figure is the one perturbation_estimate reports)
     rng = np.random.default_rng(seed + 4)
-    worst_res = 0.0
-    worst_ratio = float("inf")
+    pairs = []
     for _ in range(10):
         u = haar_unitary(rng, 4)
         rho1 = DensityOperator(hermitian_part((u * np.array([0.4, 0.3, 0.2, 0.1])) @ u.conj().T))
-        pair = HypothesisPair(random_density(rng, 4, 1e-3), rho1, 0.5, 0.5)
-        hel = helstrom_measurement(pair)
-        rep10 = perturbation_estimate(pair, hel.pi1, 10.0)
-        rep100 = perturbation_estimate(pair, hel.pi1, 100.0)
-        worst_res = max(worst_res, rep100.max_residual)
-        if rep100.max_residual > 0:
-            worst_ratio = min(worst_ratio, rep10.max_residual / rep100.max_residual)
+        pairs.append(HypothesisPair(random_density(rng, 4, 1e-3), rho1, 0.5, 0.5))
+    hel = _helstrom_stack(
+        np.stack([p.rho0.matrix for p in pairs]),
+        np.stack([p.rho1.matrix for p in pairs]),
+        np.array([p.c0 for p in pairs]),
+        np.array([p.c1 for p in pairs]),
+    )
+    charts = [_support_chart(p.rho1) for p in pairs]
+    r = np.stack([c[0] for c in charts])
+    pi_s = _in_support(np.stack([c[1] for c in charts]), hel.projectors)
+    residuals = np.abs(_perturbation_stack(r, pi_s, np.array([10.0, 100.0])).residual).max(axis=-1)
+    res10, res100 = residuals[:, 0], residuals[:, 1]
+    worst_res = float(res100.max())
+    shrinks = res10[res100 > 0] / res100[res100 > 0]
+    worst_ratio = float(shrinks.min()) if shrinks.size else float("inf")
     ok = worst_res <= PERTURBATION_RESIDUAL_TOL and worst_ratio >= PERTURBATION_SHRINK_FACTOR
     checks.append(
         CheckResult(

@@ -488,6 +488,74 @@ def test_perturbation_estimate_reads_the_view(monkeypatch):
     assert len(in_support) == 3
 
 
+def test_perturbation_miss_takes_no_false_alarm_trace(monkeypatch):
+    # the stored view gets the genuine P_F from the first attack that reads
+    # it; perturbation_estimate builds the view without it
+    rng = np.random.default_rng(67)
+    pair = random_pair(rng, 4)
+    hel = helstrom_measurement(pair)
+    traces = _count_calls(monkeypatch, adversary, "trace_product")
+    perturbation_estimate(pair, hel.pi1, 10.0)
+    assert traces == []
+    sol = optimal_attack(pair, hel.pi1, 10.0)
+    assert len(traces) == 1
+    assert sol.genuine_p_false == optimal_attack(pair, hel.pi1.matrix, 10.0).genuine_p_false == hel.p_false
+    assert len(traces) == 2
+    assert optimal_attack(pair, hel.pi1, 3.0).genuine_p_false == sol.genuine_p_false
+    assert len(traces) == 2
+
+
+@pytest.mark.parametrize("d,rank", [(3, 3), (6, 6), (6, 3)])
+def test_optimal_attacks_members_equal_optimal_attack(monkeypatch, d, rank):
+    # the prices of one (pair, projector) in one stacked step: each solution
+    # is the one optimal_attack gives alone, to the bit
+    rng = np.random.default_rng(68 + d + rank)
+    pair = random_pair(rng, d) if rank == d else _rank_deficient_pair(rng, d, rank)
+    pi1 = helstrom_measurement(pair).pi1
+    lams = VIEW_PRICES + (SERIES_PRICE, 1e12)
+    calls = _count_decompositions(monkeypatch)
+    stacked = adversary._optimal_attacks(pair, pi1, lams)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    for lam, sol in zip(lams, stacked):
+        assert sol.lam == lam
+        _assert_same_solution(sol, optimal_attack(pair, pi1, lam))
+        _assert_same_solution(sol, optimal_attack(pair, pi1.matrix, lam))
+
+
+def _perturbation_case(rng, kind):
+    if kind == "full":
+        return random_pair(rng, 4)
+    if kind == "rank-deficient":
+        return _rank_deficient_pair(rng, 6, 3)
+    # a doubly degenerate spectrum in a Haar basis
+    u = haar_unitary(rng, 4)
+    rho1 = DensityOperator((u * np.array([0.3, 0.3, 0.25, 0.15])) @ u.conj().T)
+    return HypothesisPair(random_density(rng, 4, 1e-3), rho1, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["full", "rank-deficient", "degenerate"])
+def test_perturbation_stack_members_equal_the_report(kind):
+    # a (pair x price) stack: each member is what perturbation_estimate
+    # reports for that pair and price alone, to the bit
+    rng = np.random.default_rng(69)
+    pairs = [_perturbation_case(rng, kind) for _ in range(4)]
+    projectors = [helstrom_measurement(pair).pi1 for pair in pairs]
+    charts = [adversary._support_chart(pair.rho1) for pair in pairs]
+    r = np.stack([chart[0] for chart in charts])
+    pi_s = adversary._in_support(np.stack([chart[1] for chart in charts]), np.stack([pi.matrix for pi in projectors]))
+    lams = np.array([0.01, 0.5, 10.0, 100.0, 1e6])
+    pert = adversary._perturbation_stack(r, pi_s, lams)
+    for p, (pair, pi1) in enumerate(zip(pairs, projectors)):
+        for i, lam in enumerate(lams):
+            rep = perturbation_estimate(pair, pi1, float(lam))
+            assert np.array_equal(pert.beta[p], rep.beta)
+            for name in ("exact", "estimate", "residual", "match_overlap"):
+                assert np.array_equal(getattr(pert, name)[p, i], getattr(rep, name)), name
+            assert pert.matching_ok[p, i] == rep.matching_ok
+            assert rep.full_rank is (kind != "rank-deficient")
+            assert rep.simple_spectrum is (kind != "degenerate")
+
+
 def test_support_checks_stay_in_blas(monkeypatch):
     # a three-operand einsum is an unoptimized O(d^3) loop outside BLAS
     rng = np.random.default_rng(5)

@@ -251,6 +251,37 @@ def test_decision_spectrum_is_tau_continuous():
         assert res.p_detect >= -1e-15
 
 
+def test_helstrom_stack_over_distinct_pairs():
+    # a stack of different (rho0, rho1, c0, c1), with projector ranks from
+    # 0 (rho1 = rho0 at tau 2) to full (tau 0): every member is the pair
+    # solved alone, to the bit
+    rng = np.random.default_rng(12)
+    generic = [random_pair(rng, dim=4) for _ in range(3)]
+    same = generic[0].rho0
+    pure = DensityOperator.pure(np.array([1.0, 1j, 0.0, 0.0]) / math.sqrt(2.0))
+    pairs = [
+        generic[0],
+        HypothesisPair.from_tau(same, same, 2.0),
+        HypothesisPair(generic[1].rho0, generic[1].rho1, 1.0, 0.0),
+        HypothesisPair.from_tau(generic[1].rho0, generic[2].rho1, 0.4),
+        HypothesisPair.from_tau(generic[2].rho0, pure, 1.5),
+    ]
+    hel = detection._helstrom_stack(
+        np.stack([p.rho0.matrix for p in pairs]),
+        np.stack([p.rho1.matrix for p in pairs]),
+        np.array([p.c0 for p in pairs]),
+        np.array([p.c1 for p in pairs]),
+    )
+    for j, pair in enumerate(pairs):
+        one = helstrom_measurement(pair)
+        assert np.array_equal(hel.projectors[j], one.pi1.matrix)
+        assert hel.ranks[j] == one.pi1.rank
+        assert np.array_equal(hel.eigenvalues[j], one.eigenvalues)
+        assert (hel.p_detect[j], hel.p_false[j], hel.bayes_risk[j]) == (one.p_detect, one.p_false, one.bayes_risk)
+    assert hel.ranks[1] == 0 and hel.ranks[2] == 4
+    assert len(set(hel.ranks.tolist())) >= 3
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_sample_outcomes_deterministic_per_seed():
