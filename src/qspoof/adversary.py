@@ -16,9 +16,8 @@ evaluated entirely on the support of ``rho1``.  At the optimum the
 utility is -lam ln Z1 (Gibbs variational principle), which
 ``optimal_attack`` reads off the exponent's spectrum.  Everything but
 the exponent depends only on (rho1, rho0, Pi1): rho1's support chart,
-Pi1 in that basis and (when an attack first needs it) the genuine
-false-alarm rate are computed once per pair and ``ProjectorMeasurement``
-and shared by every price.
+Pi1 in that basis and the genuine false-alarm rate are computed once
+per pair and ``ProjectorMeasurement`` and shared by every price.
 ``attacker_utility`` evaluates the objective through the relative
 entropies instead; it is the independent audit that ``verify``, the
 oracle and the tests hold the closed form to.  ``oracle_attack``
@@ -198,22 +197,14 @@ def _attack_view(rho1, projectors: np.ndarray) -> _AttackView:
     return _AttackView(r, v, kernel, projectors, _in_support(v, projectors))
 
 
-class _StoredView:
-    """The view of one ``ProjectorMeasurement`` and the pair it was built
-    for, with the genuine false-alarm rate once an attack has asked for it."""
+class _StoredView(NamedTuple):
+    """The view of one ``ProjectorMeasurement``, the pair it was built for
+    and the genuine false-alarm rate."""
 
-    __slots__ = ("rho1", "rho0", "view", "p_false")
-
-    def __init__(self, pair: HypothesisPair, view: _AttackView):
-        self.rho1 = weakref.ref(pair.rho1)
-        self.rho0 = weakref.ref(pair.rho0)
-        self.view = view  # a stack of one
-        self.p_false = None  # Tr(Pi1 rho0), checked
-
-    def genuine_p_false(self, rho0: DensityOperator) -> float:
-        if self.p_false is None:
-            self.p_false = _checked_rate(trace_product(self.view.projectors[0], rho0.matrix))
-        return self.p_false
+    rho1: weakref.ref
+    rho0: weakref.ref
+    view: _AttackView  # a stack of one
+    genuine_p_false: float  # Tr(Pi1 rho0), checked
 
 
 # One stored view per projector; an entry goes with its projector.
@@ -221,8 +212,7 @@ _VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _pair_view(pair: HypothesisPair, pi1) -> _StoredView:
-    """The attack view of (pair, pi1), holding the genuine false-alarm rate
-    once it is computed.
+    """The attack view of (pair, pi1) and the genuine false-alarm rate.
 
     The entry is stored when ``pi1`` is a ``ProjectorMeasurement``
     (validated and read-only) and found again only for the same rho1 and
@@ -233,7 +223,9 @@ def _pair_view(pair: HypothesisPair, pi1) -> _StoredView:
     entry = _VIEWS.get(pi1) if store else None
     if entry is not None and entry.rho1() is pair.rho1 and entry.rho0() is pair.rho0:
         return entry
-    entry = _StoredView(pair, _attack_view(pair.rho1, as_matrix(pi1)[None]))
+    view = _attack_view(pair.rho1, as_matrix(pi1)[None])
+    p_false = _checked_rate(trace_product(view.projectors[0], pair.rho0.matrix))
+    entry = _StoredView(weakref.ref(pair.rho1), weakref.ref(pair.rho0), view, p_false)
     if store:
         _VIEWS[pi1] = entry
     return entry
@@ -254,9 +246,13 @@ def _log_diag(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exponents(view: _AttackView, lams: np.ndarray) -> np.ndarray:
-    """The exponents ln r - Pi_s/lam (exactly Hermitian), indexed [price, projector]."""
-    return _log_diag(view.r) - view.pi_s / lams[:, None, None, None]
+def _exponents(r: np.ndarray, pi_s: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """The exponents ln r - Pi_s/lam (exactly Hermitian), indexed [price, projector].
+
+    ``r`` is one support spectrum or a stack of them, one per projector of
+    the stack ``pi_s``, and ``lams`` a vector of prices.
+    """
+    return _log_diag(r) - pi_s / lams[:, None, None, None]
 
 
 def _attack_stack(view: _AttackView, lams: np.ndarray) -> _AttackStack:
@@ -269,7 +265,7 @@ def _attack_stack(view: _AttackView, lams: np.ndarray) -> _AttackStack:
     rate check together.  Every point is bit-identical to the same point
     solved alone.
     """
-    gibbs = _lift_stack(view.v, view.kernel, *np.linalg.eigh(_exponents(view, lams)))
+    gibbs = _lift_stack(view.v, view.kernel, *np.linalg.eigh(_exponents(view.r, view.pi_s, lams)))
     return _AttackStack(gibbs, _checked_rates(_traces(view.projectors, gibbs.matrices)))
 
 
@@ -305,9 +301,9 @@ def optimal_attack(pair: HypothesisPair, pi1, lam: float) -> AttackerSolution:
 
     Only the exponent depends on the price.  For a ``ProjectorMeasurement``
     the rest (rho1's support chart, Pi1 in it and the genuine false-alarm
-    rate) is built at the first call on a pair that needs it and reused
-    by later calls on the same rho1 and rho0; a bare array is taken afresh
-    every call.  Either way the result is the same, to the bit.
+    rate) is built at the first call on a pair and reused by later calls
+    on the same rho1 and rho0; a bare array is taken afresh every call.
+    Either way the result is the same, to the bit.
 
     Every finite positive price gives a state: its spectrum comes from
     exponentials shifted by the exponent's top eigenvalue.  ``z1`` is
@@ -324,7 +320,6 @@ def _optimal_attacks(pair: HypothesisPair, pi1, lams) -> list[AttackerSolution]:
     for lam in lams:
         _check_price(lam)
     entry = _pair_view(pair, pi1)
-    p_false = entry.genuine_p_false(pair.rho0)
     view = entry.view
     att = _attack_stack(view, np.array(lams, dtype=float))
     return [
@@ -334,7 +329,7 @@ def _optimal_attacks(pair: HypothesisPair, pi1, lams) -> list[AttackerSolution]:
             lam=lam,
             z1=float(att.gibbs.z1[i, 0]),
             genuine_p_detect=float(att.genuine_p_detect[i, 0]),
-            genuine_p_false=p_false,
+            genuine_p_false=entry.genuine_p_false,
             utility=_optimal_utility(att.gibbs.w[i, 0], view.r, view.pi_s[0], lam),
         )
         for i, lam in enumerate(lams)
@@ -632,13 +627,13 @@ def _perturbation_stack(r: np.ndarray, pi_s: np.ndarray, lams: np.ndarray) -> _P
 
     ``r`` is a stack of support spectra (descending), all of one length,
     ``pi_s`` the stack of projectors in those support bases and ``lams`` a
-    vector of prices.  The exponents of the whole (pair x price) grid go
-    to one ``eigh`` call; each exact eigenvalue is the one whose
-    eigenvector overlaps the level most.  Every point is bit-identical to
-    the same point solved alone.
+    vector of prices.  The exponents of the whole (pair x price) grid
+    (``_exponents``, read [pair, price]) go to one ``eigh`` call; each
+    exact eigenvalue is the one whose eigenvector overlaps the level
+    most.  Every point is bit-identical to the same point solved alone.
     """
     n = r.shape[-1]
-    w, u = np.linalg.eigh(_log_diag(r)[:, None] - pi_s[:, None] / lams[:, None, None])
+    w, u = np.linalg.eigh(_exponents(r, pi_s, lams).swapaxes(0, 1))
     # overlap of each exact eigenvector (columns of u, support basis) with e_i
     weights = np.abs(u) ** 2  # weights[..., i, k] = |<phi_i | alpha_k>|^2
     matched = np.argmax(weights, axis=-1)

@@ -3,8 +3,14 @@
 Subcommands: ``detect``, ``attack``, ``roc``, ``photon-sweep``, ``verify``.
 Scenarios come from a JSON config (see ``config``); the scalar flags
 ``--lambda``, ``--tau``, ``--seed``, ``--out`` and ``--format`` override
-the matching config fields.  Outputs are deterministic: identical config
-and seed give byte-identical files.
+the matching config fields.  Each subcommand takes only the flags it
+reads (``_COMMANDS``); any other exits 2 with usage.  Each output row is
+built once, as a dict of values, and written either as JSON or as CSV by
+the one cell rule of ``serialize.cell``; ``roc`` and ``photon-sweep``
+keep their own CSV writers and take their JSON from the sweep rows'
+fields.  ``attack`` solves all its prices in one stacked attack step.
+Outputs are deterministic: identical config and seed give byte-identical
+files.
 
 Exit codes: 0 success, 2 validation failure, 3 verification failure,
 4 I/O failure.  The environment variable ``QSPOOF_OUT_DIR``, when set,
@@ -18,11 +24,11 @@ import os
 import sys
 
 from . import __version__
-from .adversary import BoundReport, optimal_attack
+from .adversary import BoundReport, _optimal_attacks
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
 from .detection import helstrom_measurement
 from .radar import photon_sweep, roc_sweep
-from .serialize import csv_text, json_text, matrix_to_literal, photon_csv, roc_csv, sig12
+from .serialize import fields, json_text, matrix_to_literal, photon_csv, roc_csv, rows_csv
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -33,79 +39,37 @@ EXIT_IO = 4
 OUT_DIR_ENV = "QSPOOF_OUT_DIR"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qspoof",
-        description="Binary quantum state detection under adversarial distortion.",
-    )
-    parser.add_argument("--version", action="version", version=f"qspoof {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, config_required: bool = True):
-        p.add_argument("--config", metavar="PATH", required=config_required, help="scenario JSON file")
-        p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format override")
-        p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument(
-            "--lambda",
-            dest="lambdas",
-            metavar="LAM",
-            type=float,
-            action="append",
-            help="distortion price; repeat for several",
-        )
-        p.add_argument("--tau", type=float, help="detector threshold override")
-
-    common(sub.add_parser("detect", help="risk-optimal measurement and operating rates"))
-    common(sub.add_parser("attack", help="closed-form distortion per price with bound flags"))
-    common(sub.add_parser("roc", help="operating characteristic sweep over thresholds"))
-    common(sub.add_parser("photon-sweep", help="detection rates across signal photon levels"))
-    common(sub.add_parser("verify", help="self-verification over random instances"), config_required=False)
-    return parser
-
-
-# One parser per process: building it costs more than parsing with it, and
-# parse_args leaves no state behind (each call fills a fresh namespace).
-_PARSER = build_parser()
-
-
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _emit(text: str, path: str | None) -> None:
-    target = _resolve_out(path)
-    if target is None:
+    """Write to stdout, or to ``path`` (relative paths inside ``QSPOOF_OUT_DIR`` when set)."""
+    if path is None:
         sys.stdout.write(text)
         return
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
+    base = os.environ.get(OUT_DIR_ENV)
+    if base and not os.path.isabs(path):
+        path = os.path.join(base, path)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _write(cfg: ScenarioConfig, default_format: str, rows, payload, csv=rows_csv) -> int:
+    """Write ``csv(rows)`` or the JSON of ``payload()``, which is built from
+    the same rows, as the scenario's output format asks; only that one is built."""
+    _emit(csv(rows) if (cfg.out_format or default_format) == "csv" else json_text(payload()), cfg.out_path)
+    return EXIT_OK
 
 
 def cmd_detect(cfg: ScenarioConfig) -> int:
     pair = cfg.build_pair()
     hel = helstrom_measurement(pair)
-    if (cfg.out_format or "json") == "json":
-        payload = {
-            "tau": pair.tau,
-            "spectrum": [float(v) for v in hel.eigenvalues],
-            "projector": matrix_to_literal(hel.pi1.matrix),
-            "rank": hel.pi1.rank,
-            "p_detect": hel.p_detect,
-            "p_false": hel.p_false,
-            "bayes_risk": hel.bayes_risk,
-        }
-        _emit(json_text(payload), cfg.out_path)
-    else:
-        header = ["tau", "rank", "p_detect", "p_false", "bayes_risk"]
-        row = [sig12(pair.tau), str(hel.pi1.rank), sig12(hel.p_detect), sig12(hel.p_false), sig12(hel.bayes_risk)]
-        _emit(csv_text(header, [row]), cfg.out_path)
-    return EXIT_OK
+    row = dict(tau=pair.tau, rank=hel.pi1.rank, p_detect=hel.p_detect, p_false=hel.p_false, bayes_risk=hel.bayes_risk)
+
+    def payload():
+        return {**row, "spectrum": [float(v) for v in hel.eigenvalues], "projector": matrix_to_literal(hel.pi1.matrix)}
+
+    return _write(cfg, "json", [row], payload)
+
+
+_BOUNDS = ("lower", "upper", "lower_satisfied", "upper_satisfied")
 
 
 def cmd_attack(cfg: ScenarioConfig) -> int:
@@ -113,90 +77,45 @@ def cmd_attack(cfg: ScenarioConfig) -> int:
         raise ConfigError("attack.lambdas", "at least one distortion price is required (or pass --lambda)")
     pair = cfg.build_pair()
     hel = helstrom_measurement(pair)
-    records = []
-    for lam in cfg.lambdas:
-        sol = optimal_attack(pair, hel.pi1, lam)
-        report = BoundReport.evaluate(hel.p_detect, sol.genuine_p_detect, lam)
-        records.append((sol, report))
-    if (cfg.out_format or "json") == "json":
-        payload = {
+    solutions = _optimal_attacks(pair, hel.pi1, cfg.lambdas)
+    rows = []
+    for sol in solutions:
+        report = BoundReport.evaluate(hel.p_detect, sol.genuine_p_detect, sol.lam)
+        rows.append(
+            {
+                "lambda": sol.lam,
+                "z1": sol.z1,
+                "p_detect": hel.p_detect,
+                "genuine_p_detect": sol.genuine_p_detect,
+                "genuine_p_false": sol.genuine_p_false,
+                **{name: getattr(report, name) for name in _BOUNDS},
+            }
+        )
+
+    def payload():
+        # the detector's p_detect is given once, and each row's bounds nest
+        return {
             "tau": pair.tau,
             "p_detect": hel.p_detect,
             "p_false": hel.p_false,
             "solutions": [
-                {
-                    "lambda": sol.lam,
-                    "z1": sol.z1,
-                    "rho1_prime": matrix_to_literal(sol.rho1_prime.matrix),
-                    "genuine_p_detect": sol.genuine_p_detect,
-                    "genuine_p_false": sol.genuine_p_false,
-                    "utility": sol.utility,
-                    "bounds": {
-                        "lower": rep.lower,
-                        "upper": rep.upper,
-                        "lower_satisfied": rep.lower_satisfied,
-                        "upper_satisfied": rep.upper_satisfied,
-                    },
-                }
-                for sol, rep in records
+                {k: v for k, v in row.items() if k != "p_detect" and k not in _BOUNDS}
+                | {"bounds": {name: row[name] for name in _BOUNDS}}
+                | {"rho1_prime": matrix_to_literal(sol.rho1_prime.matrix), "utility": sol.utility}
+                for row, sol in zip(rows, solutions)
             ],
         }
-        _emit(json_text(payload), cfg.out_path)
-    else:
-        header = [
-            "lambda",
-            "z1",
-            "p_detect",
-            "genuine_p_detect",
-            "genuine_p_false",
-            "lower",
-            "upper",
-            "lower_satisfied",
-            "upper_satisfied",
-        ]
-        rows = [
-            [
-                sig12(sol.lam),
-                sig12(sol.z1),
-                sig12(rep.p_detect),
-                sig12(rep.genuine_p_detect),
-                sig12(sol.genuine_p_false),
-                sig12(rep.lower),
-                sig12(rep.upper),
-                str(rep.lower_satisfied).lower(),
-                str(rep.upper_satisfied).lower(),
-            ]
-            for sol, rep in records
-        ]
-        _emit(csv_text(header, rows), cfg.out_path)
-    return EXIT_OK
+
+    return _write(cfg, "json", rows, payload)
 
 
 def cmd_roc(cfg: ScenarioConfig) -> int:
     if cfg.radar is None:
         raise ConfigError("radar", "roc sweeps need a radar scenario block")
     curves = roc_sweep(cfg.radar, cfg.lambdas, cfg.tau_grid)
-    if (cfg.out_format or "csv") == "csv":
-        _emit(roc_csv(curves), cfg.out_path)
-    else:
-        payload = [
-            {
-                "lambda": c.lam,
-                "points": [
-                    {
-                        "tau": p.tau,
-                        "p_false": p.p_false,
-                        "p_detect": p.p_detect,
-                        "genuine_p_false": p.genuine_p_false,
-                        "genuine_p_detect": p.genuine_p_detect,
-                    }
-                    for p in c.points
-                ],
-            }
-            for c in curves
-        ]
-        _emit(json_text(payload), cfg.out_path)
-    return EXIT_OK
+    return _write(
+        cfg, "csv", curves, lambda: [{"lambda": c.lam, "points": list(map(fields, c.points))} for c in curves], roc_csv
+    )
 
 
 def cmd_photon_sweep(cfg: ScenarioConfig) -> int:
@@ -205,27 +124,56 @@ def cmd_photon_sweep(cfg: ScenarioConfig) -> int:
     if not cfg.lambdas:
         raise ConfigError("attack.lambdas", "at least one distortion price is required (or pass --lambda)")
     rows = photon_sweep(cfg.radar, cfg.effective_l_values(), cfg.lambdas, cfg.effective_tau())
-    if (cfg.out_format or "csv") == "csv":
-        _emit(photon_csv(rows), cfg.out_path)
-    else:
-        payload = [
-            {
-                "l": r.l,
-                "mean_photon": r.mean_photon,
-                "lambda": r.lam,
-                "p_detect": r.p_detect,
-                "genuine_p_detect": r.genuine_p_detect,
-            }
-            for r in rows
-        ]
-        _emit(json_text(payload), cfg.out_path)
-    return EXIT_OK
+    return _write(cfg, "csv", rows, lambda: list(map(fields, rows)), photon_csv)
 
 
 def cmd_verify(cfg: ScenarioConfig) -> int:
     report = run_verification(seed=cfg.seed, options=cfg.verify)
     _emit(json_text(report.to_dict()), cfg.out_path)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
+
+
+# Each subcommand, its handler, its help line and the flags it reads besides
+# --config and --out; it accepts no other.
+_COMMANDS = (
+    ("detect", cmd_detect, "risk-optimal measurement and operating rates", "--format --tau"),
+    ("attack", cmd_attack, "closed-form distortion per price with bound flags", "--format --lambda --tau"),
+    ("roc", cmd_roc, "operating characteristic sweep over thresholds", "--format --lambda"),
+    ("photon-sweep", cmd_photon_sweep, "detection rates across signal photon levels", "--format --lambda --tau"),
+    ("verify", cmd_verify, "self-verification over random instances", "--seed"),
+)
+_FLAGS = {
+    "--format": dict(choices=("csv", "json"), help="output format override"),
+    "--seed": dict(type=int, help="seed override"),
+    "--lambda": dict(
+        dest="lambdas", metavar="LAM", type=float, action="append", help="distortion price; repeat for several"
+    ),
+    "--tau": dict(type=float, help="detector threshold override"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qspoof",
+        description="Binary quantum state detection under adversarial distortion.",
+    )
+    parser.add_argument("--version", action="version", version=f"qspoof {__version__}")
+    # a flag the chosen subcommand does not take reads as unset
+    parser.set_defaults(format=None, seed=None, lambdas=None, tau=None)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, handler, help_line, flags in _COMMANDS:
+        p = sub.add_parser(command, help=help_line)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", metavar="PATH", required=command != "verify", help="scenario JSON file")
+        p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+    return parser
+
+
+# One parser per process: building it costs more than parsing with it, and
+# parse_args leaves no state behind (each call fills a fresh namespace).
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
@@ -235,15 +183,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = ScenarioConfig(radar=None, explicit=None)
-        cfg = apply_overrides(cfg, args)
-        handler = {
-            "detect": cmd_detect,
-            "attack": cmd_attack,
-            "roc": cmd_roc,
-            "photon-sweep": cmd_photon_sweep,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(cfg)
+        return args.handler(apply_overrides(cfg, args))
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -4,8 +4,11 @@ Matrix literal format: a matrix is a nested row-major array; each entry is
 either a plain real number or a two-element array ``[re, im]``.  The
 writer emits plain numbers whenever the matrix is exactly real, so real
 matrices stay human-readable; ``config`` parses literals.  CSV output uses
-12 significant digits, a header row, LF line endings and UTF-8; identical
-inputs produce identical bytes.
+a header row, LF line endings and UTF-8, and one cell rule (``cell``):
+12 significant digits for a float, digits for an int, ``true``/``false``
+for a bool.  A command builds each output row once, as a dict, and
+``rows_csv`` or ``json_text`` renders that dict; identical inputs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -28,12 +31,31 @@ def sig12(value: float) -> str:
     return format(float(value), ".11e")
 
 
+def cell(value) -> str:
+    """The CSV cell of one output value: ``true``/``false``, digits or ``sig12``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return sig12(value)
+
+
 def csv_text(header, rows) -> str:
     """Assemble CSV bytes-to-be: header plus stringified rows, LF endings."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def rows_csv(rows) -> str:
+    """CSV of output rows (dicts with the same keys): the keys head the columns."""
+    return csv_text(rows[0], [[cell(v) for v in row.values()] for row in rows])
+
+
+def fields(row) -> dict:
+    """The JSON object of a sweep row: its fields, ``lam`` written ``lambda``."""
+    return {("lambda" if k == "lam" else k): v for k, v in vars(row).items()}
 
 
 def roc_csv(curves) -> str:
@@ -59,17 +81,7 @@ def roc_csv(curves) -> str:
 def photon_csv(rows) -> str:
     """CSV for photon-number sweeps, one row per (lam, l) sample."""
     header = ["l", "mean_photon", "lambda", "p_detect", "genuine_p_detect"]
-    out = []
-    for r in rows:
-        out.append(
-            [
-                str(r.l),
-                sig12(r.mean_photon),
-                sig12(r.lam),
-                sig12(r.p_detect),
-                sig12(r.genuine_p_detect),
-            ]
-        )
+    out = [[str(r.l), sig12(r.mean_photon), sig12(r.lam), sig12(r.p_detect), sig12(r.genuine_p_detect)] for r in rows]
     return csv_text(header, out)
 
 

@@ -488,20 +488,20 @@ def test_perturbation_estimate_reads_the_view(monkeypatch):
     assert len(in_support) == 3
 
 
-def test_perturbation_miss_takes_no_false_alarm_trace(monkeypatch):
-    # the stored view gets the genuine P_F from the first attack that reads
-    # it; perturbation_estimate builds the view without it
+def test_view_takes_its_false_alarm_trace_when_built(monkeypatch):
+    # building a stored view takes the one rho0 trace for the genuine P_F,
+    # whatever builds it; later attacks on the view take none
     rng = np.random.default_rng(67)
     pair = random_pair(rng, 4)
     hel = helstrom_measurement(pair)
     traces = _count_calls(monkeypatch, adversary, "trace_product")
     perturbation_estimate(pair, hel.pi1, 10.0)
-    assert traces == []
+    assert len(traces) == 1
     sol = optimal_attack(pair, hel.pi1, 10.0)
     assert len(traces) == 1
     assert sol.genuine_p_false == optimal_attack(pair, hel.pi1.matrix, 10.0).genuine_p_false == hel.p_false
     assert len(traces) == 2
-    assert optimal_attack(pair, hel.pi1, 3.0).genuine_p_false == sol.genuine_p_false
+    assert adversary._optimal_attacks(pair, hel.pi1, (3.0, 30.0))[1].genuine_p_false == sol.genuine_p_false
     assert len(traces) == 2
 
 

@@ -6,13 +6,17 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qspoof import cli
 from qspoof.config import VerifyOptions
+from qspoof.serialize import cell
 from qspoof.verify import CheckResult, RunReport
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -123,6 +127,22 @@ def test_attack_lambda_override_multiple(capsys, radar_config_path):
     assert len(lines) == 3
     assert lines[1].startswith("5.00000000000e-01,2.21801754913e-01")
     assert lines[2].startswith("2.00000000000e+00,6.45877593741e-01")
+
+
+def test_attack_decomposes_one_exponent_for_all_prices(capsys, monkeypatch):
+    # the two states and one Helstrom step, then one stacked attack step
+    # over the scenario's three prices (not one exponent per price)
+    shapes = []
+    inner = np.linalg.eigh
+
+    def counted(a):
+        shapes.append(a.shape)
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    code, _, _ = run_cli(capsys, "attack", "--config", str(DATA / "radar_readme.json"))
+    assert code == 0
+    assert shapes == [(3, 3), (3, 3), (1, 3, 3), (3, 1, 3, 3)]
 
 
 def test_attack_rejects_nonpositive_lambda(capsys, radar_config_path):
@@ -290,6 +310,43 @@ def test_roc_with_an_underflowing_z1_exits_zero(capsys, tmp_path):
         assert math.isfinite(genuine) and 0.0 <= genuine <= p_detect
 
 
+# ---------------------------------------------------------------- csv against json
+
+
+def _json_rows(command, payload):
+    """The JSON output flattened to the CSV's rows: attack rows carry the
+    detector's p_detect and their bounds unnested, ROC points their curve's lambda."""
+    if command == "detect":
+        return [payload]
+    if command == "attack":
+        return [{**s, **s["bounds"], "p_detect": payload["p_detect"]} for s in payload["solutions"]]
+    if command == "roc":
+        return [{"lambda": c["lambda"], **p} for c in payload for p in c["points"]]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "scenario,command",
+    [("radar_readme", c) for c in ("detect", "attack", "roc", "photon-sweep")]
+    + [("explicit_noncommuting", c) for c in ("detect", "attack")],
+)
+def test_csv_cells_follow_the_json_values(capsys, scenario, command):
+    # the two renderings of one output: each CSV cell is serialize.cell of
+    # the JSON value, and the undistorted ROC curve leaves lambda empty
+    config = str(DATA / f"{scenario}.json")
+    code, text, _ = run_cli(capsys, command, "--config", config, "--format", "csv")
+    assert code == 0
+    code, out, _ = run_cli(capsys, command, "--config", config, "--format", "json")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    json_rows = _json_rows(command, json.loads(out))
+    assert len(rows) == len(json_rows) > 0
+    for row, values in zip(rows, json_rows):
+        for name, text_cell in row.items():
+            value = values[name]
+            assert text_cell == ("" if value is None else cell(value)), (name, value)
+
+
 # ---------------------------------------------------------------- parser reuse
 
 def test_main_calls_share_no_parser_state(capsys, radar_config_path, tmp_path):
@@ -359,9 +416,34 @@ def test_unwritable_out_is_io_error(capsys, radar_config_path, tmp_path):
 
 
 def test_negative_seed_is_validation_error(capsys, radar_config_path):
-    code, _, err = run_cli(capsys, "detect", "--config", radar_config_path, "--seed", "-1")
+    code, _, err = run_cli(capsys, "verify", "--config", radar_config_path, "--seed", "-1")
     assert code == 2
     assert "--seed" in err
+
+
+UNREAD_FLAGS = [
+    ("detect", "--seed", "1"),
+    ("attack", "--seed", "1"),
+    ("roc", "--seed", "1"),
+    ("photon-sweep", "--seed", "1"),
+    ("detect", "--lambda", "1"),
+    ("verify", "--lambda", "1"),
+    ("roc", "--tau", "5"),
+    ("verify", "--tau", "5"),
+    ("verify", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS, ids=[f"{c}-{f}" for c, f, _ in UNREAD_FLAGS])
+def test_subcommand_refuses_flags_it_does_not_read(capsys, radar_config_path, command, flag, value):
+    # e.g. roc draws its thresholds from the grid, so a --tau would be
+    # silently ignored: the parser refuses it with usage, like a missing --config
+    with pytest.raises(SystemExit) as usage:
+        cli.main([command, "--config", radar_config_path, flag, value])
+    assert usage.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
 def test_out_dir_env_resolves_relative_paths(capsys, radar_config_path, tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
 """CLI output bytes pinned against stored files.
 
 Each scenario under ``tests/data`` sits next to the outputs its
-subcommands wrote at an earlier commit: CSV with 12 significant digits
-for every subcommand the scenario supports, and JSON for ``attack``,
-which carries the full-precision utility, Z1 and rho1'.  A change that
-moves any digit shows up here.
+subcommands wrote at an earlier commit, in both formats for every
+subcommand the scenario supports: CSV with 12 significant digits, and
+JSON at full precision (``detect`` with the spectrum and the projector,
+``attack`` with the utility, Z1 and rho1').  A change that moves any
+digit shows up here.
 """
 
 from pathlib import Path
@@ -25,7 +26,11 @@ CASES = {
         ("explicit_noncommuting", "attack"),
     ],
     "json": [
+        ("radar_readme", "detect"),
         ("radar_readme", "attack"),
+        ("radar_readme", "roc"),
+        ("radar_readme", "photon-sweep"),
+        ("explicit_noncommuting", "detect"),
         ("explicit_noncommuting", "attack"),
     ],
 }

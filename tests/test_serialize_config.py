@@ -375,7 +375,7 @@ def test_config_rejection_names_field(tmp_path, capsys, cfg, field):
 
 
 FLAG_REJECTIONS = [
-    pytest.param(["detect", "--seed", "-1"], "--seed", id="seed-negative"),
+    pytest.param(["verify", "--seed", "-1"], "--seed", id="seed-negative"),
     pytest.param(["attack", "--lambda", "1", "--lambda", "0"], "--lambda", id="lambda-zero"),
     pytest.param(["detect", "--tau", "0"], "--tau", id="tau-zero"),
     pytest.param(["detect", "--tau", "-2"], "--tau", id="tau-negative"),
