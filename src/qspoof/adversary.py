@@ -163,7 +163,7 @@ def _lift_stack(v: np.ndarray, kernel: np.ndarray, w: np.ndarray, u: np.ndarray)
     columns = v @ u
     matrices = _require_hermitian((columns * p[..., None, :]) @ columns.conj().swapaxes(-1, -2))
     wmin = p.min(axis=-1)
-    _check_unit_trace_psd(matrices, np.minimum(wmin, 0.0) if kernel.shape[1] else wmin)
+    _check_unit_trace_psd(matrices, np.minimum(wmin, 0.0) if kernel.shape[-1] else wmin)
     z1 = total * np.exp(top[..., 0])
     # a subnormal product rounds twice; one exponential rounds once
     z1 = np.where(z1 < np.finfo(float).tiny, np.exp(top[..., 0] + np.log(total)), z1)
@@ -176,24 +176,27 @@ def _lifted_state(kernel: np.ndarray, gibbs: _Gibbs, at) -> DensityOperator:
     reversed ``gibbs.columns``, then zeros on the kernel of rho1."""
     return DensityOperator._from_spectrum(
         gibbs.matrices[at],
-        np.concatenate([gibbs.p[at][::-1], np.zeros(kernel.shape[1])]),
+        np.concatenate([gibbs.p[at][::-1], np.zeros(kernel.shape[-1])]),
         np.hstack([gibbs.columns[at][:, ::-1], kernel]),
     )
 
 
 class _AttackView(NamedTuple):
-    """The price-independent inputs of the closed-form attack on rho1 and a
-    stack of projectors."""
+    """The price-independent inputs of the closed-form attack on a stack of
+    projectors: rho1's support chart, or one chart per projector."""
 
-    r: np.ndarray  # rho1's support chart (see _support_chart)
+    r: np.ndarray  # the support chart(s) (see _support_chart)
     v: np.ndarray
     kernel: np.ndarray
     projectors: np.ndarray  # the projector matrices, indexed [projector]
     pi_s: np.ndarray  # each projector in the support basis
 
 
-def _attack_view(rho1, projectors: np.ndarray) -> _AttackView:
-    r, v, kernel = _support_chart(rho1)
+def _attack_view(chart, projectors: np.ndarray) -> _AttackView:
+    """The view of ``chart`` = (r, v, kernel), one support chart or a stack
+    of them of one rank, and a stack of projectors; a stack of charts holds
+    one per projector."""
+    r, v, kernel = chart
     return _AttackView(r, v, kernel, projectors, _in_support(v, projectors))
 
 
@@ -223,7 +226,7 @@ def _pair_view(pair: HypothesisPair, pi1) -> _StoredView:
     entry = _VIEWS.get(pi1) if store else None
     if entry is not None and entry.rho1() is pair.rho1 and entry.rho0() is pair.rho0:
         return entry
-    view = _attack_view(pair.rho1, as_matrix(pi1)[None])
+    view = _attack_view(_support_chart(pair.rho1), as_matrix(pi1)[None])
     p_false = _checked_rate(trace_product(view.projectors[0], pair.rho0.matrix))
     entry = _StoredView(weakref.ref(pair.rho1), weakref.ref(pair.rho0), view, p_false)
     if store:
@@ -258,7 +261,7 @@ def _exponents(r: np.ndarray, pi_s: np.ndarray, lams: np.ndarray) -> np.ndarray:
 def _attack_stack(view: _AttackView, lams: np.ndarray) -> _AttackStack:
     """The closed-form attack for every (price, projector) pair in one decomposition.
 
-    ``view`` holds rho1's support chart and the projectors, and ``lams``
+    ``view`` holds the support chart(s) and the projectors, and ``lams``
     is a vector of prices.  The exponents of the whole (price x projector)
     grid go to one ``eigh`` call, and ``_lift_stack`` builds the states
     from the spectra; the genuine detection rates Tr(Pi1 rho1') pass the

@@ -9,26 +9,42 @@ and the target hypothesis mixes a reflected signal photon state into it,
     rho1 = (1 - x) rho0 + x |l><l|.
 
 Everything is diagonal in the number basis, so the scenario doubles as an
-analytically tractable commuting test bed.  Sweeps build the two states
-once per signal level and report both counterfactual and genuine
-(post-distortion) operating rates.  Both run one stacked Helstrom step
-over the thresholds and one stacked attack step over every (price,
-threshold) pair (``_sweep``): ``roc_sweep`` once over its grid,
-``photon_sweep`` once per signal level.  Thresholds take the cost weights
-of ``HypothesisPair.from_tau``, and every point is bit-identical to what
+analytically tractable commuting test bed.  The model (the two
+diagonals) is written once, in ``_radar_diagonals``.  Sweeps report both
+counterfactual and genuine (post-distortion) operating rates, each from
+one stacked Helstrom step and stacked attack steps over every (price,
+threshold) pair: ``roc_sweep`` over its threshold grid on one pair,
+``photon_sweep`` over all its signal levels at once, the levels' states
+zero-padded to one dimension.  Thresholds take the cost weights of
+``HypothesisPair.from_tau``, and every point is bit-identical to what
 ``helstrom_measurement`` and ``optimal_attack`` give.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import _attack_stack, _attack_view, _check_price
+from .adversary import _attack_stack, _attack_view, _check_price, _support_chart
 from .detection import HypothesisPair, _cost_weights, _helstrom_stack
-from .operators import DensityOperator, as_matrix
+from .operators import (
+    DensityOperator,
+    EIGEN_ZERO_TOL,
+    as_matrix,
+    _check_unit_trace_psd,
+    _require_hermitian,
+    _sort_descending,
+)
+
+
+def _check_level(name: str, value) -> None:
+    """The rule of config's ``k``, ``l`` and ``l_values`` fields: a nonnegative
+    integer (a numpy integer too), never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,10 +61,8 @@ class RadarParams:
             raise ValueError(f"n_b must lie in [0, 1], got {self.n_b!r}")
         if not 0.0 <= self.x <= 1.0:
             raise ValueError(f"x must lie in [0, 1], got {self.x!r}")
-        if self.k < 0 or self.k != int(self.k):
-            raise ValueError(f"k must be a nonnegative integer, got {self.k!r}")
-        if self.l < 0 or self.l != int(self.l):
-            raise ValueError(f"l must be a nonnegative integer, got {self.l!r}")
+        _check_level("k", self.k)
+        _check_level("l", self.l)
 
     @property
     def dim(self) -> int:
@@ -58,13 +72,20 @@ class RadarParams:
         return RadarParams(self.n_b, self.x, self.k, l)
 
 
+def _radar_diagonals(base: RadarParams, levels: list, d: int) -> np.ndarray:
+    """The diagonals of rho0 and rho1 at each signal level of ``levels``,
+    zero-padded to dimension ``d``, indexed [hypothesis, level]."""
+    n = len(levels)
+    p = np.zeros((2, n, d))
+    p[0, :, 0] += 1.0 - base.n_b
+    p[0, :, base.k] += base.n_b
+    p[1] = (1.0 - base.x) * p[0]
+    p[1, np.arange(n), levels] += base.x
+    return p
+
+
 def _radar_states(params: RadarParams) -> tuple[DensityOperator, DensityOperator]:
-    d = params.dim
-    p0 = np.zeros(d)
-    p0[0] += 1.0 - params.n_b
-    p0[params.k] += params.n_b
-    p1 = (1.0 - params.x) * p0
-    p1[params.l] += params.x
+    p0, p1 = _radar_diagonals(params, [params.l], params.dim)[:, 0]
     return DensityOperator.from_diagonal(p0), DensityOperator.from_diagonal(p1)
 
 
@@ -102,15 +123,6 @@ def _check_sweep(taus: np.ndarray, lambdas) -> tuple:
     return _cost_weights(taus), sorted(set(lams))
 
 
-def _sweep(rho0: DensityOperator, rho1: DensityOperator, weights, lams: np.ndarray):
-    """One Helstrom step over the thresholds' cost weights (c0, c1) and one attack
-    step over (price, threshold): P_F and P_D per threshold, and the genuine
-    P_D per [price, threshold].  rho0 is never distorted: its genuine P_F is P_F."""
-    hel = _helstrom_stack(rho0.matrix, rho1.matrix, *weights)
-    att = _attack_stack(_attack_view(rho1, hel.projectors), lams)
-    return hel.p_false, hel.p_detect, att.genuine_p_detect
-
-
 @dataclass(frozen=True)
 class PhotonSweepRow:
     """One signal-level sample: counterfactual and genuine detection rates."""
@@ -126,23 +138,41 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
     """Detection rates across signal levels ``l`` for each distortion price.
 
     The detector threshold ``tau`` is held fixed; the states and their
-    risk-optimal projector are rebuilt for every ``l``.  Levels differ in
-    dimension, so each gets its own Helstrom step at ``tau`` and attack
-    step covering all prices at once.  Rows come back ordered by (lam, l).
+    risk-optimal projector change with ``l``.  Every level's two states
+    are zero-padded to the largest level's dimension and pass the state
+    checks as one stack (one ``eigh``, whose spectra give rho1's support
+    charts).  One Helstrom step at ``tau`` covers every level, and one
+    attack step covers all prices and every level whose rho1 has the
+    same support rank.  Rows come back ordered by (lam, l).
     """
     weights, lams = _check_sweep(np.array([tau], dtype=float), lambdas)
-    ls = [int(v) for v in l_values]
-    if any(v < 0 for v in ls):
-        raise ValueError("signal levels must be nonnegative")
-    columns = []  # per level: l, mean photon number, P_D and the genuine P_D per price
-    for l in sorted(set(ls)):
-        rho0, rho1 = _radar_states(base.with_l(l))
-        _, p_detect, genuine = _sweep(rho0, rho1, weights, np.array(lams))
-        columns.append((l, mean_photon(rho1), float(p_detect[0]), genuine[:, 0].tolist()))
+    levels = list(l_values)
+    for i, l in enumerate(levels):
+        _check_level(f"l_values[{i}]", l)
+    ls = sorted(set(map(int, levels)))
+    dims = [max(base.k, l) + 1 for l in ls]
+    n, d = len(ls), max(dims, default=base.k + 1)
+    states = np.zeros((2, n, d, d), dtype=np.complex128)
+    states.reshape((2, n, d * d))[..., :: d + 1] = _radar_diagonals(base, ls, d)
+    states = _require_hermitian(states)
+    w, x = _sort_descending(*np.linalg.eigh(states))
+    _check_unit_trace_psd(states, w[..., -1])
+
+    hel = _helstrom_stack(states[0], states[1], *(np.repeat(c, n) for c in weights))
+    genuine = np.empty((len(lams), n))
+    ranks = (w[1] > EIGEN_ZERO_TOL).sum(axis=-1)
+    for k in sorted(set(ranks.tolist())):
+        at = ranks == k
+        charts = (w[1, at, :k], x[1, at, :, :k], x[1, at, :, k:])
+        genuine[:, at] = _attack_stack(_attack_view(charts, hel.projectors[at]), np.array(lams)).genuine_p_detect
+    # each level's own block, copied so that its dot product runs as on the
+    # level's lone state (a dot over the padded row can move the last bit)
+    nbar = [mean_photon(states[1, j, :m, :m].copy()) for j, m in enumerate(dims)]
+    p_detect, genuine = hel.p_detect.tolist(), genuine.tolist()
     return [
-        PhotonSweepRow(l=l, mean_photon=nbar, lam=lam, p_detect=p_detect, genuine_p_detect=genuine[i])
+        PhotonSweepRow(l=l, mean_photon=nbar[j], lam=lam, p_detect=p_detect[j], genuine_p_detect=genuine[i][j])
         for i, lam in enumerate(lams)
-        for l, nbar, p_detect, genuine in columns
+        for j, l in enumerate(ls)
     ]
 
 
@@ -189,9 +219,12 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
         raise ValueError("threshold grid must be a nonempty 1-d sequence")
     weights, lams = _check_sweep(grid, lambdas)
 
-    p_false, p_detect, genuine_p_detect = _sweep(*_radar_states(params), weights, np.array(lams))
-    taus, p_false, p_detect = grid.tolist(), p_false.tolist(), p_detect.tolist()
+    rho0, rho1 = _radar_states(params)
+    hel = _helstrom_stack(rho0.matrix, rho1.matrix, *weights)
+    att = _attack_stack(_attack_view(_support_chart(rho1), hel.projectors), np.array(lams))
+    # rho0 is never distorted: its genuine P_F is P_F
+    taus, p_false, p_detect = grid.tolist(), hel.p_false.tolist(), hel.p_detect.tolist()
     curves = [RocCurve(lam=None, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, p_detect)))]
-    for lam, genuine in zip(lams, genuine_p_detect.tolist()):
+    for lam, genuine in zip(lams, att.genuine_p_detect.tolist()):
         curves.append(RocCurve(lam=lam, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, genuine))))
     return curves

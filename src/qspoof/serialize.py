@@ -59,8 +59,23 @@ def fields(row) -> dict:
 
 
 def roc_csv(curves) -> str:
-    """CSV for ROC sweeps; the undistorted curve leaves the lam cell empty."""
+    """CSV for ROC sweeps; the undistorted curve leaves the lam cell empty.
+
+    The curves of one ``roc_sweep`` share their tau, P_F and P_D float
+    objects (and genuine P_F is P_F), so each object is formatted once
+    per call and its cell looked up by ``id``.  The lookup holds the
+    object, so no id is reused during the call; a lookup by value would
+    give -0.0 the cell of 0.0.
+    """
     header = ["lambda", "tau", "p_false", "p_detect", "genuine_p_false", "genuine_p_detect"]
+    cells = {}  # id(value) -> (value, its cell)
+
+    def sig12_once(value) -> str:
+        hit = cells.get(id(value))
+        if hit is None:
+            hit = cells[id(value)] = (value, sig12(value))
+        return hit[1]
+
     rows = []
     for curve in curves:
         lam_cell = "" if curve.lam is None else sig12(curve.lam)
@@ -68,11 +83,11 @@ def roc_csv(curves) -> str:
             rows.append(
                 [
                     lam_cell,
-                    sig12(p.tau),
-                    sig12(p.p_false),
-                    sig12(p.p_detect),
-                    sig12(p.genuine_p_false),
-                    sig12(p.genuine_p_detect),
+                    sig12_once(p.tau),
+                    sig12_once(p.p_false),
+                    sig12_once(p.p_detect),
+                    sig12_once(p.genuine_p_false),
+                    sig12_once(p.genuine_p_detect),
                 ]
             )
     return csv_text(header, rows)

@@ -278,7 +278,7 @@ def test_stacked_steps_equal_their_batch_of_one(d, rank):
     weights = (np.array([p.c0 for p in pairs]), np.array([p.c1 for p in pairs]))
     hel = detection._helstrom_stack(base.rho0.matrix, base.rho1.matrix, *weights)
     lams = np.array([0.05, 1.0, 3e4, 1e9])
-    view = adversary._attack_view(base.rho1, hel.projectors)
+    view = adversary._attack_view(adversary._support_chart(base.rho1), hel.projectors)
     att = adversary._attack_stack(view, lams)
     for j, pair in enumerate(pairs):
         one = helstrom_measurement(pair)

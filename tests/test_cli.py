@@ -200,22 +200,23 @@ def test_photon_sweep_csv(capsys, radar_config_path):
     assert row2[4] == "7.68030683316e-01"
 
 
-def test_photon_sweep_decomposes_four_matrices_per_level(capsys, radar_config_path, monkeypatch):
-    # per signal level: the two states, one Helstrom step and one attack
-    # step; the sweep threshold comes from the cost weights without
+def test_photon_sweep_decomposes_four_stacks(capsys, radar_config_path, monkeypatch):
+    # the 6 signal levels' state pairs, one Helstrom step over the levels,
+    # and one attack step per support rank of rho1 (2 at l in {0, 1}, 3 at
+    # l = 2..5); the sweep threshold comes from the cost weights without
     # building a pair
     calls = []
     inner = np.linalg.eigh
 
     def counted(a):
-        calls.append(a.shape)
+        calls.append(a.shape[:-2])
         return inner(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     code, out, _ = run_cli(capsys, "photon-sweep", "--config", radar_config_path)
     assert code == 0
     assert len(out.splitlines()) == 1 + 6
-    assert len(calls) == 4 * 6
+    assert calls == [(2, 6), (6,), (1, 2), (1, 4)]
 
 
 def test_photon_sweep_needs_radar(capsys, tmp_path):

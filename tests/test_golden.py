@@ -22,6 +22,8 @@ CASES = {
         ("radar_readme", "attack"),
         ("radar_readme", "roc"),
         ("radar_readme", "photon-sweep"),
+        ("radar_k4", "roc"),
+        ("radar_k4", "photon-sweep"),
         ("explicit_noncommuting", "detect"),
         ("explicit_noncommuting", "attack"),
     ],
@@ -30,6 +32,8 @@ CASES = {
         ("radar_readme", "attack"),
         ("radar_readme", "roc"),
         ("radar_readme", "photon-sweep"),
+        ("radar_k4", "roc"),
+        ("radar_k4", "photon-sweep"),
         ("explicit_noncommuting", "detect"),
         ("explicit_noncommuting", "attack"),
     ],

@@ -60,6 +60,21 @@ def test_params_validation():
         RadarParams(n_b=0.4, x=0.5, k=-1, l=2)
 
 
+@pytest.mark.parametrize("field", ["k", "l"])
+@pytest.mark.parametrize("value", [2.0, 2.5, True, -1])
+def test_params_reject_a_level_that_is_not_a_nonnegative_integer(field, value):
+    # a float such as 2.0 used to build and then fail inside np.zeros
+    levels = {"k": 1, "l": 2, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be a nonnegative integer, got {value!r}$"):
+        RadarParams(n_b=0.4, x=0.5, **levels)
+
+
+def test_params_accept_numpy_integers():
+    params = RadarParams(n_b=0.4, x=0.5, k=np.int64(3), l=np.int32(5))
+    assert params.dim == 6
+    assert build_radar_pair(params, 0.5, 0.5).dim == 6
+
+
 def test_with_l_rebuilds():
     assert REF.with_l(5).l == 5
     assert REF.with_l(5).k == REF.k
@@ -135,6 +150,25 @@ def test_photon_sweep_monotone_in_lambda():
     rows = photon_sweep(REF, l_values=[3], lambdas=[0.2, 0.5, 1.0, 2.0, 8.0], tau=1.0)
     vals = [row.genuine_p_detect for row in rows]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize(
+    "levels,i", [([2.7, 1.2], 0), ([True], 0), ([0, 2.0], 1), ([1, -1], 1)], ids=["fraction", "bool", "float", "negative"]
+)
+def test_photon_sweep_rejects_a_level_that_is_not_a_nonnegative_integer(levels, i):
+    # 2.7 and 1.2 used to run truncated, as l = 2 and l = 1
+    with pytest.raises(ValueError, match=rf"^l_values\[{i}\] must be a nonnegative integer, got {levels[i]!r}$"):
+        photon_sweep(REF, levels, [1.0], tau=1.0)
+
+
+def test_photon_sweep_accepts_numpy_integer_levels():
+    rows = photon_sweep(REF, np.arange(3), [1.0], tau=1.0)
+    assert rows == photon_sweep(REF, [0, 1, 2], [1.0], tau=1.0)
+    assert all(type(row.l) is int for row in rows)
+
+
+def test_photon_sweep_with_no_levels_has_no_rows():
+    assert photon_sweep(REF, [], [1.0], tau=1.0) == []
 
 
 def test_photon_sweep_large_lambda_recovers_counterfactual():
@@ -239,11 +273,18 @@ def test_default_tau_grid_shape():
 # ---------------------------------------------------------------- stacked sweeps against the scalar API
 
 # (n_b, x, k, l): the reference, the degenerate levels k = 0 and l in {0, k}
-# (down to d = 1), then seeded radar_cli-style draws
-STACK_SCENARIOS = [(0.4, 0.9, 1, 2), (0.4, 0.9, 0, 2), (0.3, 0.6, 3, 3), (0.7, 0.2, 4, 0), (0.5, 0.5, 0, 0)] + [
-    (float(r.uniform(0.02, 0.98)), float(r.uniform(0.02, 0.98)), int(r.integers(0, 9)), int(r.integers(0, 9)))
-    for r in map(np.random.default_rng, range(7))
-]
+# (down to d = 1), seeded radar_cli-style draws, then the boundary weights
+# n_b, x in {0, 1}: rho0 pure (at 0 or at k), rho1 pure, rho1 = rho0, both
+# pure and equal (d = 1) and both pure and orthogonal, so rho1 has rank-1
+# charts and every rank is padded
+STACK_SCENARIOS = (
+    [(0.4, 0.9, 1, 2), (0.4, 0.9, 0, 2), (0.3, 0.6, 3, 3), (0.7, 0.2, 4, 0), (0.5, 0.5, 0, 0)]
+    + [
+        (float(r.uniform(0.02, 0.98)), float(r.uniform(0.02, 0.98)), int(r.integers(0, 9)), int(r.integers(0, 9)))
+        for r in map(np.random.default_rng, range(7))
+    ]
+    + [(0.0, 0.6, 3, 2), (1.0, 0.6, 3, 2), (0.4, 1.0, 2, 5), (0.4, 0.0, 2, 5), (1.0, 1.0, 0, 0), (0.0, 1.0, 0, 4)]
+)
 
 
 def _stack_inputs(i):
@@ -331,15 +372,17 @@ def test_roc_sweep_decomposes_twice_after_state_setup(monkeypatch, n_tau, n_lam)
 
 @pytest.mark.parametrize("levels", [[2], [0, 1, 4], range(6)])
 @pytest.mark.parametrize("n_lam", [1, 3])
-def test_photon_sweep_decomposes_once_per_level_and_step(monkeypatch, levels, n_lam):
-    # per level: two state validations, one Helstrom step and one attack
-    # step over all prices
+def test_photon_sweep_decomposes_once_per_step_and_rank(monkeypatch, levels, n_lam):
+    # one state validation over every level's pair, one Helstrom step over
+    # the levels, then one attack step over all prices per support rank of
+    # rho1, ascending; on REF (k = 1) rho1 has rank 2 at l in {0, 1}, else 3
     steps = []
     for name in ("_helstrom_stack", "_attack_stack"):
         inner = getattr(radar, name)
         monkeypatch.setattr(radar, name, lambda *a, _inner=inner, _name=name, **k: steps.append(_name) or _inner(*a, **k))
     calls = _count_eigh(monkeypatch)
     photon_sweep(REF, levels, [0.5 * (j + 1) for j in range(n_lam)], tau=1.0)
-    n = len(list(levels))
-    assert calls == [(), (), (1,), (n_lam, 1)] * n
-    assert steps == ["_helstrom_stack", "_attack_stack"] * n
+    ranks = [len({0, REF.k, l}) for l in levels]
+    per_rank = [(n_lam, ranks.count(r)) for r in sorted(set(ranks))]
+    assert calls == [(2, len(ranks)), (len(ranks),)] + per_rank
+    assert steps == ["_helstrom_stack"] + ["_attack_stack"] * len(per_rank)
