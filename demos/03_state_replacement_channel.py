@@ -5,9 +5,11 @@ Replacing a state with a physical channel
 Swapping rho for rho' is not just bookkeeping: it is a completely
 positive trace-preserving map, realizable with explicit operator-sum
 (Kraus) elements E_ij = sqrt(p_i) |v_i><e_j| built from the target's
-eigendecomposition and the source's eigenbasis.  This script realizes
-a few replacements, verifies completeness sum E'E = 1, and shows that a
-corrupted operator set is caught before it can act.
+eigendecomposition and the computational basis e_j.  Summed over every
+e_j they send any input state to the target, the source among them.
+This script realizes a few replacements, verifies completeness
+sum E'E = 1, and shows that a corrupted operator set is caught before
+it can act.
 """
 
 import numpy as np

@@ -15,9 +15,10 @@ over density operators ``rho1'``, ``rho0'``.  The minimizer is closed-form:
 evaluated entirely on the support of ``rho1``.  At the optimum the
 utility is -lam ln Z1 (Gibbs variational principle), which
 ``optimal_attack`` reads off the exponent's spectrum.  Everything but
-the exponent depends only on (rho1, rho0, Pi1): rho1's support chart,
-Pi1 in that basis and the genuine false-alarm rate are computed once
-per pair and ``ProjectorMeasurement`` and shared by every price.
+the exponent depends only on (rho1, rho0, Pi1): ``_attack_view`` slices
+rho1's support chart off its spectrum and writes Pi1 in it, and for a
+``ProjectorMeasurement`` that view and the genuine false-alarm rate are
+stored per pair and shared by every price.
 ``attacker_utility`` evaluates the objective through the relative
 entropies instead; it is the independent audit that ``verify``, the
 oracle and the tests hold the closed form to.  ``oracle_attack``
@@ -38,7 +39,6 @@ import numpy as np
 from .detection import HypothesisPair, ProjectorMeasurement, _checked_rate, _checked_rates
 from .operators import (
     DensityOperator,
-    EIGEN_ZERO_TOL,
     as_matrix,
     relative_entropy,
     spectral_decompose,
@@ -47,6 +47,7 @@ from .operators import (
     _hermitian,
     _read_only,
     _require_hermitian,
+    _support_rank,
     _traces,
 )
 
@@ -63,6 +64,8 @@ CLUSTER_TOL = 1e-8
 SERIES_PRICE = 1e5
 # Step and gradient-change pairs the oracle's L-BFGS search keeps.
 ORACLE_MEMORY = 8
+# The oracle stops once an accepted step improves the utility by less than this.
+ORACLE_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,15 +114,6 @@ def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: flo
     if math.isinf(s1) or math.isinf(s0):
         return math.inf
     return trace_product(pi1, rho1_prime) + lam * (s1 + s0)
-
-
-def _support_chart(rho1):
-    """The eigenvalues r of rho1 above ``EIGEN_ZERO_TOL`` (descending),
-    their eigenvector columns v, and the remaining (kernel) columns.
-    """
-    dec = spectral_decompose(rho1)
-    keep = dec.eigenvalues > EIGEN_ZERO_TOL
-    return dec.eigenvalues[keep], dec.eigenvectors[:, keep], dec.eigenvectors[:, ~keep]
 
 
 def _in_support(v: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -185,32 +179,31 @@ class _AttackView(NamedTuple):
     """The price-independent inputs of the closed-form attack on a stack of
     projectors: rho1's support chart, or one chart per projector."""
 
-    r: np.ndarray  # the support chart(s) (see _support_chart)
-    v: np.ndarray
-    kernel: np.ndarray
+    r: np.ndarray  # rho1's eigenvalues above EIGEN_ZERO_TOL, descending
+    v: np.ndarray  # their eigenvector columns
+    kernel: np.ndarray  # the remaining eigenvector columns
     projectors: np.ndarray  # the projector matrices, indexed [projector]
     pi_s: np.ndarray  # each projector in the support basis
 
 
-def _attack_view(chart, projectors: np.ndarray) -> _AttackView:
-    """The view of ``chart`` = (r, v, kernel), one support chart or a stack
-    of them of one rank, and a stack of projectors; a stack of charts holds
-    one per projector."""
-    r, v, kernel = chart
-    return _AttackView(r, v, kernel, projectors, _in_support(v, projectors))
+def _attack_view(w: np.ndarray, x: np.ndarray, projectors: np.ndarray) -> _AttackView:
+    """The view of rho1's spectrum ``w`` (descending), ``x`` and the projectors:
+    the chart is the slice at ``_support_rank``.  ``w`` and ``x`` are one
+    spectrum, or a stack of spectra of one rank with one per projector."""
+    k = int(np.max(_support_rank(w)))
+    v = np.ascontiguousarray(x[..., :k])  # a strided single column can move the last bit of pi_s
+    return _AttackView(w[..., :k], v, x[..., k:], projectors, _in_support(v, projectors))
 
 
 class _StoredView(NamedTuple):
-    """The view of one ``ProjectorMeasurement``, the pair it was built for
-    and the genuine false-alarm rate."""
+    """The view of (pair, ``pi1``) and the genuine false-alarm rate."""
 
-    rho1: weakref.ref
-    rho0: weakref.ref
+    pi1: ProjectorMeasurement  # the projector it was built for (a bare array is never stored)
     view: _AttackView  # a stack of one
     genuine_p_false: float  # Tr(Pi1 rho0), checked
 
 
-# One stored view per projector; an entry goes with its projector.
+# One stored view per pair; an entry goes with its pair.
 _VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -218,19 +211,21 @@ def _pair_view(pair: HypothesisPair, pi1) -> _StoredView:
     """The attack view of (pair, pi1) and the genuine false-alarm rate.
 
     The entry is stored when ``pi1`` is a ``ProjectorMeasurement``
-    (validated and read-only) and found again only for the same rho1 and
-    rho0 objects; a bare array may be written to between calls, so it is
-    never stored.  Found or built, an entry holds the same values.
+    (validated and read-only), keyed weakly by the frozen pair, and found
+    again only for that same projector object; a bare array may be
+    written to between calls, so it is never stored.  Found or built, an
+    entry holds the same values.  A new pair object over the same states
+    misses the store, and an entry keeps its projector alive while its
+    pair lives.
     """
-    store = isinstance(pi1, ProjectorMeasurement)
-    entry = _VIEWS.get(pi1) if store else None
-    if entry is not None and entry.rho1() is pair.rho1 and entry.rho0() is pair.rho0:
+    entry = _VIEWS.get(pair)
+    if entry is not None and entry.pi1 is pi1:
         return entry
-    view = _attack_view(_support_chart(pair.rho1), as_matrix(pi1)[None])
-    p_false = _checked_rate(trace_product(view.projectors[0], pair.rho0.matrix))
-    entry = _StoredView(weakref.ref(pair.rho1), weakref.ref(pair.rho0), view, p_false)
-    if store:
-        _VIEWS[pi1] = entry
+    dec = pair.rho1.spectrum
+    view = _attack_view(dec.eigenvalues, dec.eigenvectors, as_matrix(pi1)[None])
+    entry = _StoredView(pi1, view, _checked_rate(trace_product(view.projectors[0], pair.rho0.matrix)))
+    if isinstance(pi1, ProjectorMeasurement):
+        _VIEWS[pair] = entry
     return entry
 
 
@@ -305,7 +300,7 @@ def optimal_attack(pair: HypothesisPair, pi1, lam: float) -> AttackerSolution:
     Only the exponent depends on the price.  For a ``ProjectorMeasurement``
     the rest (rho1's support chart, Pi1 in it and the genuine false-alarm
     rate) is built at the first call on a pair and reused by later calls
-    on the same rho1 and rho0; a bare array is taken afresh every call.
+    on the same pair object; a bare array is taken afresh every call.
     Either way the result is the same, to the bit.
 
     Every finite positive price gives a state: its spectrum comes from
@@ -477,7 +472,6 @@ def oracle_attack(
     pi1,
     lam: float,
     iterations: int = 5000,
-    tol: float = 1e-14,
 ) -> DensityOperator:
     """Numerical minimizer of the interceptor objective, independent of the closed form.
 
@@ -491,18 +485,18 @@ def oracle_attack(
     Each trial point is decomposed once; the accepted one's decomposition
     also gives its gradient, and the last one's the returned state.
     Descent starts at the undistorted state H = ln rho1 and stops once an
-    accepted step improves the utility by less than ``tol``.
+    accepted step improves the utility by less than ``ORACLE_TOL``.
 
     Raises
     ------
     OracleConvergenceError
-        After ``iterations`` accepted steps without meeting ``tol``; the
+        After ``iterations`` accepted steps without meeting ``ORACLE_TOL``; the
         error carries the best iterate and its utility.
     """
     _check_price(lam)
     pi_m = as_matrix(pi1)
-    r, v, kernel = _support_chart(pair.rho1)
-    pi_s = _in_support(v, pi_m)
+    dec = pair.rho1.spectrum
+    r, v, kernel, _, pi_s = _attack_view(dec.eigenvalues, dec.eigenvectors, pi_m)
     log_r = np.log(r)
 
     def lift(point: _ChartPoint) -> DensityOperator:
@@ -543,7 +537,7 @@ def oracle_attack(
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
         h, point, grad = h_new, new, grad_new
-        if improvement < tol:
+        if improvement < ORACLE_TOL:
             return lift(point)
     best = lift(point)
     raise OracleConvergenceError(

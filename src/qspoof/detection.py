@@ -21,13 +21,13 @@ import numpy as np
 
 from .operators import (
     DensityOperator,
-    EIGEN_ZERO_TOL,
     as_matrix,
     hermitian_part,
     trace_product,
     _read_only,
     _require_hermitian,
     _sort_descending,
+    _support_rank,
     _traces,
 )
 
@@ -225,7 +225,7 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.n
     taus = _threshold(c0, c1)
     a = _require_hermitian(rho1 - taus[:, None, None] * rho0)
     w, x = _sort_descending(*np.linalg.eigh(a))
-    ranks = (w > EIGEN_ZERO_TOL).sum(axis=-1)
+    ranks = _support_rank(w)
     proj = np.empty_like(a)
     for k in set(ranks.tolist()):
         sel = ranks == k

@@ -123,6 +123,12 @@ def spectral_decompose(a) -> SpectralDecomposition:
     return _eigh_descending(require_hermitian(a))
 
 
+def _support_rank(w: np.ndarray):
+    """How many eigenvalues of a descending spectrum (or of each in a stack)
+    lie above ``EIGEN_ZERO_TOL``; the support chart is the slice at it."""
+    return (w > EIGEN_ZERO_TOL).sum(axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class SupportLog:
     """ln(rho) restricted to the support, plus the support projector and rank.
@@ -160,12 +166,11 @@ def support_log(rho) -> SupportLog:
         raise ValueError(
             f"operator is not positive semidefinite: eigenvalue {dec.eigenvalues[-1]:.3e}"
         )
-    keep = dec.eigenvalues > EIGEN_ZERO_TOL
-    rank = int(np.count_nonzero(keep))
+    rank = int(_support_rank(dec.eigenvalues))
     if rank == 0:
         raise ValueError("operator is numerically zero; no support to take a log on")
-    w = dec.eigenvalues[keep]
-    v = dec.eigenvectors[:, keep]
+    w = dec.eigenvalues[:rank]
+    v = dec.eigenvectors[:, :rank]
     log = hermitian_part((v * np.log(w)) @ v.conj().T)
     proj = hermitian_part(v @ v.conj().T)
     return SupportLog(_read_only(log), _read_only(proj), rank)
@@ -229,9 +234,9 @@ def relative_entropy(nu1, nu0) -> float:
         raise ValueError(f"dimension mismatch: {m1.shape} vs {m0.shape}")
     dec1 = spectral_decompose(nu1)
     log0 = support_log(nu0)
-    keep = dec1.eigenvalues > EIGEN_ZERO_TOL
-    w = dec1.eigenvalues[keep]
-    v = dec1.eigenvectors[:, keep]
+    rank = _support_rank(dec1.eigenvalues)
+    w = dec1.eigenvalues[:rank]
+    v = dec1.eigenvectors[:, :rank]
     # support condition: each retained eigenvector of nu1 must lie in supp(nu0)
     leak = 1.0 - np.einsum("ji,ji->i", v.conj(), log0.projector @ v).real
     if np.any(leak > SUPPORT_LEAK_TOL):

@@ -15,7 +15,8 @@ counterfactual and genuine (post-distortion) operating rates, each from
 one stacked Helstrom step and stacked attack steps over every (price,
 threshold) pair: ``roc_sweep`` over its threshold grid on one pair,
 ``photon_sweep`` over all its signal levels at once, the levels' states
-zero-padded to one dimension.  Thresholds take the cost weights of
+zero-padded to one dimension, with ``optimal_attack``'s view builder
+(``_attack_view``).  Thresholds take the cost weights of
 ``HypothesisPair.from_tau``, and every point is bit-identical to what
 ``helstrom_measurement`` and ``optimal_attack`` give.
 """
@@ -28,15 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import _attack_stack, _attack_view, _check_price, _support_chart
+from .adversary import _attack_stack, _attack_view, _check_price
 from .detection import HypothesisPair, _cost_weights, _helstrom_stack
 from .operators import (
     DensityOperator,
-    EIGEN_ZERO_TOL,
     as_matrix,
     _check_unit_trace_psd,
     _require_hermitian,
     _sort_descending,
+    _support_rank,
 )
 
 
@@ -67,9 +68,6 @@ class RadarParams:
     @property
     def dim(self) -> int:
         return max(self.k, self.l) + 1
-
-    def with_l(self, l: int) -> "RadarParams":
-        return RadarParams(self.n_b, self.x, self.k, l)
 
 
 def _radar_diagonals(base: RadarParams, levels: list, d: int) -> np.ndarray:
@@ -147,11 +145,13 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
     """
     weights, lams = _check_sweep(np.array([tau], dtype=float), lambdas)
     levels = list(l_values)
+    if not levels:
+        raise ValueError("l_values must be a nonempty sequence of signal levels")
     for i, l in enumerate(levels):
         _check_level(f"l_values[{i}]", l)
     ls = sorted(set(map(int, levels)))
     dims = [max(base.k, l) + 1 for l in ls]
-    n, d = len(ls), max(dims, default=base.k + 1)
+    n, d = len(ls), max(dims)
     states = np.zeros((2, n, d, d), dtype=np.complex128)
     states.reshape((2, n, d * d))[..., :: d + 1] = _radar_diagonals(base, ls, d)
     states = _require_hermitian(states)
@@ -160,11 +160,11 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
 
     hel = _helstrom_stack(states[0], states[1], *(np.repeat(c, n) for c in weights))
     genuine = np.empty((len(lams), n))
-    ranks = (w[1] > EIGEN_ZERO_TOL).sum(axis=-1)
+    ranks = _support_rank(w[1])
     for k in sorted(set(ranks.tolist())):
         at = ranks == k
-        charts = (w[1, at, :k], x[1, at, :, :k], x[1, at, :, k:])
-        genuine[:, at] = _attack_stack(_attack_view(charts, hel.projectors[at]), np.array(lams)).genuine_p_detect
+        view = _attack_view(w[1, at], x[1, at], hel.projectors[at])
+        genuine[:, at] = _attack_stack(view, np.array(lams)).genuine_p_detect
     # each level's own block, copied so that its dot product runs as on the
     # level's lone state (a dot over the padded row can move the last bit)
     nbar = [mean_photon(states[1, j, :m, :m].copy()) for j, m in enumerate(dims)]
@@ -221,7 +221,8 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
 
     rho0, rho1 = _radar_states(params)
     hel = _helstrom_stack(rho0.matrix, rho1.matrix, *weights)
-    att = _attack_stack(_attack_view(_support_chart(rho1), hel.projectors), np.array(lams))
+    dec = rho1.spectrum
+    att = _attack_stack(_attack_view(dec.eigenvalues, dec.eigenvectors, hel.projectors), np.array(lams))
     # rho0 is never distorted: its genuine P_F is P_F
     taus, p_false, p_detect = grid.tolist(), hel.p_false.tolist(), hel.p_detect.tolist()
     curves = [RocCurve(lam=None, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, p_detect)))]

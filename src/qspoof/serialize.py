@@ -94,10 +94,8 @@ def roc_csv(curves) -> str:
 
 
 def photon_csv(rows) -> str:
-    """CSV for photon-number sweeps, one row per (lam, l) sample."""
-    header = ["l", "mean_photon", "lambda", "p_detect", "genuine_p_detect"]
-    out = [[str(r.l), sig12(r.mean_photon), sig12(r.lam), sig12(r.p_detect), sig12(r.genuine_p_detect)] for r in rows]
-    return csv_text(header, out)
+    """CSV for photon-number sweeps, one row per (lam, l) sample: ``rows_csv`` of their ``fields``."""
+    return rows_csv(list(map(fields, rows)))
 
 
 def json_text(obj) -> str:

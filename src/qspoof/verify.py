@@ -12,8 +12,9 @@ The closed-form work runs through the library's stacked steps, whose
 members are bit-identical to the public functions' results: checks 1
 and 2 solve each instance's prices in one attack step
 (``_optimal_attacks``), and check 5 solves its 10 pairs in one Helstrom
-step and decomposes their 10 x 2 exponents at once
-(``_perturbation_stack``).  The oracle runs once per (instance, price).
+step, charts them in one ``_attack_view`` and decomposes their 10 x 2
+exponents at once (``_perturbation_stack``).  The oracle runs once per
+(instance, price).
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from .adversary import (
     gap_condition_sums,
     optimal_attack,
     oracle_attack,
-    _in_support,
+    _attack_view,
     _optimal_attacks,
     _perturbation_stack,
-    _support_chart,
 )
 from .channels import apply_channel, completeness_residual, realize_channel
 from .config import VerifyOptions
@@ -237,10 +237,11 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
         np.array([p.c0 for p in pairs]),
         np.array([p.c1 for p in pairs]),
     )
-    charts = [_support_chart(p.rho1) for p in pairs]
-    r = np.stack([c[0] for c in charts])
-    pi_s = _in_support(np.stack([c[1] for c in charts]), hel.projectors)
-    residuals = np.abs(_perturbation_stack(r, pi_s, np.array([10.0, 100.0])).residual).max(axis=-1)
+    spectra = [p.rho1.spectrum for p in pairs]
+    view = _attack_view(
+        np.stack([s.eigenvalues for s in spectra]), np.stack([s.eigenvectors for s in spectra]), hel.projectors
+    )
+    residuals = np.abs(_perturbation_stack(view.r, view.pi_s, np.array([10.0, 100.0])).residual).max(axis=-1)
     res10, res100 = residuals[:, 0], residuals[:, 1]
     worst_res = float(res100.max())
     shrinks = res10[res100 > 0] / res100[res100 > 0]

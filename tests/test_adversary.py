@@ -278,7 +278,7 @@ def test_stacked_steps_equal_their_batch_of_one(d, rank):
     weights = (np.array([p.c0 for p in pairs]), np.array([p.c1 for p in pairs]))
     hel = detection._helstrom_stack(base.rho0.matrix, base.rho1.matrix, *weights)
     lams = np.array([0.05, 1.0, 3e4, 1e9])
-    view = adversary._attack_view(adversary._support_chart(base.rho1), hel.projectors)
+    view = adversary._attack_view(base.rho1.spectrum.eigenvalues, base.rho1.spectrum.eigenvectors, hel.projectors)
     att = adversary._attack_stack(view, lams)
     for j, pair in enumerate(pairs):
         one = helstrom_measurement(pair)
@@ -294,6 +294,21 @@ def test_stacked_steps_equal_their_batch_of_one(d, rank):
             assert (att.gibbs.z1[i, j], att.genuine_p_detect[i, j]) == (sol.z1, sol.genuine_p_detect)
     if rank < d:
         assert sol.rho1_prime.spectrum.eigenvalues[rank:].tolist() == [0.0] * (d - rank)
+
+
+@pytest.mark.parametrize("d,rank", [(8, 1), (11, 1), (12, 1), (6, 3), (5, 5)])
+def test_attack_view_equals_the_masked_chart(d, rank):
+    # the chart is a slice of rho1's descending spectrum; it holds the
+    # same values, to the bit, as the copy taken with a boolean mask,
+    # including Pi1 in it for a single support column
+    rng = np.random.default_rng(80 + d)
+    pair = _rank_deficient_pair(rng, d, rank)
+    pi1 = helstrom_measurement(pair).pi1.matrix
+    w, x = pair.rho1.spectrum.eigenvalues, pair.rho1.spectrum.eigenvectors
+    keep = w > operators.EIGEN_ZERO_TOL
+    view = adversary._attack_view(w, x, pi1[None])
+    assert np.array_equal(view.r, w[keep]) and np.array_equal(view.kernel, x[:, ~keep])
+    assert np.array_equal(view.pi_s, adversary._in_support(x[:, keep], pi1[None]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -406,7 +421,7 @@ def test_stored_view_is_built_once_per_pair_and_projector(monkeypatch):
     assert len(in_support) == 1 + len(VIEW_PRICES)
 
 
-def test_stored_view_follows_the_pair():
+def test_stored_view_follows_the_pair(monkeypatch):
     # the same projector on a new rho1, then a new rho0, gives the fresh
     # result, never the one stored for the old pair
     rng = np.random.default_rng(62)
@@ -421,27 +436,35 @@ def test_stored_view_follows_the_pair():
         _assert_same_solution(sol, optimal_attack(pair, pi1.matrix, 0.7))
     assert optimal_attack(new_rho1, pi1, 0.7).utility != before.utility
     assert optimal_attack(new_rho0, pi1, 0.7).genuine_p_false != before.genuine_p_false
-    # the entry refers to its states weakly, so a state built after the
-    # stored one is collected can never pass for it, even at its address
-    pair = HypothesisPair(first.rho0, DensityOperator(np.array(first.rho1.matrix)), 0.5, 0.5)
-    optimal_attack(pair, pi1, 0.7)
-    del pair
-    gc.collect()
-    assert adversary._VIEWS[pi1].rho1() is None
-    pair = HypothesisPair(first.rho0, DensityOperator(np.diag(np.diag(first.rho1.matrix))), 0.5, 0.5)
-    _assert_same_solution(optimal_attack(pair, pi1, 0.7), optimal_attack(pair, pi1.matrix, 0.7))
+    # the store is keyed by the pair object: a new pair over the same
+    # states builds its own view, and another projector on a stored pair
+    # replaces the entry, with the fresh result either way
+    in_support = _count_calls(monkeypatch, adversary, "_in_support")
+    twin = HypothesisPair(first.rho0, first.rho1, 0.5, 0.5)
+    _assert_same_solution(optimal_attack(twin, pi1, 0.7), before)
+    assert adversary._VIEWS[twin].pi1 is pi1 and len(in_support) == 1
+    flipped = ProjectorMeasurement(np.eye(4) - pi1.matrix)
+    _assert_same_solution(optimal_attack(twin, flipped, 0.7), optimal_attack(twin, flipped.matrix, 0.7))
+    assert adversary._VIEWS[twin].pi1 is flipped and len(in_support) == 3
+    optimal_attack(twin, flipped, 0.3)
+    assert len(in_support) == 3
 
 
-def test_stored_view_goes_with_its_projector():
+def test_stored_view_goes_with_its_pair():
+    # an entry keeps its projector alive while its pair lives, and goes
+    # (with the projector) when the pair is collected
     rng = np.random.default_rng(63)
     pair = random_pair(rng, 4)
     gc.collect()
     stored = len(adversary._VIEWS)
     pi1 = helstrom_measurement(pair).pi1
     optimal_attack(pair, pi1, 1.0)
-    assert pi1 in adversary._VIEWS and len(adversary._VIEWS) == stored + 1
+    assert pair in adversary._VIEWS and len(adversary._VIEWS) == stored + 1
     ref = weakref.ref(pi1)
     del pi1
+    gc.collect()
+    assert ref() is adversary._VIEWS[pair].pi1
+    del pair
     gc.collect()
     assert ref() is None
     assert len(adversary._VIEWS) == stored
@@ -540,11 +563,13 @@ def test_perturbation_stack_members_equal_the_report(kind):
     rng = np.random.default_rng(69)
     pairs = [_perturbation_case(rng, kind) for _ in range(4)]
     projectors = [helstrom_measurement(pair).pi1 for pair in pairs]
-    charts = [adversary._support_chart(pair.rho1) for pair in pairs]
-    r = np.stack([chart[0] for chart in charts])
-    pi_s = adversary._in_support(np.stack([chart[1] for chart in charts]), np.stack([pi.matrix for pi in projectors]))
+    view = adversary._attack_view(
+        np.stack([pair.rho1.spectrum.eigenvalues for pair in pairs]),
+        np.stack([pair.rho1.spectrum.eigenvectors for pair in pairs]),
+        np.stack([pi.matrix for pi in projectors]),
+    )
     lams = np.array([0.01, 0.5, 10.0, 100.0, 1e6])
-    pert = adversary._perturbation_stack(r, pi_s, lams)
+    pert = adversary._perturbation_stack(view.r, view.pi_s, lams)
     for p, (pair, pi1) in enumerate(zip(pairs, projectors)):
         for i, lam in enumerate(lams):
             rep = perturbation_estimate(pair, pi1, float(lam))
@@ -976,13 +1001,13 @@ def test_gap_condition_sums_commuting_are_zero():
 
 def _clusters_and_matching_loop(pair, pi1, lam):
     """Reference: cluster flags and overlap matching, one level at a time."""
-    r, v, _ = adversary._support_chart(pair.rho1)
+    view = adversary._attack_view(pair.rho1.spectrum.eigenvalues, pair.rho1.spectrum.eigenvectors, pi1.matrix)
+    r, pi_s = view.r, view.pi_s
     n = r.shape[0]
     cluster = np.zeros(n, dtype=bool)
     for i in range(n - 1):
         if r[i] - r[i + 1] < adversary.CLUSTER_TOL:
             cluster[i] = cluster[i + 1] = True
-    pi_s = adversary._in_support(v, np.asarray(pi1.matrix))
     w, u = np.linalg.eigh(hermitian_part(np.diag(np.log(r).astype(np.complex128)) - pi_s / lam))
     weights = np.abs(u) ** 2
     matched, overlap, ok, taken = [], [], True, set()

@@ -6,8 +6,6 @@ import re
 
 import qspoof
 
-# solver controls of the numerical cross-check, not validation tolerances
-ALLOWED = {("oracle_attack", "tol")}
 TOLERANCE_NAME = re.compile(r"(.+_)?(tol|eps)")
 
 
@@ -29,6 +27,6 @@ def test_no_public_tolerance_parameters():
         (name, param)
         for name, fn in public_functions()
         for param in inspect.signature(fn).parameters
-        if TOLERANCE_NAME.fullmatch(param) and (name, param) not in ALLOWED
+        if TOLERANCE_NAME.fullmatch(param)
     ]
     assert found == []

@@ -75,11 +75,6 @@ def test_params_accept_numpy_integers():
     assert build_radar_pair(params, 0.5, 0.5).dim == 6
 
 
-def test_with_l_rebuilds():
-    assert REF.with_l(5).l == 5
-    assert REF.with_l(5).k == REF.k
-
-
 def test_mean_photon_values():
     pair = build_radar_pair(REF, c0=0.5, c1=0.5)
     assert abs(mean_photon(pair.rho0) - 0.4) <= 1e-14       # n_b * k
@@ -115,7 +110,7 @@ def expected_photon_rates(params, lam, tau=1.0):
 def test_photon_sweep_matches_scalar_formula():
     rows = photon_sweep(REF, l_values=range(0, 6), lambdas=[0.5, 1.0, 2.0], tau=1.0)
     for row in rows:
-        pd, gpd = expected_photon_rates(REF.with_l(row.l), row.lam)
+        pd, gpd = expected_photon_rates(RadarParams(REF.n_b, REF.x, REF.k, row.l), row.lam)
         assert abs(row.p_detect - pd) <= 1e-12
         assert abs(row.genuine_p_detect - gpd) <= 1e-12
 
@@ -142,7 +137,7 @@ def test_photon_sweep_ordering_and_mean_photons():
     keys = [(row.lam, row.l) for row in rows]
     assert keys == sorted(keys)
     for row in rows:
-        pair = build_radar_pair(REF.with_l(row.l), c0=0.5, c1=0.5)
+        pair = build_radar_pair(RadarParams(REF.n_b, REF.x, REF.k, row.l), c0=0.5, c1=0.5)
         assert abs(row.mean_photon - mean_photon(pair.rho1)) <= 1e-14
 
 
@@ -167,8 +162,9 @@ def test_photon_sweep_accepts_numpy_integer_levels():
     assert all(type(row.l) is int for row in rows)
 
 
-def test_photon_sweep_with_no_levels_has_no_rows():
-    assert photon_sweep(REF, [], [1.0], tau=1.0) == []
+def test_photon_sweep_rejects_no_levels():
+    with pytest.raises(ValueError, match="^l_values must be a nonempty sequence of signal levels$"):
+        photon_sweep(REF, [], [1.0], tau=1.0)
 
 
 def test_photon_sweep_large_lambda_recovers_counterfactual():
@@ -327,7 +323,7 @@ def test_photon_sweep_equals_scalar_api(i):
     want = []
     for lam in sorted(prices):
         for l in sorted(set(levels)):
-            base = build_radar_pair(params.with_l(l), 0.5, 0.5)
+            base = build_radar_pair(RadarParams(params.n_b, params.x, params.k, l), 0.5, 0.5)
             pair = HypothesisPair.from_tau(base.rho0, base.rho1, tau)
             hel = helstrom_measurement(pair)
             sol = optimal_attack(pair, hel.pi1, lam)
