@@ -97,9 +97,12 @@ class OracleConvergenceError(RuntimeError):
 
 
 def _check_price(lam: float) -> None:
-    """The price rule of config's ``lambdas`` fields: a finite positive number."""
+    """The price rule of config's ``lambdas`` fields: a finite positive number
+    whose reciprocal, the scale of ``Pi1/lam`` in the exponent, is finite too."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"distortion price lam must be positive and finite, got {lam!r}")
+    if math.isinf(1.0 / float(lam)):
+        raise ValueError(f"distortion price lam must have a finite reciprocal 1/lam, got {lam!r}")
 
 
 def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: float) -> float:

@@ -45,9 +45,6 @@ class KrausChannel:
             ops.append(m)
         object.__setattr__(self, "operators", tuple(ops))
 
-    def __len__(self) -> int:
-        return len(self.operators)
-
 
 def completeness_residual(channel: KrausChannel) -> float:
     """Frobenius distance of sum_k E_k^dagger E_k from the identity."""

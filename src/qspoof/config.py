@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .adversary import _check_price
 from .detection import HypothesisPair, _cost_weights, _threshold, check_cost_weights
 from .operators import DensityOperator
 from .radar import RadarParams, build_radar_pair
@@ -118,7 +119,9 @@ def _positive(value, where: str, what: str) -> float:
 
 
 def _price(value, where: str) -> float:
-    return _positive(value, where, "distortion price")
+    lam = _positive(value, where, "distortion price")
+    _named(where, _check_price, lam)
+    return lam
 
 
 def _tau(value, where: str) -> float:

@@ -59,10 +59,6 @@ class ProjectorMeasurement:
         object.__setattr__(pi, "rank", rank)
         return pi
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def zero(cls, dim: int) -> "ProjectorMeasurement":
         return cls(np.zeros((dim, dim), dtype=np.complex128), 0)
@@ -146,10 +142,6 @@ class HypothesisPair:
         if self.rho0.dim != self.rho1.dim:
             raise ValueError(f"dimension mismatch: {self.rho0.dim} vs {self.rho1.dim}")
         check_cost_weights(self.c0, self.c1)
-
-    @property
-    def dim(self) -> int:
-        return self.rho0.dim
 
     @property
     def tau(self) -> float:

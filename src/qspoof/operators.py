@@ -104,11 +104,6 @@ def _sort_descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return w[..., ::-1], v[..., ::-1]
 
 
-def _eigh_descending(arr: np.ndarray) -> SpectralDecomposition:
-    w, v = _sort_descending(*np.linalg.eigh(arr))
-    return SpectralDecomposition(_read_only(w), _read_only(v))
-
-
 def spectral_decompose(a) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -120,7 +115,8 @@ def spectral_decompose(a) -> SpectralDecomposition:
     """
     if isinstance(a, DensityOperator):
         return a.spectrum
-    return _eigh_descending(require_hermitian(a))
+    w, v = _sort_descending(*np.linalg.eigh(require_hermitian(a)))
+    return SpectralDecomposition(_read_only(w), _read_only(v))
 
 
 def _support_rank(w: np.ndarray):
@@ -265,50 +261,58 @@ def _check_unit_trace_psd(m: np.ndarray, wmin) -> None:
         raise ValueError(f"density operator is not PSD: smallest eigenvalue {bad:.6e} < -{PSD_TOL:.1e}")
 
 
+def _checked_states(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The density-operator checks over one complex matrix or a stack, with one
+    ``eigh``: the symmetrized matrices, their spectra (descending) and
+    eigenvector columns, or a raise for the first state that fails."""
+    m = _require_hermitian(arr)
+    w, x = _sort_descending(*np.linalg.eigh(m))
+    _check_unit_trace_psd(m, w[..., -1])
+    return m, w, x
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Unit-trace positive semidefinite Hermitian matrix.
 
     Construction validates Hermiticity (tolerance ``HERMITIAN_TOL``), trace
     one (``TRACE_TOL``) and positivity (eigenvalues >= -``PSD_TOL``), then
-    stores the exactly symmetrized matrix read-only.  The eigendecomposition
-    that the positivity check computes is kept as ``spectrum`` (descending,
-    read-only); ``spectral_decompose`` hands it to every later consumer
-    instead of decomposing the matrix again.  A state the attack layer
-    builds from a spectrum it already knows (``_from_spectrum``) keeps
-    that spectrum and is never decomposed; the attack runs the same
-    checks (``_require_hermitian``, ``_check_unit_trace_psd``) over its
-    whole stack of states before wrapping one.
+    stores the exactly symmetrized matrix read-only: ``_checked_states``
+    on a stack of one.  The eigendecomposition that the positivity check
+    computes is kept as ``spectrum`` (descending, read-only);
+    ``spectral_decompose`` hands it to every later consumer instead of
+    decomposing the matrix again.  A state built from a spectrum already
+    known (``_from_spectrum``) keeps it: the radar states come out of one
+    ``_checked_states`` call over their stack, and the attack checks its
+    stack of rho1' without a decomposition.
     """
 
     matrix: np.ndarray
     spectrum: SpectralDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = require_hermitian(self.matrix)
-        spectrum = _eigh_descending(m)
-        _check_unit_trace_psd(m, spectrum.eigenvalues[-1])
-        self._store(m, spectrum)
+        self._store(*_checked_states(as_matrix(self.matrix)))
 
     @classmethod
     def _from_spectrum(cls, matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "DensityOperator":
         """A checked state whose eigendecomposition is already known.
 
         The caller has run the public constructor's checks on ``matrix``
-        (``_require_hermitian``, then ``_check_unit_trace_psd`` with the
-        smallest of ``eigenvalues``), usually on a whole stack of states
-        at once.  The given pairs, which the caller passes in descending
-        order, are kept as ``spectrum`` instead of decomposing the matrix;
-        the caller vouches that the columns of ``eigenvectors`` are
-        orthonormal eigenvectors of ``matrix``.
+        (``_checked_states``, or ``_require_hermitian`` and then
+        ``_check_unit_trace_psd`` with the smallest of ``eigenvalues``),
+        usually on a whole stack of states at once.  The given pairs, which
+        the caller passes in descending order, are kept as ``spectrum``
+        instead of decomposing the matrix; the caller vouches that the
+        columns of ``eigenvectors`` are orthonormal eigenvectors of
+        ``matrix``.
         """
         state = object.__new__(cls)
-        state._store(matrix, SpectralDecomposition(_read_only(eigenvalues), _read_only(eigenvectors)))
+        state._store(matrix, eigenvalues, eigenvectors)
         return state
 
-    def _store(self, m: np.ndarray, spectrum: SpectralDecomposition) -> None:
+    def _store(self, m: np.ndarray, w: np.ndarray, x: np.ndarray) -> None:
         object.__setattr__(self, "matrix", _read_only(m))
-        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "spectrum", SpectralDecomposition(_read_only(w), _read_only(x)))
 
     @property
     def dim(self) -> int:

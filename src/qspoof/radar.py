@@ -9,16 +9,18 @@ and the target hypothesis mixes a reflected signal photon state into it,
     rho1 = (1 - x) rho0 + x |l><l|.
 
 Everything is diagonal in the number basis, so the scenario doubles as an
-analytically tractable commuting test bed.  The model (the two
-diagonals) is written once, in ``_radar_diagonals``.  Sweeps report both
+analytically tractable commuting test bed.  The model is written once,
+in ``_radar_stack``: both states at every signal level asked for,
+zero-padded to one dimension and checked as one stack (one ``eigh``,
+whose spectra give rho1's support charts).  Sweeps report both
 counterfactual and genuine (post-distortion) operating rates, each from
 one stacked Helstrom step and stacked attack steps over every (price,
 threshold) pair: ``roc_sweep`` over its threshold grid on one pair,
-``photon_sweep`` over all its signal levels at once, the levels' states
-zero-padded to one dimension, with ``optimal_attack``'s view builder
-(``_attack_view``).  Thresholds take the cost weights of
-``HypothesisPair.from_tau``, and every point is bit-identical to what
-``helstrom_measurement`` and ``optimal_attack`` give.
+``photon_sweep`` over all its signal levels at once, with
+``optimal_attack``'s view builder (``_attack_view``).  Thresholds take
+the cost weights of ``HypothesisPair.from_tau``, and every point is
+bit-identical to what ``helstrom_measurement`` and ``optimal_attack``
+give.
 """
 
 from __future__ import annotations
@@ -31,14 +33,7 @@ import numpy as np
 
 from .adversary import _attack_stack, _attack_view, _check_price
 from .detection import HypothesisPair, _cost_weights, _helstrom_stack
-from .operators import (
-    DensityOperator,
-    as_matrix,
-    _check_unit_trace_psd,
-    _require_hermitian,
-    _sort_descending,
-    _support_rank,
-)
+from .operators import DensityOperator, as_matrix, _checked_states, _support_rank
 
 
 def _check_level(name: str, value) -> None:
@@ -70,21 +65,19 @@ class RadarParams:
         return max(self.k, self.l) + 1
 
 
-def _radar_diagonals(base: RadarParams, levels: list, d: int) -> np.ndarray:
-    """The diagonals of rho0 and rho1 at each signal level of ``levels``,
-    zero-padded to dimension ``d``, indexed [hypothesis, level]."""
-    n = len(levels)
+def _radar_stack(base: RadarParams, levels: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho0 and rho1 at each signal level of ``levels``, indexed [hypothesis, level],
+    zero-padded to the largest level's dimension and checked as one stack
+    (``_checked_states``'s matrices, descending spectra and eigenvectors)."""
+    n, d = len(levels), max(base.k, *levels) + 1
     p = np.zeros((2, n, d))
     p[0, :, 0] += 1.0 - base.n_b
     p[0, :, base.k] += base.n_b
     p[1] = (1.0 - base.x) * p[0]
     p[1, np.arange(n), levels] += base.x
-    return p
-
-
-def _radar_states(params: RadarParams) -> tuple[DensityOperator, DensityOperator]:
-    p0, p1 = _radar_diagonals(params, [params.l], params.dim)[:, 0]
-    return DensityOperator.from_diagonal(p0), DensityOperator.from_diagonal(p1)
+    states = np.zeros((2, n, d, d), dtype=np.complex128)
+    states.reshape((2, n, d * d))[..., :: d + 1] = p
+    return _checked_states(states)
 
 
 def build_radar_pair(params: RadarParams, c0: float, c1: float) -> HypothesisPair:
@@ -93,7 +86,8 @@ def build_radar_pair(params: RadarParams, c0: float, c1: float) -> HypothesisPai
     Coinciding levels (k = 0, or l inside {0, k}) are handled by summing
     the coefficients on the shared diagonal entry.
     """
-    return HypothesisPair(*_radar_states(params), c0, c1)
+    m, w, x = _radar_stack(params, [params.l])
+    return HypothesisPair(*(DensityOperator._from_spectrum(m[i, 0], w[i, 0], x[i, 0]) for i in range(2)), c0, c1)
 
 
 def mean_photon(rho) -> float:
@@ -144,6 +138,8 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
     same support rank.  Rows come back ordered by (lam, l).
     """
     weights, lams = _check_sweep(np.array([tau], dtype=float), lambdas)
+    if not lams:
+        raise ValueError("lambdas must be a nonempty sequence of distortion prices")
     levels = list(l_values)
     if not levels:
         raise ValueError("l_values must be a nonempty sequence of signal levels")
@@ -151,12 +147,8 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
         _check_level(f"l_values[{i}]", l)
     ls = sorted(set(map(int, levels)))
     dims = [max(base.k, l) + 1 for l in ls]
-    n, d = len(ls), max(dims)
-    states = np.zeros((2, n, d, d), dtype=np.complex128)
-    states.reshape((2, n, d * d))[..., :: d + 1] = _radar_diagonals(base, ls, d)
-    states = _require_hermitian(states)
-    w, x = _sort_descending(*np.linalg.eigh(states))
-    _check_unit_trace_psd(states, w[..., -1])
+    n = len(ls)
+    states, w, x = _radar_stack(base, ls)
 
     hel = _helstrom_stack(states[0], states[1], *(np.repeat(c, n) for c in weights))
     genuine = np.empty((len(lams), n))
@@ -208,9 +200,9 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     ascending order.  Cost weights at each threshold are those of
     ``HypothesisPair.from_tau``.
 
-    After the two states are built, the sweep makes two decompositions
-    in all: one stacked Helstrom step over the grid and one stacked
-    attack step over every (price, threshold) pair.  Each point equals
+    The sweep makes three decompositions in all: one that checks the two
+    states as a stack, one stacked Helstrom step over the grid and one
+    stacked attack step over every (price, threshold) pair.  Each point equals
     (``==``) ``helstrom_measurement`` and ``optimal_attack`` run on
     ``HypothesisPair.from_tau(rho0, rho1, tau)``.
     """
@@ -219,10 +211,9 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
         raise ValueError("threshold grid must be a nonempty 1-d sequence")
     weights, lams = _check_sweep(grid, lambdas)
 
-    rho0, rho1 = _radar_states(params)
-    hel = _helstrom_stack(rho0.matrix, rho1.matrix, *weights)
-    dec = rho1.spectrum
-    att = _attack_stack(_attack_view(dec.eigenvalues, dec.eigenvectors, hel.projectors), np.array(lams))
+    m, w, x = _radar_stack(params, [params.l])
+    hel = _helstrom_stack(m[0, 0], m[1, 0], *weights)
+    att = _attack_stack(_attack_view(w[1, 0], x[1, 0], hel.projectors), np.array(lams))
     # rho0 is never distorted: its genuine P_F is P_F
     taus, p_false, p_detect = grid.tolist(), hel.p_false.tolist(), hel.p_detect.tolist()
     curves = [RocCurve(lam=None, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, p_detect)))]

@@ -7,6 +7,11 @@ import numpy as np
 from .detection import HypothesisPair, ProjectorMeasurement
 from .operators import DensityOperator, hermitian_part
 
+# Spectral floor of each state ``random_pair`` draws.
+PAIR_MIN_EIGENVALUE = 1e-3
+# Size of the rotation that tilts ``near_commuting_pair``'s rho0 off rho1's eigenbasis.
+NEAR_COMMUTING_STRENGTH = 0.05
+
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
@@ -27,23 +32,23 @@ def random_density(rng: np.random.Generator, dim: int, min_eigenvalue: float = 0
     return DensityOperator(w)
 
 
-def random_pair(rng: np.random.Generator, dim: int, min_eigenvalue: float = 1e-3) -> HypothesisPair:
+def random_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
     """Generic full-rank hypothesis pair with equal cost weights."""
     return HypothesisPair(
-        random_density(rng, dim, min_eigenvalue),
-        random_density(rng, dim, min_eigenvalue),
+        random_density(rng, dim, PAIR_MIN_EIGENVALUE),
+        random_density(rng, dim, PAIR_MIN_EIGENVALUE),
         0.5,
         0.5,
     )
 
 
-def random_spectrum(rng: np.random.Generator, dim: int, min_gap_scale: float = 1.0) -> np.ndarray:
+def random_spectrum(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Probability vector with strictly separated entries, descending.
 
-    Consecutive gaps are at least ``min_gap_scale / (2 * dim**2)`` of the
-    total mass, so the spectrum is simple by construction.
+    The smallest entry and every consecutive gap are at least
+    ``1 / (dim * (dim + 1))``, so the spectrum is simple by construction.
     """
-    raw = rng.uniform(min_gap_scale, 2.0 * min_gap_scale, dim)
+    raw = rng.uniform(1.0, 2.0, dim)
     levels = np.cumsum(raw)
     p = levels / levels.sum()
     return p[::-1].copy()
@@ -60,12 +65,12 @@ def random_commuting_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
     return HypothesisPair(rho0, rho1, 0.5, 0.5)
 
 
-def near_commuting_pair(rng: np.random.Generator, dim: int, strength: float = 0.05) -> HypothesisPair:
+def near_commuting_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
     """Almost-commuting pair: shared basis for rho1, slightly rotated for rho0.
 
     ``rho1`` gets a well-separated spectrum; ``rho0``'s eigenbasis is tilted
-    by exp(i * strength * K) for a random Hermitian K, which keeps the
-    off-diagonal projector overlaps small relative to the spectral gaps.
+    by exp(i * NEAR_COMMUTING_STRENGTH * K) for a random unit-norm Hermitian
+    K, which keeps the off-diagonal projector overlaps small relative to the spectral gaps.
     """
     u = haar_unitary(rng, dim)
     p1 = random_spectrum(rng, dim)
@@ -75,7 +80,7 @@ def near_commuting_pair(rng: np.random.Generator, dim: int, strength: float = 0.
     k = hermitian_part(g)
     k = k / max(np.linalg.norm(k, 2), 1e-12)
     w, vk = np.linalg.eigh(k)
-    tilt = (vk * np.exp(1j * strength * w)) @ vk.conj().T
+    tilt = (vk * np.exp(1j * NEAR_COMMUTING_STRENGTH * w)) @ vk.conj().T
     u0 = tilt @ u
     rho1 = DensityOperator(hermitian_part((u * p1) @ u.conj().T))
     rho0 = DensityOperator(hermitian_part((u0 * p0) @ u0.conj().T))

@@ -11,9 +11,11 @@ reported but never failed.
 The closed-form work runs through the library's stacked steps, whose
 members are bit-identical to the public functions' results: checks 1
 and 2 solve each instance's prices in one attack step
-(``_optimal_attacks``), and check 5 solves its 10 pairs in one Helstrom
-step, charts them in one ``_attack_view`` and decomposes their 10 x 2
-exponents at once (``_perturbation_stack``).  The oracle runs once per
+(``_optimal_attacks``), and check 5 builds no pair objects: it checks
+its 10 rho1 as one stack (``_checked_states``, whose spectra chart
+them), solves the 10 pairs in one Helstrom step, charts them in one
+``_attack_view`` and decomposes their 10 x 2 exponents at once
+(``_perturbation_stack``).  The oracle runs once per
 (instance, price).
 """
 
@@ -38,8 +40,8 @@ from .adversary import (
 )
 from .channels import apply_channel, completeness_residual, realize_channel
 from .config import VerifyOptions
-from .detection import HypothesisPair, _helstrom_stack, helstrom_measurement
-from .operators import DensityOperator, hermitian_part
+from .detection import _helstrom_stack, helstrom_measurement
+from .operators import _checked_states
 from .sampling import haar_unitary, near_commuting_pair, random_commuting_pair, random_density, random_pair
 
 ORACLE_STATE_TOL = 1e-5
@@ -223,24 +225,18 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
     )
 
     # 5. perturbation residual scaling on well-gapped simple spectra
-    #    (the 10 pairs in one Helstrom step, their 10 x 2 exponents in one
-    #    decomposition; each figure is the one perturbation_estimate reports)
+    #    (the 10 rho1 checked as one stack, the 10 pairs in one Helstrom step,
+    #    their 10 x 2 exponents in one decomposition; each figure is the one
+    #    perturbation_estimate reports)
     rng = np.random.default_rng(seed + 4)
-    pairs = []
+    rho0s, rho1s = [], []
     for _ in range(10):
         u = haar_unitary(rng, 4)
-        rho1 = DensityOperator(hermitian_part((u * np.array([0.4, 0.3, 0.2, 0.1])) @ u.conj().T))
-        pairs.append(HypothesisPair(random_density(rng, 4, 1e-3), rho1, 0.5, 0.5))
-    hel = _helstrom_stack(
-        np.stack([p.rho0.matrix for p in pairs]),
-        np.stack([p.rho1.matrix for p in pairs]),
-        np.array([p.c0 for p in pairs]),
-        np.array([p.c1 for p in pairs]),
-    )
-    spectra = [p.rho1.spectrum for p in pairs]
-    view = _attack_view(
-        np.stack([s.eigenvalues for s in spectra]), np.stack([s.eigenvectors for s in spectra]), hel.projectors
-    )
+        rho1s.append((u * np.array([0.4, 0.3, 0.2, 0.1])) @ u.conj().T)
+        rho0s.append(random_density(rng, 4, 1e-3).matrix)
+    rho1, w, x = _checked_states(np.stack(rho1s))
+    hel = _helstrom_stack(np.stack(rho0s), rho1, np.full(10, 0.5), np.full(10, 0.5))
+    view = _attack_view(w, x, hel.projectors)
     residuals = np.abs(_perturbation_stack(view.r, view.pi_s, np.array([10.0, 100.0])).residual).max(axis=-1)
     res10, res100 = residuals[:, 0], residuals[:, 1]
     worst_res = float(res100.max())

@@ -147,20 +147,44 @@ def test_attack_rejects_nonpositive_lambda():
             optimal_attack(pair, res.pi1, lam)
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
-def test_price_entry_points_reject_nonfinite_lambda(lam):
+def _price_entry_points(lam):
     pair = radar_pair()
     pi1 = helstrom_measurement(pair).pi1
-    calls = (
+    return (
         lambda: optimal_attack(pair, pi1, lam),
         lambda: oracle_attack(pair, pi1, lam),
         lambda: perturbation_estimate(pair, pi1, lam),
         lambda: attacker_utility(pair.rho1, pair.rho0, pi1, pair, lam),
         lambda: detection_bounds(0.9, lam),
     )
-    for call in calls:
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_price_entry_points_reject_nonfinite_lambda(lam):
+    for call in _price_entry_points(lam):
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             call()
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-309, 5.562684646268003e-309])
+def test_price_entry_points_reject_a_price_whose_reciprocal_overflows(lam):
+    # 5.562684646268003e-309 is 1/(max float) rounded; its reciprocal is inf
+    for call in _price_entry_points(lam):
+        with pytest.raises(ValueError, match="lam must have a finite reciprocal 1/lam"):
+            call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [1e-308, 5.56268464626801e-309])
+def test_attack_solves_at_the_smallest_prices(lam):
+    # the smallest accepted price, nextafter(1/max float, 1), still gives a
+    # finite answer inside the envelope
+    pair = radar_pair()
+    hel = helstrom_measurement(pair)
+    sol = optimal_attack(pair, hel.pi1, lam)
+    assert math.isfinite(sol.utility) and math.isfinite(sol.z1)
+    lower, upper = detection_bounds(hel.p_detect, lam)
+    assert lower - BOUND_TOL <= sol.genuine_p_detect <= upper + BOUND_TOL
 
 
 def test_attack_zero_projector_is_identity_map():

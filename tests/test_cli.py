@@ -130,7 +130,7 @@ def test_attack_lambda_override_multiple(capsys, radar_config_path):
 
 
 def test_attack_decomposes_one_exponent_for_all_prices(capsys, monkeypatch):
-    # the two states and one Helstrom step, then one stacked attack step
+    # the two states checked as one stack and one Helstrom step, then one stacked attack step
     # over the scenario's three prices (not one exponent per price)
     shapes = []
     inner = np.linalg.eigh
@@ -142,7 +142,7 @@ def test_attack_decomposes_one_exponent_for_all_prices(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     code, _, _ = run_cli(capsys, "attack", "--config", str(DATA / "radar_readme.json"))
     assert code == 0
-    assert shapes == [(3, 3), (3, 3), (1, 3, 3), (3, 1, 3, 3)]
+    assert shapes == [(2, 1, 3, 3), (1, 3, 3), (3, 1, 3, 3)]
 
 
 def test_attack_rejects_nonpositive_lambda(capsys, radar_config_path):
@@ -151,6 +151,16 @@ def test_attack_rejects_nonpositive_lambda(capsys, radar_config_path):
     )
     assert code == 2
     assert "--lambda" in err
+
+
+def test_attack_rejects_a_lambda_whose_reciprocal_overflows(capsys, radar_config_path):
+    code, out, err = run_cli(capsys, "attack", "--config", radar_config_path, "--lambda", "1e-309")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --lambda: distortion price lam must have a finite reciprocal 1/lam, got 1e-309\n"
+    code, out, _ = run_cli(capsys, "attack", "--config", radar_config_path, "--lambda", "1e-308", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("1.00000000000e-308,")
 
 
 def test_attack_requires_some_lambda(capsys, tmp_path):

@@ -4,15 +4,18 @@ Each scenario under ``tests/data`` sits next to the outputs its
 subcommands wrote at an earlier commit, in both formats for every
 subcommand the scenario supports: CSV with 12 significant digits, and
 JSON at full precision (``detect`` with the spectrum and the projector,
-``attack`` with the utility, Z1 and rho1').  A change that moves any
-digit shows up here.
+``attack`` with the utility, Z1 and rho1').  ``verify_seed0.json`` holds
+``qspoof verify --seed 0`` without its wall-clock time.  A change that
+moves any digit shows up here.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from qspoof import cli
+from qspoof.serialize import json_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,3 +58,11 @@ def test_csv_output_matches_golden(tmp_path, scenario, command):
 @pytest.mark.parametrize("scenario,command", CASES["json"])
 def test_json_output_matches_golden(tmp_path, scenario, command):
     assert_golden(tmp_path, scenario, command, "json")
+
+
+def test_verify_output_matches_golden(tmp_path):
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--seed", "0", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report.pop("wall_clock_seconds") > 0.0
+    assert json_text(report) == (DATA / "verify_seed0.json").read_text(encoding="utf-8")

@@ -19,6 +19,8 @@ from qspoof import (
     trace_product,
 )
 
+from qspoof import operators
+
 RECONSTRUCT_TOL = 1e-10
 ENTROPY_TOL = 1e-12
 LN2 = 0.6931471805599453
@@ -316,6 +318,34 @@ def test_density_operator_keeps_its_spectrum():
         rho.spectrum.eigenvalues[0] = 2.0
     with pytest.raises(ValueError):
         rho.spectrum.eigenvectors[0, 0] = 2.0
+
+
+def test_checked_stack_equals_each_state_checked_alone():
+    rng = np.random.default_rng(13)
+    states = [random_state(rng, 4) for _ in range(6)]
+    m, w, x = operators._checked_states(np.stack([s.matrix for s in states]))
+    for j, state in enumerate(states):
+        assert np.array_equal(m[j], state.matrix)
+        assert np.array_equal(w[j], state.spectrum.eigenvalues)
+        assert np.array_equal(x[j], state.spectrum.eigenvectors)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (np.diag([0.5, 0.6]), "trace 1.1 deviates from 1"),
+        (np.diag([1.5, -0.5]), "smallest eigenvalue -5.000000e-01"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+    ],
+)
+def test_checked_stack_raises_as_its_bad_state_alone(bad, message):
+    good = np.eye(2) / 2
+    stack = np.stack([good, bad, good]).astype(np.complex128)
+    with pytest.raises(ValueError, match=message) as in_stack:
+        operators._checked_states(stack)
+    with pytest.raises(ValueError) as alone:
+        DensityOperator(bad)
+    assert str(in_stack.value) == str(alone.value)
 
 
 def test_relative_entropy_reads_stored_spectra(monkeypatch):

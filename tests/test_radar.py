@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qspoof import (
+    DensityOperator,
     HypothesisPair,
     PhotonSweepRow,
     RadarParams,
@@ -46,6 +47,31 @@ def test_l_equals_k_overlapping_signal():
     assert np.allclose(np.diag(pair.rho1.matrix).real, [0.06, 0.94], atol=1e-14)
 
 
+def _lone_states(params):
+    """rho0 and rho1 of the model, each built and checked on its own."""
+    p0 = np.zeros(params.dim)
+    p0[0] += 1.0 - params.n_b
+    p0[params.k] += params.n_b
+    p1 = (1.0 - params.x) * p0
+    p1[params.l] += params.x
+    return DensityOperator.from_diagonal(p0), DensityOperator.from_diagonal(p1)
+
+
+def test_radar_pair_equals_its_states_built_alone():
+    # the pair's states come out of one checked stack; matrices and spectra
+    # are the ones each state gets from its own constructor, to the bit
+    rng = np.random.default_rng(5)
+    grid = [RadarParams(n_b, x, k, l) for n_b in (0.0, 1.0) for x in (0.0, 1.0) for k in (0, 2) for l in (0, 2, 3)]
+    for _ in range(40):
+        grid.append(RadarParams(rng.uniform(), rng.uniform(), int(rng.integers(0, 7)), int(rng.integers(0, 9))))
+    for params in grid:
+        pair = build_radar_pair(params, 0.5, 0.5)
+        for got, want in zip((pair.rho0, pair.rho1), _lone_states(params)):
+            assert np.array_equal(got.matrix, want.matrix)
+            assert np.array_equal(got.spectrum.eigenvalues, want.spectrum.eigenvalues)
+            assert np.array_equal(got.spectrum.eigenvectors, want.spectrum.eigenvectors)
+
+
 def test_dim_covers_both_levels():
     assert RadarParams(n_b=0.1, x=0.5, k=5, l=2).dim == 6
     assert RadarParams(n_b=0.1, x=0.5, k=1, l=7).dim == 8
@@ -72,7 +98,7 @@ def test_params_reject_a_level_that_is_not_a_nonnegative_integer(field, value):
 def test_params_accept_numpy_integers():
     params = RadarParams(n_b=0.4, x=0.5, k=np.int64(3), l=np.int32(5))
     assert params.dim == 6
-    assert build_radar_pair(params, 0.5, 0.5).dim == 6
+    assert build_radar_pair(params, 0.5, 0.5).rho0.dim == 6
 
 
 def test_mean_photon_values():
@@ -165,6 +191,11 @@ def test_photon_sweep_accepts_numpy_integer_levels():
 def test_photon_sweep_rejects_no_levels():
     with pytest.raises(ValueError, match="^l_values must be a nonempty sequence of signal levels$"):
         photon_sweep(REF, [], [1.0], tau=1.0)
+
+
+def test_photon_sweep_rejects_no_prices():
+    with pytest.raises(ValueError, match="^lambdas must be a nonempty sequence of distortion prices$"):
+        photon_sweep(REF, [1, 2], [], tau=1.0)
 
 
 def test_photon_sweep_large_lambda_recovers_counterfactual():
@@ -359,11 +390,11 @@ def _count_eigh(monkeypatch):
 @pytest.mark.parametrize("n_tau", [1, 7, 60])
 @pytest.mark.parametrize("n_lam", [1, 4])
 def test_roc_sweep_decomposes_twice_after_state_setup(monkeypatch, n_tau, n_lam):
-    # building rho0 and rho1 validates each with one eigh; then one stacked
-    # Helstrom step over the grid and one stacked attack step over it all
+    # rho0 and rho1 are checked as one stacked eigh; then one stacked Helstrom
+    # step over the grid and one stacked attack step over it all
     calls = _count_eigh(monkeypatch)
     roc_sweep(REF, lambdas=[0.5 * (j + 1) for j in range(n_lam)], tau_grid=default_tau_grid(n_tau))
-    assert calls == [(), (), (n_tau,), (n_lam, n_tau)]
+    assert calls == [(2, 1), (n_tau,), (n_lam, n_tau)]
 
 
 @pytest.mark.parametrize("levels", [[2], [0, 1, 4], range(6)])

@@ -170,6 +170,12 @@ def test_parse_rejects_nonpositive_lambda():
         parse_config(radar_config(attack={"lambdas": [1.0, 0.0]}))
 
 
+def test_parse_rejects_a_price_whose_reciprocal_overflows():
+    with pytest.raises(ConfigError, match=r"^attack\.lambdas\[1\]: .*finite reciprocal 1/lam, got 1e-309$"):
+        parse_config(radar_config(attack={"lambdas": [1.0, 1e-309]}))
+    assert parse_config(radar_config(attack={"lambdas": [1e-308]})).lambdas == (1e-308,)
+
+
 def test_parse_rejects_bad_tau_grid():
     with pytest.raises(ConfigError, match="tau_grid"):
         parse_config(radar_config(sweep={"tau_grid": [2.0, 1.0]}))

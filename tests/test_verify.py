@@ -81,9 +81,10 @@ def test_perturbation_check_equals_the_public_loop(seed):
 
 
 def test_perturbation_check_is_one_stacked_step(monkeypatch):
-    # the 10 pairs go through one Helstrom step and their 10 x 2 exponents
-    # through one decomposition; the other 4 x 4 decompositions are the
-    # 20 states' own, made when they are built
+    # the 10 rho1 are checked as one stack, the 10 pairs go through one
+    # Helstrom step and their 10 x 2 exponents through one decomposition;
+    # the other 4 x 4 decompositions are the 10 rho0's own, made when they
+    # are drawn
     helstrom = []
     inner_helstrom = verify._helstrom_stack
 
@@ -102,5 +103,5 @@ def test_perturbation_check_is_one_stacked_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     run_verification(seed=0, options=TINY)
     assert helstrom == [(10, 4, 4)]
-    assert [s for s in shapes if s[-1] == 4 and len(s) > 2] == [(10, 4, 4), (10, 2, 4, 4)]
-    assert shapes.count((4, 4)) == 20
+    assert [s for s in shapes if s[-1] == 4 and len(s) > 2] == [(10, 4, 4), (10, 4, 4), (10, 2, 4, 4)]
+    assert shapes.count((4, 4)) == 10
