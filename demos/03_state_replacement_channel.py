@@ -46,7 +46,7 @@ print(f"d = 4 replacement: {len(ch.operators)} operators, "
       f"action error {np.linalg.norm(out.matrix - target.matrix):.2e}")
 
 # Drop one operator: the channel leaks trace and is rejected.
-broken = KrausChannel(dim=4, operators=ch.operators[:-1])
+broken = KrausChannel(ch.operators[:-1])
 print()
 print(f"after dropping an operator the residual is {completeness_residual(broken):.2e}")
 try:

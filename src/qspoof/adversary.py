@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detection import HypothesisPair, ProjectorMeasurement, _checked_rate, _checked_rates
+from .detection import HypothesisPair, ProjectorMeasurement, _checked_rate, _checked_rates, _number
 from .operators import (
     DensityOperator,
     as_matrix,
@@ -66,6 +66,8 @@ SERIES_PRICE = 1e5
 ORACLE_MEMORY = 8
 # The oracle stops once an accepted step improves the utility by less than this.
 ORACLE_TOL = 1e-14
+# Accepted steps the oracle takes before it gives up (OracleConvergenceError).
+ORACLE_ITERATIONS = 5000
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,22 +89,26 @@ class AttackerSolution:
 
 
 class OracleConvergenceError(RuntimeError):
-    """Numerical minimizer ran out of iterations; carries the best iterate."""
+    """Numerical minimizer ran out of iterations (``ORACLE_ITERATIONS``); carries the best iterate."""
 
-    def __init__(self, message: str, best_state: DensityOperator, best_utility: float, iterations: int):
+    def __init__(self, message: str, best_state: DensityOperator, best_utility: float):
         super().__init__(message)
         self.best_state = best_state
         self.best_utility = best_utility
-        self.iterations = iterations
+        self.iterations = ORACLE_ITERATIONS
 
 
-def _check_price(lam: float) -> None:
-    """The price rule of config's ``lambdas`` fields: a finite positive number
-    whose reciprocal, the scale of ``Pi1/lam`` in the exponent, is finite too."""
-    if not 0.0 < lam < math.inf:
+def _check_price(lam) -> float:
+    """The price rule of config's ``lambdas`` fields: a finite positive real
+    number, never a bool, whose reciprocal, the scale of ``Pi1/lam`` in the
+    exponent, is finite too.  Returns the price as a float (``_number``), so
+    an int beyond float range fails the rule, not the conversion."""
+    x = _number(lam, "distortion price lam")
+    if not 0.0 < x < math.inf:
         raise ValueError(f"distortion price lam must be positive and finite, got {lam!r}")
-    if math.isinf(1.0 / float(lam)):
+    if math.isinf(1.0 / x):
         raise ValueError(f"distortion price lam must have a finite reciprocal 1/lam, got {lam!r}")
+    return x
 
 
 def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: float) -> float:
@@ -111,7 +117,7 @@ def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: flo
     Returns ``math.inf`` when either distorted state escapes the support of
     the state it replaces (infinite relative-entropy price).
     """
-    _check_price(lam)
+    lam = _check_price(lam)
     s1 = relative_entropy(rho1_prime, pair.rho1)
     s0 = relative_entropy(rho0_prime, pair.rho0)
     if math.isinf(s1) or math.isinf(s0):
@@ -318,11 +324,10 @@ def optimal_attack(pair: HypothesisPair, pi1, lam: float) -> AttackerSolution:
 def _optimal_attacks(pair: HypothesisPair, pi1, lams) -> list[AttackerSolution]:
     """``optimal_attack`` at each price of ``lams``, from one stacked attack
     step; each solution is bit-identical to the one solved alone."""
-    for lam in lams:
-        _check_price(lam)
+    lams = [_check_price(lam) for lam in lams]
     entry = _pair_view(pair, pi1)
     view = entry.view
-    att = _attack_stack(view, np.array(lams, dtype=float))
+    att = _attack_stack(view, np.array(lams))
     return [
         AttackerSolution(
             rho1_prime=_lifted_state(view.kernel, att.gibbs, (i, 0)),
@@ -345,7 +350,7 @@ def detection_bounds(p_detect: float, lam: float) -> tuple[float, float]:
     empirically in the noncommuting case for lam >= 2 whenever the spectral
     gap condition reported by :func:`gap_condition_sums` is satisfied.
     """
-    _check_price(lam)
+    lam = _check_price(lam)
     return p_detect * math.exp(-1.0 / lam), p_detect
 
 
@@ -353,9 +358,7 @@ def detection_bounds(p_detect: float, lam: float) -> tuple[float, float]:
 class BoundReport:
     """Genuine detection rate against its envelope, with satisfaction flags."""
 
-    p_detect: float
     genuine_p_detect: float
-    lam: float
     lower: float
     upper: float
     lower_satisfied: bool
@@ -366,9 +369,7 @@ class BoundReport:
         """The envelope of ``detection_bounds``, each side flagged within ``BOUND_TOL``."""
         lower, upper = detection_bounds(p_detect, lam)
         return cls(
-            p_detect=p_detect,
             genuine_p_detect=genuine_p_detect,
-            lam=lam,
             lower=lower,
             upper=upper,
             lower_satisfied=genuine_p_detect >= lower - BOUND_TOL,
@@ -470,12 +471,7 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
     return -q
 
 
-def oracle_attack(
-    pair: HypothesisPair,
-    pi1,
-    lam: float,
-    iterations: int = 5000,
-) -> DensityOperator:
+def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
     """Numerical minimizer of the interceptor objective, independent of the closed form.
 
     Optimizes over the exponential-family chart sigma = exp(H)/Tr exp(H)
@@ -493,10 +489,10 @@ def oracle_attack(
     Raises
     ------
     OracleConvergenceError
-        After ``iterations`` accepted steps without meeting ``ORACLE_TOL``; the
-        error carries the best iterate and its utility.
+        After ``ORACLE_ITERATIONS`` accepted steps without meeting
+        ``ORACLE_TOL``; the error carries the best iterate and its utility.
     """
-    _check_price(lam)
+    lam = _check_price(lam)
     pi_m = as_matrix(pi1)
     dec = pair.rho1.spectrum
     r, v, kernel, _, pi_s = _attack_view(dec.eigenvalues, dec.eigenvectors, pi_m)
@@ -512,7 +508,7 @@ def oracle_attack(
     grad = _chart_gradient(point, cost, lam)
     pairs = deque(maxlen=ORACLE_MEMORY)
     improvement = math.inf
-    for _ in range(iterations):
+    for _ in range(ORACLE_ITERATIONS):
         gnorm2 = _dot(grad, grad)
         if gnorm2 <= 1e-28:
             return lift(point)
@@ -544,10 +540,9 @@ def oracle_attack(
             return lift(point)
     best = lift(point)
     raise OracleConvergenceError(
-        f"no convergence after {iterations} iterations (last improvement {improvement:.3e})",
+        f"no convergence after {ORACLE_ITERATIONS} iterations (last improvement {improvement:.3e})",
         best_state=best,
         best_utility=attacker_utility(best, pair.rho0, pi_m, pair, lam),
-        iterations=iterations,
     )
 
 
@@ -584,17 +579,18 @@ class PerturbationReport:
     ln r_i - beta_i/lam and ``residual`` their difference.  ``applicable``
     is False when rho1 is rank-deficient, its spectrum is not simple, or
     the overlap matching was ambiguous; residuals are still reported.
+    ``gap_sums`` equals :func:`gap_condition_sums` only on a full-rank rho1;
+    on a rank-deficient one it is ``inf`` on every level (the condition fails),
+    while ``gap_condition_sums`` also sums over the kernel's zero levels.
     """
 
     lam: float
-    r1: np.ndarray
     beta: np.ndarray
     exact: np.ndarray
     estimate: np.ndarray
     residual: np.ndarray
     match_overlap: np.ndarray
     cluster_flags: np.ndarray
-    min_gap: float
     gap_sums: np.ndarray
     gap_condition_holds: bool
     full_rank: bool
@@ -656,22 +652,21 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
     paired to levels of rho1 by maximal eigenvector overlap, so reordering
     caused by the shift cannot corrupt the residuals.  The report flags
     near-degenerate clusters (eigenvalue gaps below ``CLUSTER_TOL``) and
-    evaluates the trust condition of :func:`gap_condition_sums`.  Like
+    evaluates the trust condition of :func:`gap_condition_sums` on a
+    full-rank rho1 (see ``PerturbationReport`` for a rank-deficient one).  Like
     ``optimal_attack`` it takes rho1's support chart and Pi1 in it from
     the view stored for a ``ProjectorMeasurement``.  The spectral part is
     the stacked step ``_perturbation_stack`` (the one ``verify`` runs over
     its pairs and prices) with a stack of one; the cluster flags, gap sums
     and rank flag are computed per call.
     """
-    _check_price(lam)
+    lam = _check_price(lam)
     view = _pair_view(pair, pi1).view
     r, pi_s = view.r, view.pi_s[0]
     n = r.shape[0]
     full_rank = n == pair.rho1.dim
 
-    gaps = -np.diff(r)
-    min_gap = float(np.min(gaps)) if n > 1 else math.inf
-    close = gaps < CLUSTER_TOL
+    close = -np.diff(r) < CLUSTER_TOL
     cluster = np.zeros(n, dtype=bool)
     cluster[:-1] |= close
     cluster[1:] |= close
@@ -685,14 +680,12 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
 
     return PerturbationReport(
         lam=lam,
-        r1=_read_only(r),
         beta=_read_only(pert.beta[0]),
         exact=_read_only(pert.exact[at]),
         estimate=_read_only(pert.estimate[at]),
         residual=_read_only(pert.residual[at]),
         match_overlap=_read_only(pert.match_overlap[at]),
         cluster_flags=_read_only(cluster),
-        min_gap=min_gap,
         gap_sums=_read_only(gap_sums),
         gap_condition_holds=gap_holds,
         full_rank=full_rank,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityOperator, as_matrix, hermitian_part, spectral_decompose
+from .operators import DensityOperator, as_matrix, spectral_decompose
 
 # Channels whose completeness residual exceeds this are refused application.
 COMPLETENESS_TOL = 1e-8
@@ -25,9 +25,9 @@ WEIGHT_DROP_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """An ordered set of same-dimension operators defining a channel."""
+    """An ordered set of square operators of one shape defining a channel;
+    its dimension is read off operator 0."""
 
-    dim: int
     operators: tuple
 
     def __post_init__(self):
@@ -35,15 +35,20 @@ class KrausChannel:
             raise ValueError("a channel needs at least one operator")
         ops = []
         for idx, op in enumerate(self.operators):
-            m = np.asarray(op, dtype=np.complex128)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"operator {idx} has shape {m.shape}, expected ({self.dim}, {self.dim})")
+            m = np.array(op, dtype=np.complex128)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"operator {idx} has shape {m.shape}, expected a square matrix")
+            if ops and m.shape != ops[0].shape:
+                raise ValueError(f"operator {idx} has shape {m.shape}, expected {ops[0].shape}")
             if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
                 raise ValueError(f"operator {idx} contains non-finite entries")
-            m = m.copy()
             m.flags.writeable = False
             ops.append(m)
         object.__setattr__(self, "operators", tuple(ops))
+
+    @property
+    def dim(self) -> int:
+        return self.operators[0].shape[0]
 
 
 def completeness_residual(channel: KrausChannel) -> float:
@@ -75,7 +80,7 @@ def realize_channel(rho: DensityOperator, rho_target: DensityOperator) -> KrausC
             e = np.zeros((d, d), dtype=np.complex128)
             e[:, j] = col
             ops.append(e)
-    return KrausChannel(dim=d, operators=tuple(ops))
+    return KrausChannel(tuple(ops))
 
 
 def apply_channel(channel: KrausChannel, rho) -> DensityOperator:
@@ -98,4 +103,4 @@ def apply_channel(channel: KrausChannel, rho) -> DensityOperator:
     out = np.zeros_like(m)
     for op in channel.operators:
         out += op @ m @ op.conj().T
-    return DensityOperator(hermitian_part(out))
+    return DensityOperator(out)

@@ -119,9 +119,7 @@ def _positive(value, where: str, what: str) -> float:
 
 
 def _price(value, where: str) -> float:
-    lam = _positive(value, where, "distortion price")
-    _named(where, _check_price, lam)
-    return lam
+    return _named(where, _check_price, _positive(value, where, "distortion price"))
 
 
 def _tau(value, where: str) -> float:

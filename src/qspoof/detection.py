@@ -14,6 +14,7 @@ which must be finite), ``_cost_weights`` (tau to weights) and ``_risk``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +23,6 @@ import numpy as np
 from .operators import (
     DensityOperator,
     as_matrix,
-    hermitian_part,
     trace_product,
     _read_only,
     _require_hermitian,
@@ -67,7 +67,7 @@ class ProjectorMeasurement:
     def from_columns(cls, columns: np.ndarray) -> "ProjectorMeasurement":
         """Projector onto the span of orthonormal columns."""
         v = np.asarray(columns, dtype=np.complex128)
-        return cls(hermitian_part(v @ v.conj().T), v.shape[1])
+        return cls(v @ v.conj().T, v.shape[1])
 
 
 def _check_projectors(m: np.ndarray, ranks=None) -> tuple[np.ndarray, np.ndarray]:
@@ -89,6 +89,17 @@ def _check_projectors(m: np.ndarray, ranks=None) -> tuple[np.ndarray, np.ndarray
         i = int(np.argmax(off))
         raise ValueError(f"rank {np.ravel(ranks)[i]} does not match trace {float(np.ravel(tr)[i])!r}")
     return m, ranks
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float: a real number, never a bool; an int beyond float range reads as +-inf."""
+    # float and int are Reals; naming them first skips the slower ABC check for them
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _threshold(c0, c1):
@@ -150,6 +161,7 @@ class HypothesisPair:
     @classmethod
     def from_tau(cls, rho0: DensityOperator, rho1: DensityOperator, tau: float) -> "HypothesisPair":
         """Pair with cost weights c0 = 1/(1+tau), c1 = tau/(1+tau)."""
+        tau = _number(tau, "threshold tau")
         if tau < 0:
             raise ValueError("threshold must be nonnegative")
         return cls(rho0, rho1, *_cost_weights(tau))
@@ -206,9 +218,10 @@ class _HelstromStack(NamedTuple):
 def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> _HelstromStack:
     """The risk-optimal projector of ``rho1 - tau*rho0`` and its Bayes risk for each cost weight pair.
 
-    ``c0`` and ``c1`` are vectors of N weights.  ``rho0`` and ``rho1`` are
-    either the two states' matrices, shared by every threshold, or stacks
-    of N matrices, one pair per weight pair.  One ``eigh`` call decomposes
+    ``c0`` and ``c1`` are vectors of weights and ``rho0`` and ``rho1`` the
+    two states' matrices or stacks of them; the two broadcast against each
+    other: N weight pairs on one pair of states, one weight pair on N pairs
+    of states, or N of each.  One ``eigh`` call decomposes
     the whole stack; each projector is built from its kept (leading)
     eigenvector columns, with one matrix product per distinct rank, and
     the stack then passes the projector and rate checks.  A point's result

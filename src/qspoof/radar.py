@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import _attack_stack, _attack_view, _check_price
-from .detection import HypothesisPair, _cost_weights, _helstrom_stack
+from .detection import HypothesisPair, _cost_weights, _helstrom_stack, _number
 from .operators import DensityOperator, as_matrix, _checked_states, _support_rank
 
 
@@ -59,10 +59,6 @@ class RadarParams:
             raise ValueError(f"x must lie in [0, 1], got {self.x!r}")
         _check_level("k", self.k)
         _check_level("l", self.l)
-
-    @property
-    def dim(self) -> int:
-        return max(self.k, self.l) + 1
 
 
 def _radar_stack(base: RadarParams, levels: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,23 +92,22 @@ def mean_photon(rho) -> float:
     return float(np.dot(np.arange(m.shape[0]), np.diag(m).real))
 
 
-def default_tau_grid(n: int = 60, lo: float = 1e-2, hi: float = 1e2) -> np.ndarray:
-    """Logarithmically spaced threshold grid, 60 points in [1e-2, 1e2] by default."""
-    return np.logspace(np.log10(lo), np.log10(hi), n)
+def default_tau_grid() -> np.ndarray:
+    """Logarithmically spaced threshold grid, 60 points in [1e-2, 1e2]."""
+    return np.logspace(-2.0, 2.0, 60)
 
 
-def _check_sweep(taus: np.ndarray, lambdas) -> tuple:
-    """The cost weights (c0, c1) of a vector of thresholds and the distinct prices, ascending,
-    under the rules of config's ``tau_grid`` and ``lambdas`` fields (thresholds with a finite c1/c0)."""
-    for tau in taus.tolist():
-        if not 0.0 < tau < math.inf:
-            raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
-    if np.any(np.diff(taus) <= 0):
+def _check_sweep(taus: list, lambdas) -> tuple:
+    """The thresholds as floats with their cost weights (c0, c1), and the distinct prices, ascending,
+    under the rules of config's ``tau_grid`` and ``lambdas`` fields.  A threshold is a real number,
+    never a bool, converted once (``_number``), positive and finite, with a finite c1/c0."""
+    grid = np.array([_number(tau, "threshold tau") for tau in taus])
+    bad = ~((grid > 0.0) & (grid < math.inf))
+    if bad.any():
+        raise ValueError(f"threshold tau must be positive and finite, got {taus[int(np.argmax(bad))]!r}")
+    if np.any(np.diff(grid) <= 0):
         raise ValueError("threshold grid must be strictly increasing")
-    lams = [float(v) for v in lambdas]
-    for lam in lams:
-        _check_price(lam)
-    return _cost_weights(taus), sorted(set(lams))
+    return grid, _cost_weights(grid), sorted(set(map(_check_price, lambdas)))
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,7 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
     attack step covers all prices and every level whose rho1 has the
     same support rank.  Rows come back ordered by (lam, l).
     """
-    weights, lams = _check_sweep(np.array([tau], dtype=float), lambdas)
+    _, weights, lams = _check_sweep([tau], lambdas)
     if not lams:
         raise ValueError("lambdas must be a nonempty sequence of distortion prices")
     levels = list(l_values)
@@ -147,11 +142,10 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
         _check_level(f"l_values[{i}]", l)
     ls = sorted(set(map(int, levels)))
     dims = [max(base.k, l) + 1 for l in ls]
-    n = len(ls)
     states, w, x = _radar_stack(base, ls)
 
-    hel = _helstrom_stack(states[0], states[1], *(np.repeat(c, n) for c in weights))
-    genuine = np.empty((len(lams), n))
+    hel = _helstrom_stack(states[0], states[1], *weights)
+    genuine = np.empty((len(lams), len(ls)))
     ranks = _support_rank(w[1])
     for k in sorted(set(ranks.tolist())):
         at = ranks == k
@@ -206,10 +200,10 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     (``==``) ``helstrom_measurement`` and ``optimal_attack`` run on
     ``HypothesisPair.from_tau(rho0, rho1, tau)``.
     """
-    grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
+    grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=object)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("threshold grid must be a nonempty 1-d sequence")
-    weights, lams = _check_sweep(grid, lambdas)
+    grid, weights, lams = _check_sweep(grid.tolist(), lambdas)
 
     m, w, x = _radar_stack(params, [params.l])
     hel = _helstrom_stack(m[0, 0], m[1, 0], *weights)

@@ -60,8 +60,8 @@ def random_commuting_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
     p0 = random_spectrum(rng, dim)
     p1 = random_spectrum(rng, dim)
     rng.shuffle(p1)
-    rho0 = DensityOperator(hermitian_part((u * p0) @ u.conj().T))
-    rho1 = DensityOperator(hermitian_part((u * p1) @ u.conj().T))
+    rho0 = DensityOperator((u * p0) @ u.conj().T)
+    rho1 = DensityOperator((u * p1) @ u.conj().T)
     return HypothesisPair(rho0, rho1, 0.5, 0.5)
 
 
@@ -82,8 +82,8 @@ def near_commuting_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
     w, vk = np.linalg.eigh(k)
     tilt = (vk * np.exp(1j * NEAR_COMMUTING_STRENGTH * w)) @ vk.conj().T
     u0 = tilt @ u
-    rho1 = DensityOperator(hermitian_part((u * p1) @ u.conj().T))
-    rho0 = DensityOperator(hermitian_part((u0 * p0) @ u0.conj().T))
+    rho1 = DensityOperator((u * p1) @ u.conj().T)
+    rho0 = DensityOperator((u0 * p0) @ u0.conj().T)
     return HypothesisPair(rho0, rho1, 0.5, 0.5)
 
 

@@ -137,13 +137,9 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
     lower_viol = 0
     informational = []
     for idx in range(options.instances):
-        if options.commuting_only:
-            pair = random_commuting_pair(rng, int(rng.integers(2, options.max_dim + 1)))
-            commuting = True
-        else:
-            commuting = idx % 2 == 0
-            d = int(rng.integers(2, options.max_dim + 1))
-            pair = random_commuting_pair(rng, d) if commuting else near_commuting_pair(rng, d)
+        commuting = options.commuting_only or idx % 2 == 0
+        d = int(rng.integers(2, options.max_dim + 1))
+        pair = random_commuting_pair(rng, d) if commuting else near_commuting_pair(rng, d)
         hel = helstrom_measurement(pair)
         gap_ok = bool(np.all(gap_condition_sums(pair.rho1, hel.pi1) < 1.0))
         for lam, sol in zip(options.lambdas, _optimal_attacks(pair, hel.pi1, options.lambdas)):
@@ -183,7 +179,7 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
     for _ in range(options.channel_instances):
         pair = _draw_pair(rng, options)
         hel = helstrom_measurement(pair)
-        sol = optimal_attack(pair, hel.pi1, float(options.lambdas[0]))
+        sol = optimal_attack(pair, hel.pi1, options.lambdas[0])
         for src, tgt in ((pair.rho1, sol.rho1_prime), (pair.rho0, sol.rho0_prime)):
             ch = realize_channel(src, tgt)
             worst_comp = max(worst_comp, completeness_residual(ch))
@@ -209,7 +205,7 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
     for _ in range(min(options.instances, 20)):
         pair = _draw_pair(rng, options)
         hel = helstrom_measurement(pair)
-        sol = optimal_attack(pair, hel.pi1, float(options.lambdas[0]))
+        sol = optimal_attack(pair, hel.pi1, options.lambdas[0])
         if sol.genuine_p_false != hel.p_false:
             exact = False
     checks.append(

@@ -159,10 +159,17 @@ def _price_entry_points(lam):
     )
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="beyond-float")])
 def test_price_entry_points_reject_nonfinite_lambda(lam):
+    # 10**400 is an int beyond float range: the rule refuses it before any conversion
     for call in _price_entry_points(lam):
         with pytest.raises(ValueError, match="lam must be positive and finite"):
+            call()
+
+
+def test_price_entry_points_reject_a_bool():
+    for call in _price_entry_points(True):
+        with pytest.raises(ValueError, match="lam must be a number, got True"):
             call()
 
 
@@ -853,12 +860,13 @@ def test_oracle_matches_closed_form_noncommuting():
         assert -ORACLE_TOL <= gap <= ORACLE_TOL
 
 
-def test_oracle_nonconvergence_carries_best_iterate():
+def test_oracle_nonconvergence_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(adversary, "ORACLE_ITERATIONS", 2)
     rng = np.random.default_rng(3)
     pair = random_pair(rng, 4)
     res = helstrom_measurement(pair)
     with pytest.raises(OracleConvergenceError) as err:
-        oracle_attack(pair, res.pi1, 0.5, iterations=2)
+        oracle_attack(pair, res.pi1, 0.5)
     assert isinstance(err.value.best_state, DensityOperator)
     assert err.value.iterations == 2
     assert math.isfinite(err.value.best_utility)

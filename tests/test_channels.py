@@ -52,7 +52,7 @@ def test_corrupted_channel_detected_and_rejected():
     rho = DensityOperator.maximally_mixed(2)
     target = DensityOperator.pure(np.array([1.0, 0.0]))
     ch = realize_channel(rho, target)
-    broken = KrausChannel(dim=2, operators=ch.operators[:1])
+    broken = KrausChannel(ch.operators[:1])
     assert abs(completeness_residual(broken) - 1.0) <= 1e-12
     with pytest.raises(ValueError, match="completeness"):
         apply_channel(broken, rho)
@@ -98,11 +98,14 @@ def test_channel_rejects_dim_mismatch():
 
 def test_kraus_validation():
     with pytest.raises(ValueError):
-        KrausChannel(dim=2, operators=())
-    with pytest.raises(ValueError):
-        KrausChannel(dim=2, operators=(np.zeros((2, 3)),))
-    with pytest.raises(ValueError):
-        KrausChannel(dim=2, operators=(np.full((2, 2), np.nan),))
+        KrausChannel(())
+    with pytest.raises(ValueError, match="operator 0 has shape"):
+        KrausChannel((np.zeros((2, 3)),))
+    with pytest.raises(ValueError, match="operator 1 has shape"):
+        KrausChannel((np.eye(2), np.eye(3)))
+    with pytest.raises(ValueError, match="operator 1 contains non-finite"):
+        KrausChannel((np.eye(2), np.full((2, 2), np.nan)))
+    assert KrausChannel((np.eye(3),)).dim == 3
 
 
 def test_channel_sends_every_input_to_the_target():

@@ -62,10 +62,17 @@ def test_pair_rejects_nonfinite_weights(c0, c1):
         HypothesisPair(rho0=rho, rho1=rho, c0=c0, c1=c1)
 
 
-def test_pair_from_tau_rejects_nan():
+@pytest.mark.parametrize("tau", [math.nan, pytest.param(10**400, id="beyond-float")])
+def test_pair_from_tau_rejects_nan(tau):
     rho = DensityOperator.maximally_mixed(2)
     with pytest.raises(ValueError, match="finite"):
-        HypothesisPair.from_tau(rho, rho, math.nan)
+        HypothesisPair.from_tau(rho, rho, tau)
+
+
+def test_pair_from_tau_rejects_a_bool():
+    rho = DensityOperator.maximally_mixed(2)
+    with pytest.raises(ValueError, match="threshold tau must be a number, got True"):
+        HypothesisPair.from_tau(rho, rho, True)
 
 
 def test_pair_rejects_dim_mismatch():

@@ -49,7 +49,7 @@ def test_l_equals_k_overlapping_signal():
 
 def _lone_states(params):
     """rho0 and rho1 of the model, each built and checked on its own."""
-    p0 = np.zeros(params.dim)
+    p0 = np.zeros(max(params.k, params.l) + 1)
     p0[0] += 1.0 - params.n_b
     p0[params.k] += params.n_b
     p1 = (1.0 - params.x) * p0
@@ -73,8 +73,8 @@ def test_radar_pair_equals_its_states_built_alone():
 
 
 def test_dim_covers_both_levels():
-    assert RadarParams(n_b=0.1, x=0.5, k=5, l=2).dim == 6
-    assert RadarParams(n_b=0.1, x=0.5, k=1, l=7).dim == 8
+    assert build_radar_pair(RadarParams(n_b=0.1, x=0.5, k=5, l=2), 0.5, 0.5).rho0.dim == 6
+    assert build_radar_pair(RadarParams(n_b=0.1, x=0.5, k=1, l=7), 0.5, 0.5).rho0.dim == 8
 
 
 def test_params_validation():
@@ -97,7 +97,6 @@ def test_params_reject_a_level_that_is_not_a_nonnegative_integer(field, value):
 
 def test_params_accept_numpy_integers():
     params = RadarParams(n_b=0.4, x=0.5, k=np.int64(3), l=np.int32(5))
-    assert params.dim == 6
     assert build_radar_pair(params, 0.5, 0.5).rho0.dim == 6
 
 
@@ -257,11 +256,27 @@ def test_roc_rejects_bad_grid():
         lambda: roc_sweep(REF, lambdas=[1.0], tau_grid=[1.0, math.inf]),
         lambda: photon_sweep(REF, tau=math.inf, lambdas=[1.0], l_values=[0, 1]),
         lambda: photon_sweep(REF, tau=math.nan, lambdas=[1.0], l_values=[0, 1]),
+        lambda: roc_sweep(REF, lambdas=[1.0], tau_grid=[1.0, 10**400]),
+        lambda: photon_sweep(REF, tau=10**400, lambdas=[1.0], l_values=[0, 1]),
     ],
-    ids=["roc-nan", "roc-inf", "photon-inf", "photon-nan"],
+    ids=["roc-nan", "roc-inf", "photon-inf", "photon-nan", "roc-beyond-float", "photon-beyond-float"],
 )
 def test_sweeps_reject_nonfinite_threshold(sweep):
     with pytest.raises(ValueError, match="threshold tau must be positive and finite"):
+        sweep()
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: roc_sweep(REF, lambdas=[True], tau_grid=[1.0]),
+        lambda: roc_sweep(REF, lambdas=[1.0], tau_grid=[True, 2.0]),
+        lambda: photon_sweep(REF, tau=True, lambdas=[1.0], l_values=[0, 1]),
+    ],
+    ids=["roc-price", "roc-threshold", "photon-threshold"],
+)
+def test_sweeps_reject_a_bool(sweep):
+    with pytest.raises(ValueError, match="must be a number, got True"):
         sweep()
 
 
@@ -280,7 +295,7 @@ def test_sweeps_reject_a_threshold_whose_weights_overflow(sweep):
         sweep()
 
 
-@pytest.mark.parametrize("lam", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("lam", [0.0, math.nan, math.inf, pytest.param(10**400, id="beyond-float")])
 def test_sweeps_reject_bad_price(lam):
     with pytest.raises(ValueError, match="lam must be positive and finite"):
         roc_sweep(REF, lambdas=[1.0, lam], tau_grid=[1.0])
@@ -393,7 +408,7 @@ def test_roc_sweep_decomposes_twice_after_state_setup(monkeypatch, n_tau, n_lam)
     # rho0 and rho1 are checked as one stacked eigh; then one stacked Helstrom
     # step over the grid and one stacked attack step over it all
     calls = _count_eigh(monkeypatch)
-    roc_sweep(REF, lambdas=[0.5 * (j + 1) for j in range(n_lam)], tau_grid=default_tau_grid(n_tau))
+    roc_sweep(REF, lambdas=[0.5 * (j + 1) for j in range(n_lam)], tau_grid=np.logspace(-2.0, 2.0, n_tau))
     assert calls == [(2, 1), (n_tau,), (n_lam, n_tau)]
 
 
