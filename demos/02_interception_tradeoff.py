@@ -54,7 +54,8 @@ print(f"identity check: utility = -lambda ln Z1 -> "
       f"{sol.utility:.12f} vs {-lam * math.log(sol.z1):.12f}")
 
 # The oracle knows nothing of the closed form: it descends the objective
-# over the exponential-family chart from the undistorted state, by L-BFGS.
+# over the exponential-family chart from the undistorted state, by Newton
+# steps where the chart Hessian is positive definite and L-BFGS elsewhere.
 sigma = oracle_attack(pair, hel.pi1, lam)
 print()
 print("oracle distorted diag:     ", np.round(np.diag(sigma.matrix).real, 6))

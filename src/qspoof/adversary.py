@@ -23,11 +23,14 @@ stored per pair and shared by every price.
 entropies instead; it is the independent audit that ``verify``, the
 oracle and the tests hold the closed form to.  ``oracle_attack``
 provides an independent numerical minimizer over the same feasible set
-for cross-checking; it never touches the closed form.
+for cross-checking: Newton steps from the exact Hessian of the objective
+on the chart e^H / Tr e^H where it is positive definite, L-BFGS steps
+elsewhere.  It never touches the closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from collections import deque
@@ -68,6 +71,14 @@ ORACLE_MEMORY = 8
 ORACLE_TOL = 1e-14
 # Accepted steps the oracle takes before it gives up (OracleConvergenceError).
 ORACLE_ITERATIONS = 5000
+# Longest Newton direction (Frobenius norm in the chart) the oracle tries.
+# An uncapped full step can leave a d = 2 search on the chart's flat
+# boundary, max|h| going 1.4 -> 15.8, where it stops 0.13 above the minimum.
+NEWTON_STEP = 1.0
+# Largest support rank at which the oracle assembles the exact Hessian: it
+# takes n^4 memory and n^6 time, and from rank 10 on it costs more per call
+# than the L-BFGS iterations it saves.
+NEWTON_MAX_RANK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,6 +405,23 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     return np.exp(mean) * ratio
 
 
+def _exp_second_divided_differences(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Second divided differences of exp at the points w, from the first ones ``phi``.
+
+    Entry (i, k, j) is exp[w_i, w_k, w_j], symmetric in its three points:
+    (phi_ik - phi_kj) / (w_i - w_j) where w_i and w_j are more than 1e-6
+    apart, else (e^wi - phi_ik) / (w_i - w_k) where w_k is, and e^wi / 2
+    where all three coincide.
+    """
+    gap = w[:, None] - w[None, :]
+    far = np.abs(gap) > 1e-6
+    gap = np.where(far, gap, 1.0)
+    outer = (phi[:, :, None] - phi[None, :, :]) / gap[:, None, :]
+    ew = np.exp(w)[:, None]
+    inner = np.where(far, (ew - phi) / gap, 0.5 * ew)
+    return np.where(far[:, None, :], outer, inner[:, :, None])
+
+
 class _ChartPoint(NamedTuple):
     """A chart point h, decomposed once, with its objective value."""
 
@@ -414,7 +442,7 @@ def _chart_point(h: np.ndarray, cost: np.ndarray, lam: float) -> _ChartPoint:
     In the eigenbasis of h it reads sum(p * (diag(K~) + lam w)) - lam ln z,
     K~ = u^dagger K u, with the exponentials shifted by the top eigenvalue
     (as in ``_optimal_utility``), so no point overflows and z >= 1.  The
-    decomposition is kept for ``_chart_gradient``.
+    decomposition is kept for ``_chart_gradient`` and ``_chart_hessian``.
     """
     w, u = np.linalg.eigh(h)
     w = w - w[-1]
@@ -426,24 +454,108 @@ def _chart_point(h: np.ndarray, cost: np.ndarray, lam: float) -> _ChartPoint:
     return _ChartPoint(mean - lam * math.log(z), w, u, z, p, mean)
 
 
-def _chart_gradient(point: _ChartPoint, cost: np.ndarray, lam: float) -> np.ndarray:
+def _chart_cost(point: _ChartPoint, cost: np.ndarray, lam: float) -> np.ndarray:
+    """A~ = K~ + lam diag(w), the cost and the point's own exponent in h's eigenbasis."""
+    u = point.u
+    a = u.conj().T @ cost @ u
+    a.reshape(-1)[:: u.shape[0] + 1] += lam * point.w
+    return a
+
+
+def _chart_gradient(point: _ChartPoint, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Gradient of the objective at a decomposed chart point.
 
-    The Frechet derivative of exp is, in the eigenbasis of h, the Hadamard
-    product with its divided differences phi, so the gradient is one
-    sandwich u M u^dagger with
+    ``a`` is ``_chart_cost`` at the point and ``phi`` the divided
+    differences of exp at its spectrum.  The Frechet derivative of exp is,
+    in the eigenbasis of h, the Hadamard product with phi, so the gradient
+    is one sandwich u M u^dagger with
 
-        M = ((K~ + lam diag w) o phi) / z - mean * diag(p).
+        M = (A~ o phi) / z - mean * diag(p).
 
     The +e^h from differentiating Tr(e^h h) cancels the -lam e^h / Tr e^h
-    from ln Tr e^h, so neither appears; the diagonal of (lam diag w) o phi / z
-    is lam w p.
+    from ln Tr e^h, so neither appears.
     """
     u = point.u
-    uh = u.conj().T
-    m = (uh @ cost @ u) * (_exp_divided_differences(point.w) / point.z)
-    m.reshape(-1)[:: u.shape[0] + 1] += point.p * (lam * point.w - point.mean)
-    return _hermitian(u @ m @ uh)
+    m = a * (phi / point.z)
+    m.reshape(-1)[:: u.shape[0] + 1] -= point.mean * point.p
+    return _hermitian(u @ m @ u.conj().T)
+
+
+@functools.lru_cache(maxsize=NEWTON_MAX_RANK)
+def _hermitian_basis(n: int) -> np.ndarray:
+    """The weights c of an orthonormal basis of the n x n Hermitian matrices
+    under Re Tr(a^dagger b), one basis matrix c_jk E_jk + conj(c_jk) E_kj per
+    entry (j, k): E_jj (c = 1/2), (E_jk + E_kj)/sqrt 2 above the diagonal
+    (c = 1/sqrt 2) and i(E_kj - E_jk)/sqrt 2 below it (c = -i/sqrt 2).
+
+    A Hermitian M has the coordinates 2 Re(conj(c) o M), and coordinates
+    x (an n x n real array) give the matrix (c o x) + (c o x)^dagger.
+    """
+    c = np.where(np.triu(np.ones((n, n), dtype=bool)), math.sqrt(0.5) + 0j, -1j * math.sqrt(0.5))
+    np.fill_diagonal(c, 0.5)
+    return _read_only(c)
+
+
+def _chart_hessian(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, lam: float) -> np.ndarray:
+    """Hessian of the objective at a decomposed chart point, in the
+    coordinates of ``_hermitian_basis`` taken in h's eigenbasis, flattened.
+
+    With s(X) = sum p_i X_ii, g(X) = sum A~_ji phi_ij X_ij / z and f the
+    second divided differences of exp at w, the second derivative along
+    Hermitian X, Y (in h's eigenbasis) is
+
+        H[X, Y] = ((lam - mean) / z) sum phi_ij X_ij Y_ji
+                  + (2 mean - lam) s(X) s(Y) - g(X) s(Y) - g(Y) s(X)
+                  + (1/z) sum_ijk A~_ji f_ikj (X_ik Y_kj + Y_ik X_kj),
+
+    the last term from the second Frechet derivative of exp (Higham,
+    *Functions of Matrices*, 2008, ch. 3).  It is assembled as a complex
+    bilinear form Q + Q^T on flattened matrices, with t = (mean - lam/2) s - g
+    making the middle terms t s^T + s t^T, then taken in the real basis
+    entry by entry (no matrix product, so no threaded BLAS call).
+    """
+    n = point.w.shape[0]
+    z, mean = point.z, point.mean
+    c = a.T[:, None, :] * _exp_second_divided_differences(point.w, phi) / z  # c[i, k, j] = A~_ji f_ikj / z
+    ar = np.arange(n)
+    c[ar, :, ar] += (0.5 * (lam - mean) / z) * phi  # pairs X_ij with Y_ji, half in Q and half in Q^T
+    q = np.zeros((n, n * n, n), dtype=np.complex128)
+    q[:, :: n + 1, :] = c  # Q[(i, k), (l, j)] = delta_kl c[i, k, j]
+    q = q.reshape(n * n, n * n)
+    t = -(a.T * phi).reshape(-1) / z
+    t[:: n + 1] += (mean - 0.5 * lam) * point.p
+    q[:, :: n + 1] += t[:, None] * point.p
+    form = (q + q.T).reshape(n, n, n, n)
+    basis = _hermitian_basis(n)
+    right = form * basis + form.swapaxes(2, 3) * basis.conj()
+    both = basis[:, :, None, None] * right + basis.conj()[:, :, None, None] * right.swapaxes(0, 1)
+    return both.real.reshape(n * n, n * n)
+
+
+def _newton_direction(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, grad: np.ndarray, lam: float):
+    """-H^-1 grad from the exact Hessian, or None where H is not positive definite.
+
+    The objective is flat along the identity, so H is first lifted by
+    max|H| e e^T, e the coordinates of I/sqrt(n); the gradient has no
+    component along e, and neither has the direction.  A direction longer
+    than ``NEWTON_STEP`` (Frobenius norm) is shortened to it.
+    """
+    n = point.w.shape[0]
+    hess = _chart_hessian(point, a, phi, lam)
+    diagonal = np.arange(0, n * n, n + 1)
+    hess[diagonal[:, None], diagonal] += np.abs(hess).max() / n
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        return None
+    basis = _hermitian_basis(n)
+    u = point.u
+    step = np.linalg.solve(hess, -2.0 * (basis.conj() * (u.conj().T @ grad @ u)).real.reshape(-1))
+    norm = float(np.linalg.norm(step))
+    if norm > NEWTON_STEP:
+        step *= NEWTON_STEP / norm
+    half = basis * step.reshape(n, n)
+    return _hermitian(u @ (half + half.conj().T) @ u.conj().T)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -475,16 +587,22 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
     """Numerical minimizer of the interceptor objective, independent of the closed form.
 
     Optimizes over the exponential-family chart sigma = exp(H)/Tr exp(H)
-    with H Hermitian on the support of ``rho1``, by L-BFGS: the search
-    direction comes from the last ``ORACLE_MEMORY`` step and gradient-change
-    pairs (only pairs with positive curvature s.y are kept), and the step
-    length from a backtracking (Armijo) line search that first tries the
-    full step.  When rounding makes the direction fail to descend, the
-    pairs are dropped and the search restarts from the negative gradient.
-    Each trial point is decomposed once; the accepted one's decomposition
-    also gives its gradient, and the last one's the returned state.
-    Descent starts at the undistorted state H = ln rho1 and stops once an
-    accepted step improves the utility by less than ``ORACLE_TOL``.
+    with H Hermitian on the support of ``rho1``, by Newton's method with
+    an L-BFGS fallback (Nocedal & Wright, *Numerical Optimization*, ch. 3
+    and 7).  Up to support rank ``NEWTON_MAX_RANK``, each accepted point
+    whose exact Hessian passes a Cholesky factorization takes the Newton
+    direction, capped at length ``NEWTON_STEP`` (``_newton_direction``).
+    Everywhere else the direction comes from the last ``ORACLE_MEMORY``
+    step and gradient-change pairs of the accepted steps, whichever
+    direction made them (only pairs with positive curvature s.y are
+    kept).  The step length comes from a backtracking (Armijo) line search
+    that first tries the full step.  When rounding makes the direction
+    fail to descend, the pairs are dropped and the search restarts from
+    the negative gradient.  Each trial point is decomposed once; the
+    accepted one's decomposition also gives its gradient and Hessian, and
+    the last one's the returned state.  Descent starts at the undistorted
+    state H = ln rho1 and stops once an accepted step improves the utility
+    by less than ``ORACLE_TOL``.
 
     Raises
     ------
@@ -503,16 +621,24 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
         return _lifted_state(kernel, gibbs, (0, 0))
 
     cost = pi_s - lam * np.diag(log_r)
+
+    def derivatives(point: _ChartPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a, phi = _chart_cost(point, cost, lam), _exp_divided_differences(point.w)
+        return a, phi, _chart_gradient(point, a, phi)
+
+    newton = r.shape[0] <= NEWTON_MAX_RANK
     h = np.diag(log_r.astype(np.complex128))
     point = _chart_point(h, cost, lam)
-    grad = _chart_gradient(point, cost, lam)
+    a, phi, grad = derivatives(point)
     pairs = deque(maxlen=ORACLE_MEMORY)
     improvement = math.inf
     for _ in range(ORACLE_ITERATIONS):
         gnorm2 = _dot(grad, grad)
         if gnorm2 <= 1e-28:
             return lift(point)
-        direction = _lbfgs_direction(grad, pairs)
+        direction = _newton_direction(point, a, phi, grad, lam) if newton else None
+        if direction is None:
+            direction = _lbfgs_direction(grad, pairs)
         slope = _dot(grad, direction)
         if not slope < 0.0:
             # rounding broke the curvature model: restart from steepest descent
@@ -529,7 +655,7 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
             # no representable step improves the objective: converged in float
             return lift(point)
         improvement = point.value - new.value
-        grad_new = _chart_gradient(new, cost, lam)
+        a, phi, grad_new = derivatives(new)
         s = h_new - h
         y = grad_new - grad
         sy = _dot(s, y)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -40,16 +40,16 @@ PRIOR_SUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ProjectorMeasurement:
-    """Orthogonal projector announcing hypothesis H1, with its rank."""
+    """Orthogonal projector announcing hypothesis H1, with its rank (the
+    rounded trace, derived from the matrix)."""
 
     matrix: np.ndarray
-    rank: int | None = None
+    rank: int = field(init=False)
 
     def __post_init__(self):
-        m, rank = _check_projectors(as_matrix(self.matrix), self.rank)
-        if self.rank is None:
-            object.__setattr__(self, "rank", int(rank))
+        m, rank = _check_projectors(as_matrix(self.matrix))
         object.__setattr__(self, "matrix", _read_only(m))
+        object.__setattr__(self, "rank", int(rank))
 
     @classmethod
     def _from_checked(cls, matrix: np.ndarray, rank: int) -> "ProjectorMeasurement":
@@ -61,13 +61,13 @@ class ProjectorMeasurement:
 
     @classmethod
     def zero(cls, dim: int) -> "ProjectorMeasurement":
-        return cls(np.zeros((dim, dim), dtype=np.complex128), 0)
+        return cls(np.zeros((dim, dim), dtype=np.complex128))
 
     @classmethod
     def from_columns(cls, columns: np.ndarray) -> "ProjectorMeasurement":
         """Projector onto the span of orthonormal columns."""
         v = np.asarray(columns, dtype=np.complex128)
-        return cls(v @ v.conj().T, v.shape[1])
+        return cls(v @ v.conj().T)
 
 
 def _check_projectors(m: np.ndarray, ranks=None) -> tuple[np.ndarray, np.ndarray]:
@@ -126,14 +126,19 @@ def _risk(c0, c1, p_detect, p_false):
 
 
 def check_cost_weights(c0: float, c1: float) -> None:
-    """Raise ValueError unless the weights obey the rule stated on :class:`HypothesisPair`."""
-    if not (math.isfinite(c0) and math.isfinite(c1)):
+    """Raise ValueError unless the weights obey the rule stated on :class:`HypothesisPair`.
+
+    Each weight is read through ``_number``: a bool is refused, and an int
+    beyond float range fails the finiteness rule, not the conversion.
+    """
+    x0, x1 = _number(c0, "cost weight c0"), _number(c1, "cost weight c1")
+    if not (math.isfinite(x0) and math.isfinite(x1)):
         raise ValueError(f"cost weights must be finite, got c0={c0!r}, c1={c1!r}")
-    if c0 < 0 or c1 < 0:
+    if x0 < 0 or x1 < 0:
         raise ValueError("cost weights must be nonnegative")
-    if abs(c0 + c1 - 1.0) > PRIOR_SUM_TOL:
+    if abs(x0 + x1 - 1.0) > PRIOR_SUM_TOL:
         raise ValueError(f"cost weights must sum to 1, got {c0 + c1!r}")
-    _threshold(c0, c1)
+    _threshold(x0, x1)
 
 
 @dataclass(frozen=True, eq=False)

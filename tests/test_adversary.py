@@ -31,8 +31,18 @@ from qspoof import (
     relative_entropy,
     spectral_decompose,
 )
-from qspoof import adversary, detection, operators
-from qspoof.adversary import BOUND_TOL, SERIES_PRICE, _chart_gradient, _chart_point
+from qspoof import adversary, detection, operators, verify
+from qspoof.adversary import (
+    BOUND_TOL,
+    SERIES_PRICE,
+    _chart_cost,
+    _chart_gradient,
+    _chart_hessian,
+    _chart_point,
+    _exp_divided_differences,
+    _hermitian_basis,
+)
+from qspoof.config import VerifyOptions
 from qspoof.sampling import (
     haar_unitary,
     near_commuting_pair,
@@ -889,9 +899,10 @@ def test_oracle_matches_closed_form_on_rank_deficient_rho1():
 
 
 def test_oracle_eigh_budget(monkeypatch):
-    # each chart point the oracle visits is decomposed once; the budget is
-    # half the 766 calls of Barzilai-Borwein steepest descent, which also
-    # decomposed every accepted point a second time for its gradient
+    # each chart point the oracle visits is decomposed once, and Newton
+    # steps need few points: these six calls take 59, where L-BFGS alone
+    # took 199 and Barzilai-Borwein steepest descent, which also decomposed
+    # every accepted point a second time for its gradient, 766
     cases = []
     for seed, d in ((3, 4), (99, 2), (21, 6)):
         pair = random_pair(np.random.default_rng(seed), d)
@@ -900,7 +911,34 @@ def test_oracle_eigh_budget(monkeypatch):
     for pair, pi1 in cases:
         for lam in (0.5, 5.0):
             oracle_attack(pair, pi1, lam)
-    assert calls["eigh"] <= 383
+    assert calls["eigh"] <= 70
+
+
+def test_oracle_newton_step_is_capped():
+    # on this d = 2 pair an uncapped Newton step from ln rho1 moves max|h|
+    # from 1.4 to 15.8, onto the chart's flat boundary, where the search
+    # stops 0.13 above the minimum without an OracleConvergenceError
+    rng = np.random.default_rng(56000183)
+    pair = verify._draw_pair(rng, VerifyOptions())
+    assert pair.rho1.dim == 2
+    pi1 = helstrom_measurement(pair).pi1
+    sol = optimal_attack(pair, pi1, 0.5)
+    sigma = oracle_attack(pair, pi1, 0.5)
+    assert np.linalg.norm(sigma.matrix - sol.rho1_prime.matrix) <= ORACLE_STATE_TOL
+
+
+def test_oracle_above_newton_rank_takes_lbfgs_steps_only(monkeypatch):
+    # the exact Hessian costs n^4 memory and n^6 time: above
+    # NEWTON_MAX_RANK none is assembled, and L-BFGS alone still converges
+    pair = random_pair(np.random.default_rng(12), 10)
+    pi1 = helstrom_measurement(pair).pi1
+    assert pair.rho1.spectrum.eigenvalues.min() > 0.0 and adversary.NEWTON_MAX_RANK < 10
+    hessians = _count_calls(monkeypatch, adversary, "_chart_hessian")
+    directions = _count_calls(monkeypatch, adversary, "_newton_direction")
+    sol = optimal_attack(pair, pi1, 1.0)
+    sigma = oracle_attack(pair, pi1, 1.0)
+    assert hessians == [] and directions == []
+    assert np.linalg.norm(sigma.matrix - sol.rho1_prime.matrix) <= ORACLE_STATE_TOL
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.3, 1e3])
@@ -921,6 +959,11 @@ def test_chart_value_is_invariant_under_identity_shifts(lam):
         assert abs(value - base) <= 1e-9 * max(1.0, lam)
 
 
+def _gradient_at(h, cost, lam):
+    point = _chart_point(h, cost, lam)
+    return _chart_gradient(point, _chart_cost(point, cost, lam), _exp_divided_differences(point.w))
+
+
 def test_chart_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     dim = 3
@@ -935,7 +978,7 @@ def test_chart_gradient_matches_finite_differences():
     )
     cost = pi_s - 1.3 * np.diag(log_r)
     point = _chart_point(h, cost, 1.3)
-    val, grad = point.value, _chart_gradient(point, cost, 1.3)
+    val, grad = point.value, _gradient_at(h, cost, 1.3)
     eps = 1e-6
     for i in range(dim):
         for j in range(i, dim):
@@ -951,6 +994,41 @@ def test_chart_gradient_matches_finite_differences():
             ana = float(np.real(np.sum(grad.conj() * de)))
             assert abs(num - ana) <= 1e-6 * max(1.0, abs(num))
     assert math.isfinite(val)
+
+
+def test_chart_hessian_matches_finite_differences():
+    # the exact Hessian, moved from h's eigenbasis to the chart's basis,
+    # against central differences of the gradient along each basis matrix
+    rng = np.random.default_rng(21)
+    dim, lam = 3, 1.3
+    pair = random_pair(rng, dim)
+    r, v = np.linalg.eigh(pair.rho1.matrix)
+    pi_s = v.conj().T @ helstrom_measurement(pair).pi1.matrix @ v
+    cost = pi_s - lam * np.diag(np.log(r))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = np.diag(np.log(r)).astype(np.complex128) + 0.3 * (g + g.conj().T) / 2
+    point = _chart_point(h, cost, lam)
+    hess = _chart_hessian(point, _chart_cost(point, cost, lam), _exp_divided_differences(point.w), lam)
+    weights = _hermitian_basis(dim)
+    matrices = []
+    for k in range(dim * dim):
+        half = weights * (np.arange(dim * dim) == k).reshape(dim, dim)
+        matrices.append(half + half.conj().T)
+    assert np.allclose([[np.vdot(x, y).real for y in matrices] for x in matrices], np.eye(dim * dim), atol=1e-15)
+
+    def coordinates(m):
+        return 2.0 * (weights.conj() * m).real.reshape(-1)
+
+    u = point.u
+    to_eigenbasis = np.array([coordinates(u.conj().T @ b @ u) for b in matrices]).T
+    want = to_eigenbasis.T @ hess @ to_eigenbasis
+    eps = 1e-5
+    got = np.array(
+        [coordinates(_gradient_at(h + eps * b, cost, lam) - _gradient_at(h - eps * b, cost, lam)) / (2 * eps)
+         for b in matrices]
+    ).T
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
 
 
 # ---------------------------------------------------------------- perturbation

@@ -55,10 +55,28 @@ def test_pair_rejects_weights_with_an_overflowing_threshold():
         HypothesisPair(rho0=rho, rho1=rho, c0=1e-320, c1=1.0)
 
 
-@pytest.mark.parametrize("c0,c1", [(math.nan, math.nan), (math.nan, 0.5), (0.5, math.nan), (math.inf, -math.inf)])
+@pytest.mark.parametrize(
+    "c0,c1",
+    [
+        (math.nan, math.nan),
+        (math.nan, 0.5),
+        (0.5, math.nan),
+        (math.inf, -math.inf),
+        pytest.param(10**400, 0, id="c0-beyond-float"),
+        pytest.param(0, 10**400, id="c1-beyond-float"),
+    ],
+)
 def test_pair_rejects_nonfinite_weights(c0, c1):
     rho = DensityOperator.maximally_mixed(2)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="cost weights must be finite"):
+        HypothesisPair(rho0=rho, rho1=rho, c0=c0, c1=c1)
+
+
+@pytest.mark.parametrize("c0,c1,name", [(True, False, "c0"), (1.0, False, "c1"), (0.0, True, "c1")])
+def test_pair_rejects_a_bool_weight(c0, c1, name):
+    # weights follow the number rule of prices and thresholds: a bool is not a weight
+    rho = DensityOperator.maximally_mixed(2)
+    with pytest.raises(ValueError, match=f"cost weight {name} must be a number, got (True|False)"):
         HypothesisPair(rho0=rho, rho1=rho, c0=c0, c1=c1)
 
 

@@ -45,3 +45,4 @@ def test_only_the_roc_grid_is_a_defaulted_public_parameter():
     ]
     assert defaulted == [("roc_sweep", "tau_grid")]
     assert [f.name for f in dataclasses.fields(qspoof.KrausChannel) if f.init] == ["operators"]
+    assert [f.name for f in dataclasses.fields(qspoof.ProjectorMeasurement) if f.init] == ["matrix"]
