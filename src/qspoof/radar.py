@@ -20,7 +20,8 @@ threshold) pair: ``roc_sweep`` over its threshold grid on one pair,
 ``optimal_attack``'s view builder (``_attack_view``).  Thresholds take
 the cost weights of ``HypothesisPair.from_tau``, and every point is
 bit-identical to what ``helstrom_measurement`` and ``optimal_attack``
-give.
+give.  ROC curves are columns (``RocCurve``): the curves of one sweep
+hold the same threshold, P_F and P_D tuples.
 """
 
 from __future__ import annotations
@@ -175,23 +176,35 @@ class RocPoint:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Operating points over a threshold grid; ``lam`` is None when undistorted."""
+    """Operating rates over a threshold grid as columns of floats, one entry per
+    threshold; ``lam`` is None when undistorted.  Genuine P_F is ``p_false``:
+    rho0 is never distorted."""
 
     lam: float | None
-    points: tuple
+    tau: tuple
+    p_false: tuple
+    p_detect: tuple
+    genuine_p_detect: tuple
 
     def __post_init__(self):
-        taus = [p.tau for p in self.points]
-        if any(b <= a for a, b in zip(taus, taus[1:])):
+        if not len(self.tau) == len(self.p_false) == len(self.p_detect) == len(self.genuine_p_detect):
+            raise ValueError("a curve's columns must have one length")
+        if any(b <= a for a, b in zip(self.tau, self.tau[1:])):
             raise ValueError("thresholds must be strictly increasing along a curve")
+
+    @property
+    def points(self) -> tuple:
+        """The curve's ``RocPoint`` per threshold, built on each read."""
+        return tuple(map(RocPoint, self.tau, self.p_false, self.p_detect, self.p_false, self.genuine_p_detect))
 
 
 def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     """Receiver operating characteristic curves over a threshold grid.
 
-    Returns one undistorted curve (``lam`` None, genuine rates equal the
-    counterfactual ones) followed by one curve per distortion price in
-    ascending order.  Cost weights at each threshold are those of
+    Returns one undistorted curve (``lam`` None, its genuine P_D column
+    the P_D column itself) followed by one curve per distortion price in
+    ascending order; every curve holds the same threshold, P_F and P_D
+    tuples.  Cost weights at each threshold are those of
     ``HypothesisPair.from_tau``.
 
     The sweep makes three decompositions in all: one that checks the two
@@ -208,9 +221,6 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     m, w, x = _radar_stack(params, [params.l])
     hel = _helstrom_stack(m[0, 0], m[1, 0], *weights)
     att = _attack_stack(_attack_view(w[1, 0], x[1, 0], hel.projectors), np.array(lams))
-    # rho0 is never distorted: its genuine P_F is P_F
-    taus, p_false, p_detect = grid.tolist(), hel.p_false.tolist(), hel.p_detect.tolist()
-    curves = [RocCurve(lam=None, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, p_detect)))]
-    for lam, genuine in zip(lams, att.genuine_p_detect.tolist()):
-        curves.append(RocCurve(lam=lam, points=tuple(map(RocPoint, taus, p_false, p_detect, p_false, genuine))))
-    return curves
+    taus, p_false, p_detect = (tuple(c.tolist()) for c in (grid, hel.p_false, hel.p_detect))
+    genuine = [p_detect, *map(tuple, att.genuine_p_detect.tolist())]
+    return [RocCurve(lam, taus, p_false, p_detect, g) for lam, g in zip([None, *lams], genuine)]

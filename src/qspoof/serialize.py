@@ -59,37 +59,25 @@ def fields(row) -> dict:
 
 
 def roc_csv(curves) -> str:
-    """CSV for ROC sweeps; the undistorted curve leaves the lam cell empty.
+    """CSV for ROC sweeps, a row per threshold of each curve; the undistorted curve leaves the lam cell empty.
 
-    The curves of one ``roc_sweep`` share their tau, P_F and P_D float
-    objects (and genuine P_F is P_F), so each object is formatted once
-    per call and its cell looked up by ``id``.  The lookup holds the
-    object, so no id is reused during the call; a lookup by value would
-    give -0.0 the cell of 0.0.
+    Genuine P_F is P_F, and the curves of one ``roc_sweep`` share their tau, P_F and P_D
+    columns, so each column object is formatted once per call.  The lookup holds the column,
+    so no ``id`` is reused during the call; an equal column that is another object gets the same cells.
     """
     header = ["lambda", "tau", "p_false", "p_detect", "genuine_p_false", "genuine_p_detect"]
-    cells = {}  # id(value) -> (value, its cell)
+    cells = {}  # id(column) -> (column, its cells)
 
-    def sig12_once(value) -> str:
-        hit = cells.get(id(value))
+    def formatted(column) -> list:
+        hit = cells.get(id(column))
         if hit is None:
-            hit = cells[id(value)] = (value, sig12(value))
+            hit = cells[id(column)] = (column, list(map(sig12, column)))
         return hit[1]
 
     rows = []
-    for curve in curves:
-        lam_cell = "" if curve.lam is None else sig12(curve.lam)
-        for p in curve.points:
-            rows.append(
-                [
-                    lam_cell,
-                    sig12_once(p.tau),
-                    sig12_once(p.p_false),
-                    sig12_once(p.p_detect),
-                    sig12_once(p.genuine_p_false),
-                    sig12_once(p.genuine_p_detect),
-                ]
-            )
+    for c in curves:
+        lam, p_false = ["" if c.lam is None else sig12(c.lam)] * len(c.tau), formatted(c.p_false)
+        rows += zip(lam, formatted(c.tau), p_false, formatted(c.p_detect), p_false, formatted(c.genuine_p_detect))
     return csv_text(header, rows)
 
 

@@ -12,6 +12,7 @@ from qspoof import (
     HypothesisPair,
     PhotonSweepRow,
     RadarParams,
+    RocCurve,
     build_radar_pair,
     default_tau_grid,
     detection_bounds,
@@ -211,6 +212,29 @@ def test_roc_structure_and_order():
         taus = [p.tau for p in curve.points]
         assert taus == sorted(taus)
         assert len(taus) == 60
+        # one threshold, P_F and P_D column for every curve
+        assert (curve.tau, curve.p_false, curve.p_detect) == (curves[0].tau, curves[0].p_false, curves[0].p_detect)
+        assert curve.tau is curves[0].tau and curve.p_false is curves[0].p_false
+        assert curve.p_detect is curves[0].p_detect
+    assert curves[0].genuine_p_detect is curves[0].p_detect
+
+
+_COLUMNS = ("tau", "p_false", "p_detect", "genuine_p_detect")
+
+
+@pytest.mark.parametrize(
+    "changed,column,message",
+    [(name, (0.1,), "^a curve's columns must have one length$") for name in _COLUMNS]
+    + [(name, (0.1, 0.2, 0.3), "^a curve's columns must have one length$") for name in _COLUMNS]
+    + [("tau", (0.2, 0.1), "^thresholds must be strictly increasing along a curve$")]
+    + [("tau", (0.1, 0.1), "^thresholds must be strictly increasing along a curve$")],
+)
+def test_roc_curve_refuses_ragged_columns_and_unordered_thresholds(changed, column, message):
+    # zip over ragged columns would drop the rows past the shortest silently
+    columns = dict.fromkeys(_COLUMNS, (0.1, 0.2))
+    RocCurve(1.0, **columns)
+    with pytest.raises(ValueError, match=message):
+        RocCurve(1.0, **{**columns, changed: column})
 
 
 def test_roc_adversarial_curves_below_counterfactual():

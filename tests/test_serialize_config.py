@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qspoof import RadarParams, cli
+from qspoof import RadarParams, RocCurve, cli, roc_sweep
 from qspoof.config import ConfigError, entry_from_literal, load_config, matrix_from_literal, parse_config
 from qspoof.serialize import (
     csv_text,
@@ -75,8 +75,6 @@ def test_csv_text_lf_only_and_trailing_newline():
 
 
 def test_roc_csv_header_and_empty_lambda_cell():
-    from qspoof import roc_sweep
-
     curves = roc_sweep(RadarParams(n_b=0.4, x=0.9, k=1, l=2), lambdas=[1.0], tau_grid=[1.0])
     text = roc_csv(curves)
     lines = text.splitlines()
@@ -84,6 +82,35 @@ def test_roc_csv_header_and_empty_lambda_cell():
     assert lines[1].startswith(",")  # undistorted row has no lambda
     assert lines[2].startswith("1.00000000000e+00,")
     assert len(lines) == 3
+
+
+def _copied(column) -> tuple:
+    # equal floats in a new tuple, sharing no object with ``column``
+    return tuple(float(repr(v)) for v in column)
+
+
+@pytest.mark.parametrize(
+    "params,lambdas,grid",
+    [
+        (RadarParams(n_b=0.4, x=0.9, k=3, l=3), [0.01, 3.0, 1e9], None),
+        (RadarParams(n_b=0.4, x=0.9, k=1, l=2), [1.0], [1.0]),
+        (RadarParams(n_b=0.0, x=1.0, k=0, l=4), [], [0.5, 2.0]),
+    ],
+)
+def test_roc_csv_of_distinct_equal_columns_matches_the_shared_ones(params, lambdas, grid):
+    curves = roc_sweep(params, lambdas, grid)
+    by_hand = [RocCurve(c.lam, *map(_copied, (c.tau, c.p_false, c.p_detect, c.genuine_p_detect))) for c in curves]
+    assert all(a.tau is not b.tau and a.tau == b.tau for a, b in zip(curves, by_hand))
+    assert roc_csv(by_hand) == roc_csv(curves)
+
+
+def test_roc_csv_tells_negative_zero_from_zero():
+    # (0.0,) == (-0.0,), so a lookup by value would give one column the other's cells
+    curves = [RocCurve(None, (1.0,), (0.0,), (0.5,), (0.5,)), RocCurve(2.0, (1.0,), (-0.0,), (0.5,), (-0.0,))]
+    assert roc_csv(curves).splitlines()[1:] == [
+        ",1.00000000000e+00,0.00000000000e+00,5.00000000000e-01,0.00000000000e+00,5.00000000000e-01",
+        "2.00000000000e+00,1.00000000000e+00,-0.00000000000e+00,5.00000000000e-01,-0.00000000000e+00,-0.00000000000e+00",
+    ]
 
 
 def test_photon_csv_header_and_integer_l():
