@@ -396,13 +396,14 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     """First divided differences of exp at the points w (Daleckii-Krein kernel).
 
     Entry (i, j) is (e^wi - e^wj)/(wi - wj), continued as e^wi on the
-    diagonal; evaluated stably as exp(mean) * sinh(half-gap)/half-gap.
+    diagonal; evaluated as e^max(wi, wj) * (1 - e^-g)/g with g = |wi - wj|
+    (1 - g/2 + g^2/6 below g = 1e-6), which overflows only where the
+    entry itself does, however far apart the points are.
     """
-    half = 0.5 * (w[:, None] - w[None, :])
-    mean = 0.5 * (w[:, None] + w[None, :])
-    small = np.abs(half) < 1e-6
-    ratio = np.where(small, 1.0 + half * half / 6.0, np.sinh(np.where(small, 1.0, half)) / np.where(small, 1.0, half))
-    return np.exp(mean) * ratio
+    gap = np.abs(w[:, None] - w[None, :])
+    small = gap < 1e-6
+    ratio = np.where(small, 1.0 - gap / 2.0 + gap * gap / 6.0, -np.expm1(-gap) / np.where(small, 1.0, gap))
+    return np.exp(np.maximum(w[:, None], w[None, :])) * ratio
 
 
 def _exp_second_divided_differences(w: np.ndarray, phi: np.ndarray) -> np.ndarray:

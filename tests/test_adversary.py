@@ -927,6 +927,34 @@ def test_oracle_newton_step_is_capped():
     assert np.linalg.norm(sigma.matrix - sol.rho1_prime.matrix) <= ORACLE_STATE_TOL
 
 
+@pytest.mark.parametrize("lam", [1e-2, 1e-3, 1e-4, 1e-6])
+def test_oracle_with_a_chart_spectrum_wider_than_sinh_range(lam):
+    # rho1's support spectrum (1 - 1e-11, 1e-11) and a small price spread the
+    # chart's exponent over more than 1420, where sinh of the half-gap
+    # overflowed: the oracle then landed about 1e-3 off the closed form
+    rng = np.random.default_rng(0)
+    u1 = haar_unitary(rng, 3)
+    u0 = haar_unitary(rng, 3)
+    rho1 = DensityOperator(u1 @ np.diag([1.0 - 1e-11, 1e-11, 0.0]) @ u1.conj().T)
+    rho0 = DensityOperator(u0 @ np.diag([0.5, 0.3, 0.2]) @ u0.conj().T)
+    pair = HypothesisPair(rho0, rho1, 0.5, 0.5)
+    pi1 = helstrom_measurement(pair).pi1
+    sol = optimal_attack(pair, pi1, lam)
+    sigma = oracle_attack(pair, pi1, lam)
+    assert np.linalg.norm(sigma.matrix - sol.rho1_prime.matrix) <= ORACLE_STATE_TOL
+
+
+def test_exp_divided_differences_of_far_apart_points():
+    # (e^a - e^b)/(a - b) at a gap of 2000, finite however far apart a and b lie
+    w = np.array([0.0, -2000.0, 5.0, 5.0 + 1e-9])
+    phi = _exp_divided_differences(w)
+    assert np.isfinite(phi).all()
+    assert phi[0, 1] == phi[1, 0] == 1.0 / 2000.0
+    assert abs(phi[2, 0] - (math.exp(5.0) - 1.0) / 5.0) <= 1e-15 * phi[2, 0]
+    assert abs(phi[2, 3] - math.exp(5.0 + 0.5e-9)) <= 1e-15 * phi[2, 3]
+    assert np.array_equal(np.diag(phi), np.exp(w))
+
+
 def test_oracle_above_newton_rank_takes_lbfgs_steps_only(monkeypatch):
     # the exact Hessian costs n^4 memory and n^6 time: above
     # NEWTON_MAX_RANK none is assembled, and L-BFGS alone still converges
