@@ -266,15 +266,17 @@ def sample_outcomes(rho, pi1, n: int, seed: int) -> tuple[int, int]:
 
     Each trial announces H1 with the Born probability Tr(Pi1 rho);
     the draw is reproducible through ``numpy.random.default_rng(seed)``.
+    ``n`` is an integer (a numpy integer too, never a bool) from 1 to
+    the int64 maximum.
 
     Returns
     -------
     (hits, trials) : tuple of int
         Number of H1 announcements and the number of trials.
     """
-    if n < 1:
-        raise ValueError("need at least one trial")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= np.iinfo(np.int64).max:
+        raise ValueError(f"trial count n must be an integer from 1 to 2**63 - 1, got {n!r}")
     p = _checked_rate(trace_product(pi1, rho))
     rng = np.random.default_rng(seed)
     hits = int(rng.binomial(n, p))
-    return hits, n
+    return hits, int(n)

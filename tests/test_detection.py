@@ -337,7 +337,16 @@ def test_sample_outcomes_three_sigma():
     assert abs(hits / total - p) <= margin
 
 
-def test_sample_outcomes_rejects_bad_n():
+@pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, True, False, "3", None, 10**20, 2**63, np.int64(0), np.float64(4.0)])
+def test_sample_outcomes_rejects_bad_n(n):
     pair = plus_vs_zero()
-    with pytest.raises(ValueError):
-        sample_outcomes(pair.rho1, ProjectorMeasurement(np.eye(2)), 0, seed=0)
+    with pytest.raises(ValueError, match="^trial count n must be an integer from 1 to 2\\*\\*63 - 1, got "):
+        sample_outcomes(pair.rho1, ProjectorMeasurement(np.eye(2)), n, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 7, np.int64(7), np.uint8(7), 2**63 - 1])
+def test_sample_outcomes_reports_the_trial_count_as_an_int(n):
+    # every trial announces H1 under the identity projector
+    pair = plus_vs_zero()
+    hits, trials = sample_outcomes(pair.rho1, ProjectorMeasurement(np.eye(2)), n, seed=0)
+    assert type(trials) is int and trials == n == hits
