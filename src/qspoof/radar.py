@@ -201,10 +201,9 @@ class RocCurve:
 def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
     """Receiver operating characteristic curves over a threshold grid.
 
-    Returns one undistorted curve (``lam`` None, its genuine P_D column
-    the P_D column itself) followed by one curve per distortion price in
-    ascending order; every curve holds the same threshold, P_F and P_D
-    tuples.  Cost weights at each threshold are those of
+    Returns one undistorted curve (``lam`` None, genuine rates equal the
+    counterfactual ones) followed by one curve per distortion price in
+    ascending order.  Cost weights at each threshold are those of
     ``HypothesisPair.from_tau``.
 
     The sweep makes three decompositions in all: one that checks the two

@@ -14,6 +14,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def fields(row) -> dict:
 
 
 def roc_csv(curves) -> str:
-    """CSV for ROC sweeps, a row per threshold of each curve; the undistorted curve leaves the lam cell empty.
+    """CSV for ROC sweeps, a row per curve and threshold; the undistorted curve leaves the lam cell empty.
 
     Genuine P_F is P_F, and the curves of one ``roc_sweep`` share their tau, P_F and P_D
     columns, so each column object is formatted once per call.  The lookup holds the column,
@@ -76,8 +77,8 @@ def roc_csv(curves) -> str:
 
     rows = []
     for c in curves:
-        lam, p_false = ["" if c.lam is None else sig12(c.lam)] * len(c.tau), formatted(c.p_false)
-        rows += zip(lam, formatted(c.tau), p_false, formatted(c.p_detect), p_false, formatted(c.genuine_p_detect))
+        lam = "" if c.lam is None else sig12(c.lam)
+        rows += zip(repeat(lam), *map(formatted, (c.tau, c.p_false, c.p_detect, c.p_false, c.genuine_p_detect)))
     return csv_text(header, rows)
 
 

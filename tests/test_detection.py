@@ -337,11 +337,11 @@ def test_sample_outcomes_three_sigma():
     assert abs(hits / total - p) <= margin
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, True, False, "3", None, 10**20, 2**63, np.int64(0), np.float64(4.0)])
-def test_sample_outcomes_rejects_bad_n(n):
+def test_sample_outcomes_rejects_bad_n():
     pair = plus_vs_zero()
-    with pytest.raises(ValueError, match="^trial count n must be an integer from 1 to 2\\*\\*63 - 1, got "):
-        sample_outcomes(pair.rho1, ProjectorMeasurement(np.eye(2)), n, seed=0)
+    for n in [0, -1, 2.5, 3.0, True, False, "3", None, 10**20, 2**63, np.int64(0), np.float64(4.0)]:
+        with pytest.raises(ValueError, match="^trial count n must be an integer from 1 to 2\\*\\*63 - 1, got "):
+            sample_outcomes(pair.rho1, ProjectorMeasurement(np.eye(2)), n, seed=0)
 
 
 @pytest.mark.parametrize("n", [1, 7, np.int64(7), np.uint8(7), 2**63 - 1])

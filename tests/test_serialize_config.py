@@ -107,9 +107,10 @@ def test_roc_csv_of_distinct_equal_columns_matches_the_shared_ones(params, lambd
 def test_roc_csv_tells_negative_zero_from_zero():
     # (0.0,) == (-0.0,), so a lookup by value would give one column the other's cells
     curves = [RocCurve(None, (1.0,), (0.0,), (0.5,), (0.5,)), RocCurve(2.0, (1.0,), (-0.0,), (0.5,), (-0.0,))]
-    assert roc_csv(curves).splitlines()[1:] == [
-        ",1.00000000000e+00,0.00000000000e+00,5.00000000000e-01,0.00000000000e+00,5.00000000000e-01",
-        "2.00000000000e+00,1.00000000000e+00,-0.00000000000e+00,5.00000000000e-01,-0.00000000000e+00,-0.00000000000e+00",
+    zero, half = "0.00000000000e+00", "5.00000000000e-01"
+    assert [row.split(",")[2:] for row in roc_csv(curves).splitlines()[1:]] == [
+        [zero, half, zero, half],
+        ["-" + zero, half, "-" + zero, "-" + zero],
     ]
 
 
