@@ -7,10 +7,10 @@ the matching config fields.  Each subcommand takes only the flags it
 reads (``_COMMANDS``); any other exits 2 with usage.  Each output row is
 built once, as a dict of values, and written either as JSON or as CSV by
 the one cell rule of ``serialize.cell``; ``roc`` and ``photon-sweep``
-keep their own CSV writers and take their JSON from the sweep rows'
-fields.  ``attack`` solves all its prices in one stacked attack step.
-Outputs are deterministic: identical config and seed give byte-identical
-files.
+keep their own CSV writers, and take their JSON from the ROC curves'
+columns and the sweep rows' fields.  ``attack`` solves all its prices
+in one stacked attack step.  Outputs are deterministic: identical config
+and seed give byte-identical files.
 
 Exit codes: 0 success, 2 validation failure, 3 verification failure,
 4 I/O failure.  The environment variable ``QSPOOF_OUT_DIR``, when set,
@@ -113,9 +113,21 @@ def cmd_roc(cfg: ScenarioConfig) -> int:
     if cfg.radar is None:
         raise ConfigError("radar", "roc sweeps need a radar scenario block")
     curves = roc_sweep(cfg.radar, cfg.lambdas, cfg.tau_grid)
-    return _write(
-        cfg, "csv", curves, lambda: [{"lambda": c.lam, "points": list(map(fields, c.points))} for c in curves], roc_csv
-    )
+
+    def payload():
+        # the fields of each curve's RocPoint, read from its columns (genuine P_F is P_F)
+        return [
+            {
+                "lambda": c.lam,
+                "points": [
+                    {"tau": t, "p_false": f, "p_detect": d, "genuine_p_false": f, "genuine_p_detect": g}
+                    for t, f, d, g in zip(c.tau, c.p_false, c.p_detect, c.genuine_p_detect)
+                ],
+            }
+            for c in curves
+        ]
+
+    return _write(cfg, "csv", curves, payload, roc_csv)
 
 
 def cmd_photon_sweep(cfg: ScenarioConfig) -> int:

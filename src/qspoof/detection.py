@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,6 +37,7 @@ IDEMPOTENCY_TOL = 1e-9
 # Allowed deviation of computed rates from the interval [0, 1].
 RATE_TOL = 1e-10
 PRIOR_SUM_TOL = 1e-12
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,10 +232,18 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.n
     the whole stack; each projector is built from its kept (leading)
     eigenvector columns, with one matrix product per distinct rank, and
     the stack then passes the projector and rate checks.  A point's result
-    is bit-identical whether it is solved alone or in a stack.
+    is bit-identical whether it is solved alone or in a stack.  A threshold
+    whose ``rho1 - tau*rho0`` has an entry beyond half the largest float
+    (from about 1.5e308 on the README radar pair) is refused with a
+    ``ValueError`` that names it: symmetrizing that matrix would overflow.
     """
     taus = _threshold(c0, c1)
-    a = _require_hermitian(rho1 - taus[:, None, None] * rho0)
+    a = rho1 - taus[:, None, None] * rho0
+    big = np.abs(a.view(np.float64)).max(axis=(-2, -1)) > _HALF_MAX
+    if big.any():
+        tau = float(np.broadcast_to(taus, big.shape)[int(np.argmax(big))])
+        raise ValueError(f"threshold c1/c0 = {tau!r} is too large: rho1 - tau*rho0 leaves the float range")
+    a = _require_hermitian(a)
     w, x = _sort_descending(*np.linalg.eigh(a))
     ranks = _support_rank(w)
     proj = np.empty_like(a)

@@ -14,10 +14,11 @@ in ``_radar_stack``: both states at every signal level asked for,
 zero-padded to one dimension and checked as one stack (one ``eigh``,
 whose spectra give rho1's support charts).  Sweeps report both
 counterfactual and genuine (post-distortion) operating rates, each from
-one stacked Helstrom step and stacked attack steps over every (price,
-threshold) pair: ``roc_sweep`` over its threshold grid on one pair,
-``photon_sweep`` over all its signal levels at once, with
-``optimal_attack``'s view builder (``_attack_view``).  Thresholds take
+one stacked Helstrom step and stacked attack steps, with
+``optimal_attack``'s view builder (``_attack_view``): ``roc_sweep`` over
+its threshold grid on one pair, attacking once per (price, distinct
+projector), since the projector is piecewise constant in the threshold;
+``photon_sweep`` over all its signal levels at once.  Thresholds take
 the cost weights of ``HypothesisPair.from_tau``, and every point is
 bit-identical to what ``helstrom_measurement`` and ``optimal_attack``
 give.  ROC curves are columns (``RocCurve``): the curves of one sweep
@@ -208,8 +209,12 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
 
     The sweep makes three decompositions in all: one that checks the two
     states as a stack, one stacked Helstrom step over the grid and one
-    stacked attack step over every (price, threshold) pair.  Each point equals
-    (``==``) ``helstrom_measurement`` and ``optimal_attack`` run on
+    stacked attack step over every (price, distinct projector) pair.
+    Thresholds whose projectors agree to the byte share their attack
+    points, mapped back to each threshold; the radar pair's projector is
+    piecewise constant in tau, so a grid holds few distinct ones.  A
+    stacked point does not depend on the rest of its stack, so each point
+    equals (``==``) ``helstrom_measurement`` and ``optimal_attack`` run on
     ``HypothesisPair.from_tau(rho0, rho1, tau)``.
     """
     grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=object)
@@ -219,7 +224,10 @@ def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
 
     m, w, x = _radar_stack(params, [params.l])
     hel = _helstrom_stack(m[0, 0], m[1, 0], *weights)
-    att = _attack_stack(_attack_view(w[1, 0], x[1, 0], hel.projectors), np.array(lams))
+    # thresholds grouped by their projector's exact bytes (== would merge -0.0 and 0.0)
+    keys = hel.projectors.reshape(len(grid), -1).view(np.dtype((np.void, hel.projectors[0].nbytes)))
+    _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+    att = _attack_stack(_attack_view(w[1, 0], x[1, 0], hel.projectors[first]), np.array(lams))
     taus, p_false, p_detect = (tuple(c.tolist()) for c in (grid, hel.p_false, hel.p_detect))
-    genuine = [p_detect, *map(tuple, att.genuine_p_detect.tolist())]
+    genuine = [p_detect, *map(tuple, att.genuine_p_detect[:, inverse].tolist())]
     return [RocCurve(lam, taus, p_false, p_detect, g) for lam, g in zip([None, *lams], genuine)]

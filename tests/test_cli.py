@@ -13,6 +13,7 @@ import pytest
 
 from qspoof import cli
 from qspoof.config import VerifyOptions
+from qspoof.radar import RocCurve
 from qspoof.serialize import cell
 from qspoof.verify import CheckResult, RunReport
 
@@ -94,6 +95,32 @@ def test_detect_rejects_a_tau_with_an_overflowing_threshold(capsys, radar_config
     assert code == cli.EXIT_VALIDATION
     assert out == ""
     assert err.startswith("error: --tau: threshold c1/c0 must be finite")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command,sweep,flags",
+    [
+        ("detect", {}, ["--tau", "1.7e308"]),
+        ("attack", {}, ["--tau", "1.7e308"]),
+        ("roc", {"tau_grid": [0.5, 1.7e308]}, []),
+        ("photon-sweep", {"tau": 1.7e308}, []),
+    ],
+    ids=["detect", "attack", "roc", "photon-sweep"],
+)
+def test_a_threshold_whose_decision_operator_overflows_exits_two(capsys, tmp_path, command, sweep, flags):
+    # c1/c0 is finite, but rho1 - tau rho0 passes half the largest float; this used to exit 0 with an empty detector
+    cfg = {
+        "radar": {"n_b": 0.4, "x": 0.9, "k": 1, "l": 2, "c0": 0.5, "c1": 0.5},
+        "attack": {"lambdas": [1.0]},
+        "sweep": sweep,
+    }
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(p), *flags)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err.startswith("error: threshold c1/c0 = 1.69")
+    assert err.endswith(" is too large: rho1 - tau*rho0 leaves the float range\n")
 
 
 # ---------------------------------------------------------------- attack
@@ -197,6 +224,17 @@ def test_roc_json_format(capsys, radar_config_path):
     assert payload[0]["lambda"] is None
     assert payload[1]["lambda"] == 1.0
     assert len(payload[0]["points"]) == 60
+
+
+def test_roc_json_reads_the_curve_columns(capsys, monkeypatch):
+    # each point's object comes from its curve's columns; RocCurve.points is not read
+    def unread(self):
+        raise AssertionError("RocCurve.points was read")
+
+    monkeypatch.setattr(RocCurve, "points", property(unread))
+    code, out, _ = run_cli(capsys, "roc", "--config", str(DATA / "radar_readme.json"), "--format", "json")
+    assert code == 0
+    assert out == (DATA / "radar_readme_roc.json").read_text(encoding="utf-8")
 
 
 def test_photon_sweep_csv(capsys, radar_config_path):

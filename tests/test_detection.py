@@ -1,6 +1,7 @@
 """Risk-optimal binary detection: projectors, rates, optimality, sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,32 @@ def test_radar_diagonal_reference_point():
     assert abs(res.p_detect - 0.9) <= RATE_TOL
     assert res.p_false <= RATE_TOL
     assert abs(res.bayes_risk - 0.05) <= RATE_TOL
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_helstrom_refuses_a_threshold_whose_decision_operator_overflows():
+    # (a + a^dagger)/2 of a = rho1 - tau rho0 overflows once 0.6 tau passes half
+    # the largest float, at tau = 1.498e308; up to there the detector is rho1's
+    # own level, and from there on it is refused, where it used to come out empty
+    rho0 = DensityOperator.from_diagonal([0.6, 0.4, 0.0])
+    rho1 = DensityOperator.from_diagonal([0.06, 0.04, 0.9])
+    res = helstrom_measurement(HypothesisPair.from_tau(rho0, rho1, 1.49e308))
+    assert res.pi1.rank == 1
+    assert abs(res.p_detect - 0.9) <= RATE_TOL and res.p_false <= RATE_TOL
+    for tau in (1.5e308, 1.7e308, 1.79e308):
+        pair = HypothesisPair.from_tau(rho0, rho1, tau)
+        with pytest.raises(ValueError, match=r"^threshold c1/c0 = \S+ is too large: rho1 - tau\*rho0 leaves the float range$"):
+            helstrom_measurement(pair)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_helstrom_stack_names_the_first_threshold_out_of_range():
+    rho0 = DensityOperator.from_diagonal([0.6, 0.4, 0.0]).matrix
+    rho1 = DensityOperator.from_diagonal([0.06, 0.04, 0.9]).matrix
+    c0, c1 = detection._cost_weights(np.array([1.0, 1.6e308, 1.7e308]))
+    tau = re.escape(repr(float(c1[1] / c0[1])))
+    with pytest.raises(ValueError, match=rf"^threshold c1/c0 = {tau} is too large"):
+        detection._helstrom_stack(rho0, rho1, c0, c1)
 
 
 def test_zero_tau_keeps_support_of_rho1():

@@ -319,6 +319,21 @@ def test_sweeps_reject_a_threshold_whose_weights_overflow(sweep):
         sweep()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: roc_sweep(REF, lambdas=[1.0], tau_grid=[1.0, 1.7e308]),
+        lambda: photon_sweep(REF, tau=1.7e308, lambdas=[1.0], l_values=[0, 1]),
+    ],
+    ids=["roc", "photon"],
+)
+def test_sweeps_reject_a_threshold_whose_decision_operator_overflows(sweep):
+    # c1/c0 is finite, but 0.6 tau passes half the largest float, so rho1 - tau rho0 cannot be symmetrized
+    with pytest.raises(ValueError, match=r"^threshold c1/c0 = 1\.69\d*e\+308 is too large"):
+        sweep()
+
+
 @pytest.mark.parametrize("lam", [0.0, math.nan, math.inf, pytest.param(10**400, id="beyond-float")])
 def test_sweeps_reject_bad_price(lam):
     with pytest.raises(ValueError, match="lam must be positive and finite"):
@@ -360,18 +375,24 @@ def _stack_inputs(i):
     return RadarParams(*STACK_SCENARIOS[i]), prices, grids[i % 3]
 
 
-@pytest.mark.parametrize("i", range(len(STACK_SCENARIOS)))
-def test_roc_sweep_equals_scalar_api(i):
-    # every point of the stacked sweep is exactly what helstrom_measurement
-    # and optimal_attack give for that threshold and price alone
-    params, prices, grid = _stack_inputs(i)
-    curves = roc_sweep(params, prices, grid)
+def _solved_alone(params, taus):
+    """(tau, pair, helstrom_measurement) at each threshold, solved on its own."""
     base = build_radar_pair(params, 0.5, 0.5)
-    taus = default_tau_grid() if grid is None else grid
     solved = []
     for tau in map(float, taus):
         pair = HypothesisPair.from_tau(base.rho0, base.rho1, tau)
         solved.append((tau, pair, helstrom_measurement(pair)))
+    return solved
+
+
+def _distinct_projectors(solved) -> int:
+    return len({hel.pi1.matrix.tobytes() for _, _, hel in solved})
+
+
+def _assert_roc_equals_scalar_api(curves, params, prices, taus):
+    # every point of the stacked sweep is exactly what helstrom_measurement
+    # and optimal_attack give for that threshold and price alone
+    solved = _solved_alone(params, taus)
     assert [c.lam for c in curves] == [None] + sorted(prices)
     assert [astuple(p) for p in curves[0].points] == [
         (tau, hel.p_false, hel.p_detect, hel.p_false, hel.p_detect) for tau, _, hel in solved
@@ -382,6 +403,13 @@ def test_roc_sweep_equals_scalar_api(i):
             sol = optimal_attack(pair, hel.pi1, curve.lam)
             want.append((tau, hel.p_false, hel.p_detect, sol.genuine_p_false, sol.genuine_p_detect))
         assert [astuple(p) for p in curve.points] == want
+
+
+@pytest.mark.parametrize("i", range(len(STACK_SCENARIOS)))
+def test_roc_sweep_equals_scalar_api(i):
+    params, prices, grid = _stack_inputs(i)
+    taus = default_tau_grid() if grid is None else grid
+    _assert_roc_equals_scalar_api(roc_sweep(params, prices, grid), params, prices, taus)
 
 
 @pytest.mark.parametrize("i", range(len(STACK_SCENARIOS)))
@@ -430,10 +458,40 @@ def _count_eigh(monkeypatch):
 @pytest.mark.parametrize("n_lam", [1, 4])
 def test_roc_sweep_decomposes_twice_after_state_setup(monkeypatch, n_tau, n_lam):
     # rho0 and rho1 are checked as one stacked eigh; then one stacked Helstrom
-    # step over the grid and one stacked attack step over it all
+    # step over the grid and one stacked attack step over every (price,
+    # distinct projector) pair, the projectors counted here one threshold at a time
+    grid = np.logspace(-2.0, 2.0, n_tau)
+    n_distinct = _distinct_projectors(_solved_alone(REF, grid))
     calls = _count_eigh(monkeypatch)
-    roc_sweep(REF, lambdas=[0.5 * (j + 1) for j in range(n_lam)], tau_grid=np.logspace(-2.0, 2.0, n_tau))
-    assert calls == [(2, 1), (n_tau,), (n_lam, n_tau)]
+    roc_sweep(REF, lambdas=[0.5 * (j + 1) for j in range(n_lam)], tau_grid=grid)
+    assert calls == [(2, 1), (n_tau,), (n_lam, n_distinct)]
+
+
+# REF's rho1 - tau rho0 = diag(0.06 - 0.6 tau, 0.04 - 0.4 tau, 0.9): one
+# projector above tau = 0.1.  On (0.4, 0.5, 2, 0), diag(0.8 - 0.6 tau, 0,
+# 0.2 - 0.4 tau) changes sign at tau = 0.5 and 4/3; the grid crosses both
+# and holds each crossing itself, where the level reads as zero
+ROC_GROUPS = [
+    (REF, [0.2, 0.5, 1.0, 2.0, 50.0], 1),
+    (RadarParams(0.4, 0.5, 2, 0), [0.01, 0.3, 0.5, 0.7, 1.0, 4.0 / 3.0, 1.5, 10.0, 100.0], 3),
+]
+
+
+@pytest.mark.parametrize("params,grid,n_distinct", ROC_GROUPS, ids=["one-projector", "every-sign-change"])
+def test_roc_sweep_attacks_each_distinct_projector_once(monkeypatch, params, grid, n_distinct):
+    prices = [1e-2, 0.5, 3.0, 1e9]
+    assert _distinct_projectors(_solved_alone(params, grid)) == n_distinct
+    stacks = []
+    inner = radar._attack_stack
+
+    def record(view, lams):
+        stacks.append((len(lams), len(view.projectors)))
+        return inner(view, lams)
+
+    monkeypatch.setattr(radar, "_attack_stack", record)
+    curves = roc_sweep(params, prices, grid)
+    assert stacks == [(len(prices), n_distinct)]
+    _assert_roc_equals_scalar_api(curves, params, prices, grid)
 
 
 @pytest.mark.parametrize("levels", [[2], [0, 1, 4], range(6)])
