@@ -16,12 +16,10 @@ from .operators import (
     DensityOperator,
     NonHermitianError,
     SpectralDecomposition,
-    SupportLog,
     hermitian_part,
     relative_entropy,
     require_hermitian,
     spectral_decompose,
-    support_log,
     trace_product,
 )
 from .detection import (
@@ -63,12 +61,10 @@ __all__ = [
     "DensityOperator",
     "NonHermitianError",
     "SpectralDecomposition",
-    "SupportLog",
     "hermitian_part",
     "relative_entropy",
     "require_hermitian",
     "spectral_decompose",
-    "support_log",
     "trace_product",
     "HelstromResult",
     "HypothesisPair",

@@ -79,6 +79,9 @@ NEWTON_STEP = 1.0
 # takes n^4 memory and n^6 time, and from rank 10 on it costs more per call
 # than the L-BFGS iterations it saves.
 NEWTON_MAX_RANK = 8
+# Points of exp's divided differences closer than this are taken as one:
+# the difference quotients give way to their Taylor limits.
+DIVIDED_DIFFERENCE_GAP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,11 +400,11 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
 
     Entry (i, j) is (e^wi - e^wj)/(wi - wj), continued as e^wi on the
     diagonal; evaluated as e^max(wi, wj) * (1 - e^-g)/g with g = |wi - wj|
-    (1 - g/2 + g^2/6 below g = 1e-6), which overflows only where the
-    entry itself does, however far apart the points are.
+    (1 - g/2 + g^2/6 below g = ``DIVIDED_DIFFERENCE_GAP``), which overflows
+    only where the entry itself does, however far apart the points are.
     """
     gap = np.abs(w[:, None] - w[None, :])
-    small = gap < 1e-6
+    small = gap < DIVIDED_DIFFERENCE_GAP
     ratio = np.where(small, 1.0 - gap / 2.0 + gap * gap / 6.0, -np.expm1(-gap) / np.where(small, 1.0, gap))
     return np.exp(np.maximum(w[:, None], w[None, :])) * ratio
 
@@ -410,12 +413,12 @@ def _exp_second_divided_differences(w: np.ndarray, phi: np.ndarray) -> np.ndarra
     """Second divided differences of exp at the points w, from the first ones ``phi``.
 
     Entry (i, k, j) is exp[w_i, w_k, w_j], symmetric in its three points:
-    (phi_ik - phi_kj) / (w_i - w_j) where w_i and w_j are more than 1e-6
-    apart, else (e^wi - phi_ik) / (w_i - w_k) where w_k is, and e^wi / 2
-    where all three coincide.
+    (phi_ik - phi_kj) / (w_i - w_j) where w_i and w_j are more than
+    ``DIVIDED_DIFFERENCE_GAP`` apart, else (e^wi - phi_ik) / (w_i - w_k)
+    where w_k is, and e^wi / 2 where all three coincide.
     """
     gap = w[:, None] - w[None, :]
-    far = np.abs(gap) > 1e-6
+    far = np.abs(gap) > DIVIDED_DIFFERENCE_GAP
     gap = np.where(far, gap, 1.0)
     outer = (phi[:, :, None] - phi[None, :, :]) / gap[:, None, :]
     ew = np.exp(w)[:, None]

@@ -8,7 +8,8 @@ reads (``_COMMANDS``); any other exits 2 with usage.  Each output row is
 built once, as a dict of values, and written either as JSON or as CSV by
 the one cell rule of ``serialize.cell``; ``roc`` and ``photon-sweep``
 keep their own CSV writers, and take their JSON from the ROC curves'
-columns and the sweep rows' fields.  ``attack`` solves all its prices
+columns and the sweep rows' fields.  ``roc`` sweeps the scenario's pair,
+radar or explicit; ``photon-sweep`` needs a radar block.  ``attack`` solves all its prices
 in one stacked attack step.  Outputs are deterministic: identical config
 and seed give byte-identical files.
 
@@ -110,9 +111,7 @@ def cmd_attack(cfg: ScenarioConfig) -> int:
 
 
 def cmd_roc(cfg: ScenarioConfig) -> int:
-    if cfg.radar is None:
-        raise ConfigError("radar", "roc sweeps need a radar scenario block")
-    curves = roc_sweep(cfg.radar, cfg.lambdas, cfg.tau_grid)
+    curves = roc_sweep(cfg.build_pair(), cfg.lambdas, cfg.tau_grid)
 
     def payload():
         # the fields of each curve's RocPoint, read from its columns (genuine P_F is P_F)

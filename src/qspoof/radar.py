@@ -16,9 +16,10 @@ whose spectra give rho1's support charts).  Sweeps report both
 counterfactual and genuine (post-distortion) operating rates, each from
 one stacked Helstrom step and stacked attack steps, with
 ``optimal_attack``'s view builder (``_attack_view``): ``roc_sweep`` over
-its threshold grid on one pair, attacking once per (price, distinct
-projector), since the projector is piecewise constant in the threshold;
-``photon_sweep`` over all its signal levels at once.  Thresholds take
+its threshold grid on one pair, the radar pair or any ``HypothesisPair``,
+attacking once per (price, distinct projector), since the projector is
+piecewise constant in the threshold; ``photon_sweep``, radar only, over
+all its signal levels at once.  Thresholds take
 the cost weights of ``HypothesisPair.from_tau``, and every point is
 bit-identical to what ``helstrom_measurement`` and ``optimal_attack``
 give.  ROC curves are columns (``RocCurve``): the curves of one sweep
@@ -199,35 +200,39 @@ class RocCurve:
         return tuple(map(RocPoint, self.tau, self.p_false, self.p_detect, self.p_false, self.genuine_p_detect))
 
 
-def roc_sweep(params: RadarParams, lambdas, tau_grid=None) -> list[RocCurve]:
+def roc_sweep(params: RadarParams | HypothesisPair, lambdas, tau_grid=None) -> list[RocCurve]:
     """Receiver operating characteristic curves over a threshold grid.
 
-    Returns one undistorted curve (``lam`` None, genuine rates equal the
-    counterfactual ones) followed by one curve per distortion price in
-    ascending order.  Cost weights at each threshold are those of
-    ``HypothesisPair.from_tau``.
+    ``params`` is a radar scenario or any ``HypothesisPair``; of a pair
+    only rho0, rho1 and rho1's stored spectrum are read, since the grid
+    sets the cost weights.  Returns one undistorted curve (``lam`` None,
+    genuine rates equal the counterfactual ones) followed by one curve
+    per distortion price in ascending order.  Cost weights at each
+    threshold are those of ``HypothesisPair.from_tau``.
 
-    The sweep makes three decompositions in all: one that checks the two
-    states as a stack, one stacked Helstrom step over the grid and one
-    stacked attack step over every (price, distinct projector) pair.
-    Thresholds whose projectors agree to the byte share their attack
-    points, mapped back to each threshold; the radar pair's projector is
-    piecewise constant in tau, so a grid holds few distinct ones.  A
-    stacked point does not depend on the rest of its stack, so each point
-    equals (``==``) ``helstrom_measurement`` and ``optimal_attack`` run on
-    ``HypothesisPair.from_tau(rho0, rho1, tau)``.
+    The sweep makes at most three decompositions: one that builds the
+    radar pair (``build_radar_pair``; a given pair comes checked), one
+    stacked Helstrom step over the grid and one stacked attack step over
+    every (price, distinct projector) pair.  Thresholds whose projectors agree
+    to the byte share their attack points, mapped back to each threshold;
+    the projector is piecewise constant in tau, so a grid holds few
+    distinct ones.  A stacked point does not depend on the rest of its
+    stack, so each point equals (``==``) ``helstrom_measurement`` and
+    ``optimal_attack`` run on ``HypothesisPair.from_tau(rho0, rho1, tau)``.
     """
     grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=object)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("threshold grid must be a nonempty 1-d sequence")
     grid, weights, lams = _check_sweep(grid.tolist(), lambdas)
 
-    m, w, x = _radar_stack(params, [params.l])
-    hel = _helstrom_stack(m[0, 0], m[1, 0], *weights)
+    # the grid sets the cost weights, so the radar pair's own are arbitrary
+    pair = params if isinstance(params, HypothesisPair) else build_radar_pair(params, 0.5, 0.5)
+    hel = _helstrom_stack(pair.rho0.matrix, pair.rho1.matrix, *weights)
     # thresholds grouped by their projector's exact bytes (== would merge -0.0 and 0.0)
     keys = hel.projectors.reshape(len(grid), -1).view(np.dtype((np.void, hel.projectors[0].nbytes)))
     _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
-    att = _attack_stack(_attack_view(w[1, 0], x[1, 0], hel.projectors[first]), np.array(lams))
+    rho1 = pair.rho1.spectrum
+    att = _attack_stack(_attack_view(rho1.eigenvalues, rho1.eigenvectors, hel.projectors[first]), np.array(lams))
     taus, p_false, p_detect = (tuple(c.tolist()) for c in (grid, hel.p_false, hel.p_detect))
     genuine = [p_detect, *map(tuple, att.genuine_p_detect[:, inverse].tolist())]
     return [RocCurve(lam, taus, p_false, p_detect, g) for lam, g in zip([None, *lams], genuine)]

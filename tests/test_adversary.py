@@ -388,26 +388,6 @@ def test_perturbation_estimate_decomposes_exponent_only(monkeypatch):
     assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
-def test_attack_builds_no_support_log(monkeypatch):
-    # the closed form works in rho1's support chart and reads the utility
-    # off ln Z1; only the relative-entropy audit takes ln rho1 and ln rho0
-    rng = np.random.default_rng(4)
-    pair = random_pair(rng, 6)
-    pi1 = helstrom_measurement(pair).pi1
-    built = []
-    inner = operators.support_log
-
-    def counted(rho):
-        built.append(rho)
-        return inner(rho)
-
-    monkeypatch.setattr(operators, "support_log", counted)
-    sols = [optimal_attack(pair, pi1, lam) for lam in (0.01, 0.3, 1.0, 20.0, 1e4)]
-    assert built == []
-    attacker_utility(sols[0].rho1_prime, sols[0].rho0_prime, pi1, pair, sols[0].lam)
-    assert built == [pair.rho1, pair.rho0]
-
-
 # ------------------------------------------------ stored attack view
 
 VIEW_PRICES = (1e-6, 0.03, 1.0, 40.0, 1e6)

@@ -377,7 +377,7 @@ def _json_rows(command, payload):
 @pytest.mark.parametrize(
     "scenario,command",
     [("radar_readme", c) for c in ("detect", "attack", "roc", "photon-sweep")]
-    + [("explicit_noncommuting", c) for c in ("detect", "attack")],
+    + [("explicit_noncommuting", c) for c in ("detect", "attack", "roc")],
 )
 def test_csv_cells_follow_the_json_values(capsys, scenario, command):
     # the two renderings of one output: each CSV cell is serialize.cell of

@@ -29,6 +29,7 @@ CASES = {
         ("radar_k4", "photon-sweep"),
         ("explicit_noncommuting", "detect"),
         ("explicit_noncommuting", "attack"),
+        ("explicit_noncommuting", "roc"),
     ],
     "json": [
         ("radar_readme", "detect"),
@@ -39,6 +40,7 @@ CASES = {
         ("radar_k4", "photon-sweep"),
         ("explicit_noncommuting", "detect"),
         ("explicit_noncommuting", "attack"),
+        ("explicit_noncommuting", "roc"),
     ],
 }
 

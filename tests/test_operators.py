@@ -15,7 +15,6 @@ from qspoof import (
     relative_entropy,
     require_hermitian,
     spectral_decompose,
-    support_log,
     trace_product,
 )
 
@@ -125,54 +124,6 @@ def test_require_hermitian_rejects_nonsquare():
         require_hermitian(np.zeros((2, 3)))
 
 
-# ---------------------------------------------------------------- exp / log
-
-def test_support_log_maximally_mixed():
-    log = support_log(np.eye(2) / 2)
-    assert log.rank == 2
-    assert np.allclose(log.matrix, -LN2 * np.eye(2), atol=1e-14)
-    assert np.allclose(log.projector, np.eye(2), atol=1e-14)
-
-
-def test_support_log_rank_deficient():
-    log = support_log(np.diag([1.0, 0.0]))
-    assert log.rank == 1
-    assert np.allclose(log.matrix, np.zeros((2, 2)), atol=1e-14)
-    assert np.allclose(log.projector, np.diag([1.0, 0.0]), atol=1e-14)
-
-
-def test_support_log_rejects_zero():
-    with pytest.raises(ValueError):
-        support_log(np.zeros((2, 2)))
-
-
-def test_support_log_rejects_negative():
-    with pytest.raises(ValueError):
-        support_log(np.diag([1.0, -0.5]))
-
-
-def test_support_log_of_a_state_matches_its_matrix():
-    rho = random_state(np.random.default_rng(13), 4)
-    log = support_log(rho)
-    fresh = support_log(rho.matrix)
-    assert np.allclose(log.matrix, fresh.matrix, atol=1e-12)
-    with pytest.raises(ValueError):
-        log.matrix[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        log.projector[0, 0] = 0.0
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=6))
-def test_exp_log_roundtrip_property(seed, dim):
-    rng = np.random.default_rng(seed)
-    rho = random_state(rng, dim).matrix
-    log = support_log(rho)
-    assert log.rank == dim
-    w, v = np.linalg.eigh(log.matrix)
-    assert np.linalg.norm(rebuild(np.exp(w), v) - rho) <= 1e-8
-
-
 # ---------------------------------------------------------------- entropy
 
 def test_relative_entropy_self_is_zero():
@@ -231,6 +182,79 @@ def test_relative_entropy_commuting_matches_classical():
     nu0 = DensityOperator.from_diagonal(q)
     want = float(np.sum(p * np.log(p / q)))
     assert abs(relative_entropy(nu1, nu0) - want) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "nu0,message",
+    [
+        (np.zeros((2, 2)), "operator is numerically zero; no support to take a log on"),
+        (np.diag([1.0, -0.5]), "operator is not positive semidefinite: eigenvalue -5.000e-01"),
+        (np.eye(3) / 3, r"dimension mismatch: \(2, 2\) vs \(3, 3\)"),
+    ],
+)
+def test_relative_entropy_refuses_a_bad_nu0(nu0, message):
+    with pytest.raises(ValueError, match=message):
+        relative_entropy(np.eye(2) / 2, nu0)
+
+
+def haar_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def state_with_spectrum(rng, p, basis=None):
+    """U diag(p) U^dagger in a Haar basis, or in the first columns of ``basis``."""
+    p = np.asarray(p, dtype=float)
+    u = haar_unitary(rng, p.size) if basis is None else basis[:, : p.size] @ haar_unitary(rng, p.size)
+    return DensityOperator((u * p) @ u.conj().T)
+
+
+def dense_relative_entropy(m1, m0):
+    """Tr m1 ln m1 - Tr m1 ln m0 with both logs built as matrices on their
+    supports, and inf when an eigenvector of m1 in its support leaks more
+    than ``SUPPORT_LEAK_TOL`` out of m0's."""
+    logs = []
+    for m in (m1, m0):
+        w, v = np.linalg.eigh(m)
+        keep = w > operators.EIGEN_ZERO_TOL
+        logs.append(((v[:, keep] * np.log(w[keep])) @ v[:, keep].conj().T, v[:, keep]))
+    (log1, v1), (log0, v0) = logs
+    projector = v0 @ v0.conj().T
+    leak = 1.0 - np.einsum("ji,ji->i", v1.conj(), projector @ v1).real
+    if np.any(leak > operators.SUPPORT_LEAK_TOL):
+        return math.inf
+    return float(np.trace(m1 @ log1).real - np.trace(m1 @ log0).real)
+
+
+def entropy_pairs(kind, rng, dim):
+    if kind == "full rank":
+        return random_state(rng, dim), random_state(rng, dim)
+    if kind == "nu1 in a rank-deficient nu0":
+        u = haar_unitary(rng, dim)
+        q = rng.dirichlet(np.ones(dim - 1))
+        return state_with_spectrum(rng, rng.dirichlet(np.ones(dim - 1)), u), state_with_spectrum(rng, q, u)
+    if kind == "nu1 leaving a rank-deficient nu0":
+        nu0 = state_with_spectrum(rng, np.append(rng.dirichlet(np.ones(dim - 1)), 0.0))
+        return random_state(rng, dim), nu0
+    # "nu1 with a level near 1e-13"
+    p = rng.dirichlet(np.ones(dim - 1))
+    p = np.append(p * (1.0 - 1e-13), 1e-13)
+    return state_with_spectrum(rng, p), random_state(rng, dim)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["full rank", "nu1 in a rank-deficient nu0", "nu1 leaving a rank-deficient nu0", "nu1 with a level near 1e-13"],
+)
+def test_relative_entropy_matches_the_dense_logarithms(kind):
+    rng = np.random.default_rng(31)
+    for dim in (2, 3, 4, 6, 8) * 4:
+        nu1, nu0 = entropy_pairs(kind, rng, dim)
+        want = dense_relative_entropy(nu1.matrix, nu0.matrix)
+        got = relative_entropy(nu1, nu0)
+        assert math.isinf(got) == math.isinf(want) == (kind == "nu1 leaving a rank-deficient nu0")
+        if math.isfinite(want):
+            assert abs(got - want) <= 1e-12
 
 
 # ---------------------------------------------------------------- traces

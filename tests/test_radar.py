@@ -3,6 +3,7 @@
 import math
 import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from qspoof import (
 )
 from qspoof import radar
 from qspoof.adversary import BOUND_TOL
+from qspoof.config import load_config
+
+DATA = Path(__file__).parent / "data"
 
 REF = RadarParams(n_b=0.4, x=0.9, k=1, l=2)
 
@@ -376,8 +380,9 @@ def _stack_inputs(i):
 
 
 def _solved_alone(params, taus):
-    """(tau, pair, helstrom_measurement) at each threshold, solved on its own."""
-    base = build_radar_pair(params, 0.5, 0.5)
+    """(tau, pair, helstrom_measurement) at each threshold, solved on its own;
+    ``params`` is a radar scenario or a pair whose weights the threshold replaces."""
+    base = params if isinstance(params, HypothesisPair) else build_radar_pair(params, 0.5, 0.5)
     solved = []
     for tau in map(float, taus):
         pair = HypothesisPair.from_tau(base.rho0, base.rho1, tau)
@@ -410,6 +415,20 @@ def test_roc_sweep_equals_scalar_api(i):
     params, prices, grid = _stack_inputs(i)
     taus = default_tau_grid() if grid is None else grid
     _assert_roc_equals_scalar_api(roc_sweep(params, prices, grid), params, prices, taus)
+
+
+def test_explicit_roc_sweep_equals_scalar_api(monkeypatch):
+    # a pair's states come checked with rho1's spectrum: the sweep makes the
+    # Helstrom and the attack decompositions only, and every point is what the
+    # scalar API gives on HypothesisPair.from_tau at that threshold
+    cfg = load_config(DATA / "explicit_noncommuting.json")
+    pair = cfg.build_pair()
+    taus = default_tau_grid()
+    n_distinct = _distinct_projectors(_solved_alone(pair, taus))
+    calls = _count_eigh(monkeypatch)
+    curves = roc_sweep(pair, cfg.lambdas)
+    assert calls == [(len(taus),), (len(cfg.lambdas), n_distinct)]
+    _assert_roc_equals_scalar_api(curves, pair, cfg.lambdas, taus)
 
 
 @pytest.mark.parametrize("i", range(len(STACK_SCENARIOS)))
