@@ -231,8 +231,8 @@ def roc_sweep(params: RadarParams | HypothesisPair, lambdas, tau_grid=None) -> l
     # thresholds grouped by their projector's exact bytes (== would merge -0.0 and 0.0)
     keys = hel.projectors.reshape(len(grid), -1).view(np.dtype((np.void, hel.projectors[0].nbytes)))
     _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
-    rho1 = pair.rho1.spectrum
-    att = _attack_stack(_attack_view(rho1.eigenvalues, rho1.eigenvectors, hel.projectors[first]), np.array(lams))
+    dec = pair.rho1.spectrum
+    att = _attack_stack(_attack_view(dec.eigenvalues, dec.eigenvectors, hel.projectors[first]), np.array(lams))
     taus, p_false, p_detect = (tuple(c.tolist()) for c in (grid, hel.p_false, hel.p_detect))
     genuine = [p_detect, *map(tuple, att.genuine_p_detect[:, inverse].tolist())]
     return [RocCurve(lam, taus, p_false, p_detect, g) for lam, g in zip([None, *lams], genuine)]
