@@ -24,8 +24,10 @@ entropies instead; it is the independent audit that ``verify``, the
 oracle and the tests hold the closed form to.  ``oracle_attack``
 provides an independent numerical minimizer over the same feasible set
 for cross-checking: Newton steps from the exact Hessian of the objective
-on the chart e^H / Tr e^H where it is positive definite, L-BFGS steps
-elsewhere.  It never touches the closed form.
+on the chart e^H / Tr e^H, shifted by a multiple of the identity where
+it is not positive definite, up to support rank ``NEWTON_MAX_RANK``, and
+L-BFGS steps above it; it stops on the decrement -g.p of its direction.
+It never touches the closed form.
 """
 
 from __future__ import annotations
@@ -65,9 +67,11 @@ CLUSTER_TOL = 1e-8
 # worst errors were 1.3e-12 (series) against 1.0e-10 (log-sum-exp) at
 # lam = 1e5, and 1.3e-10 against 6.7e-12 at lam = 1e4.
 SERIES_PRICE = 1e5
-# Step and gradient-change pairs the oracle's L-BFGS search keeps.
+# Step and gradient-change pairs the oracle keeps for its L-BFGS
+# directions, taken only above support rank NEWTON_MAX_RANK.
 ORACLE_MEMORY = 8
-# The oracle stops once an accepted step improves the utility by less than this.
+# The oracle stops once the decrement -g.p of its direction p at gradient g
+# falls below twice this: a Newton step predicts an improvement of -g.p / 2.
 ORACLE_TOL = 1e-14
 # Accepted steps the oracle takes before it gives up (OracleConvergenceError).
 ORACLE_ITERATIONS = 5000
@@ -536,25 +540,38 @@ def _chart_hessian(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, lam: floa
     return both.real.reshape(n * n, n * n)
 
 
-def _newton_direction(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, grad: np.ndarray, lam: float):
-    """-H^-1 grad from the exact Hessian, or None where H is not positive definite.
+def _newton_direction(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
+    """-(H + tau I)^-1 grad from the exact Hessian H, with the first shift
+    tau at which a Cholesky factorization and the solve pass (Nocedal &
+    Wright, *Numerical Optimization*, Alg. 3.3).
 
     The objective is flat along the identity, so H is first lifted by
     max|H| e e^T, e the coordinates of I/sqrt(n); the gradient has no
-    component along e, and neither has the direction.  A direction longer
-    than ``NEWTON_STEP`` (Frobenius norm) is shortened to it.
+    component along e, and neither has the direction.  tau is 0, then
+    1e-3 max|H| (1.0 where H is 0, on the one-point chart of a rank-one
+    rho1), doubling at each failure.  The 30th try's tau exceeds
+    Gershgorin's bound on the lifted spectrum, (n^2 + 1) max|H|, at least
+    4000-fold, so the -grad returned when every try fails is a guard, not
+    a path.  A direction longer than ``NEWTON_STEP`` (Frobenius norm) is
+    shortened to it.
     """
     n = point.w.shape[0]
-    hess = _chart_hessian(point, a, phi, lam)
+    lifted = _chart_hessian(point, a, phi, lam)
+    top = np.abs(lifted).max()
     diagonal = np.arange(0, n * n, n + 1)
-    hess[diagonal[:, None], diagonal] += np.abs(hess).max() / n
-    try:
-        np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError:
-        return None
+    lifted[diagonal[:, None], diagonal] += top / n
     basis = _hermitian_basis(n)
     u = point.u
-    step = np.linalg.solve(hess, -2.0 * (basis.conj() * (u.conj().T @ grad @ u)).real.reshape(-1))
+    hess, shift = lifted, (1e-3 * top if top > 0.0 else 1.0)
+    for _ in range(30):
+        try:
+            np.linalg.cholesky(hess)
+            step = np.linalg.solve(hess, -2.0 * (basis.conj() * (u.conj().T @ grad @ u)).real.reshape(-1))
+            break
+        except np.linalg.LinAlgError:
+            hess, shift = lifted + shift * np.eye(n * n), 2.0 * shift
+    else:
+        return -grad
     norm = float(np.linalg.norm(step))
     if norm > NEWTON_STEP:
         step *= NEWTON_STEP / norm
@@ -591,28 +608,30 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
     """Numerical minimizer of the interceptor objective, independent of the closed form.
 
     Optimizes over the exponential-family chart sigma = exp(H)/Tr exp(H)
-    with H Hermitian on the support of ``rho1``, by Newton's method with
-    an L-BFGS fallback (Nocedal & Wright, *Numerical Optimization*, ch. 3
-    and 7).  Up to support rank ``NEWTON_MAX_RANK``, each accepted point
-    whose exact Hessian passes a Cholesky factorization takes the Newton
-    direction, capped at length ``NEWTON_STEP`` (``_newton_direction``).
-    Everywhere else the direction comes from the last ``ORACLE_MEMORY``
-    step and gradient-change pairs of the accepted steps, whichever
-    direction made them (only pairs with positive curvature s.y are
-    kept).  The step length comes from a backtracking (Armijo) line search
-    that first tries the full step.  When rounding makes the direction
-    fail to descend, the pairs are dropped and the search restarts from
-    the negative gradient.  Each trial point is decomposed once; the
-    accepted one's decomposition also gives its gradient and Hessian, and
-    the last one's the returned state.  Descent starts at the undistorted
-    state H = ln rho1 and stops once an accepted step improves the utility
-    by less than ``ORACLE_TOL``.
+    with H Hermitian on the support of ``rho1`` (Nocedal & Wright,
+    *Numerical Optimization*, ch. 3 and 7).  Up to support rank
+    ``NEWTON_MAX_RANK`` every direction is Newton's, from the exact
+    Hessian shifted by a multiple of the identity where it is not
+    positive definite, and capped at length ``NEWTON_STEP``
+    (``_newton_direction``).  Above that rank the direction is L-BFGS's,
+    from the last ``ORACLE_MEMORY`` step and gradient-change pairs of the
+    accepted steps (only pairs with positive curvature s.y are kept).  The
+    step length comes from a backtracking (Armijo) line search that first
+    tries the full step.  When rounding makes the direction fail to
+    descend, the pairs are dropped and the search restarts from the
+    negative gradient.  Each trial point is decomposed once; the accepted
+    one's decomposition also gives its gradient and Hessian, and the last
+    one's the returned state.  Descent starts at the undistorted state
+    H = ln rho1 and stops before a line search once the decrement -g.p of
+    the direction p is below 2 ``ORACLE_TOL``, or when the search finds no
+    step that improves the objective.
 
     Raises
     ------
     OracleConvergenceError
-        After ``ORACLE_ITERATIONS`` accepted steps without meeting
-        ``ORACLE_TOL``; the error carries the best iterate and its utility.
+        After ``ORACLE_ITERATIONS`` accepted steps without meeting the
+        decrement stop; the message names the last decrement, and the error
+        carries the best iterate and its utility.
     """
     lam = _check_price(lam)
     pi_m = as_matrix(pi1)
@@ -635,19 +654,16 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
     point = _chart_point(h, cost, lam)
     a, phi, grad = derivatives(point)
     pairs = deque(maxlen=ORACLE_MEMORY)
-    improvement = math.inf
+    slope = -math.inf
     for _ in range(ORACLE_ITERATIONS):
-        gnorm2 = _dot(grad, grad)
-        if gnorm2 <= 1e-28:
-            return lift(point)
-        direction = _newton_direction(point, a, phi, grad, lam) if newton else None
-        if direction is None:
-            direction = _lbfgs_direction(grad, pairs)
+        direction = _newton_direction(point, a, phi, grad, lam) if newton else _lbfgs_direction(grad, pairs)
         slope = _dot(grad, direction)
         if not slope < 0.0:
             # rounding broke the curvature model: restart from steepest descent
             pairs.clear()
-            direction, slope = -grad, -gnorm2
+            direction, slope = -grad, -_dot(grad, grad)
+        if -slope < 2.0 * ORACLE_TOL:
+            return lift(point)
         trial = 1.0
         for _ in range(80):
             h_new = h + trial * direction
@@ -658,7 +674,6 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
         else:
             # no representable step improves the objective: converged in float
             return lift(point)
-        improvement = point.value - new.value
         a, phi, grad_new = derivatives(new)
         s = h_new - h
         y = grad_new - grad
@@ -666,11 +681,9 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
         h, point, grad = h_new, new, grad_new
-        if improvement < ORACLE_TOL:
-            return lift(point)
     best = lift(point)
     raise OracleConvergenceError(
-        f"no convergence after {ORACLE_ITERATIONS} iterations (last improvement {improvement:.3e})",
+        f"no convergence after {ORACLE_ITERATIONS} iterations (last decrement {-slope:.3e})",
         best_state=best,
         best_utility=attacker_utility(best, pair.rho0, pi_m, pair, lam),
     )

@@ -26,13 +26,13 @@ WEIGHT_DROP_TOL = 1e-14
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """An ordered set of square operators of one shape defining a channel;
-    its dimension is read off operator 0."""
+    its dimension is read off operator 0.  ``operators`` is any iterable of
+    matrices, a (k, d, d) array included; it is stored as a tuple of
+    read-only complex arrays."""
 
     operators: tuple
 
     def __post_init__(self):
-        if not self.operators:
-            raise ValueError("a channel needs at least one operator")
         ops = []
         for idx, op in enumerate(self.operators):
             m = np.array(op, dtype=np.complex128)
@@ -44,6 +44,8 @@ class KrausChannel:
                 raise ValueError(f"operator {idx} contains non-finite entries")
             m.flags.writeable = False
             ops.append(m)
+        if not ops:
+            raise ValueError("a channel needs at least one operator")
         object.__setattr__(self, "operators", tuple(ops))
 
     @property

@@ -46,6 +46,13 @@ def _check_level(name: str, value) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
+def _check_weight(name: str, value) -> None:
+    """The rule of config's ``n_b`` and ``x`` fields: a real number, never a
+    bool (``_number``), in [0, 1]."""
+    if not 0.0 <= _number(value, name) <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class RadarParams:
     """Background weight ``n_b``, signal weight ``x``, noise level ``k``, signal level ``l``."""
@@ -56,10 +63,8 @@ class RadarParams:
     l: int
 
     def __post_init__(self):
-        if not 0.0 <= self.n_b <= 1.0:
-            raise ValueError(f"n_b must lie in [0, 1], got {self.n_b!r}")
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError(f"x must lie in [0, 1], got {self.x!r}")
+        _check_weight("n_b", self.n_b)
+        _check_weight("x", self.x)
         _check_level("k", self.k)
         _check_level("l", self.l)
 

@@ -880,9 +880,11 @@ def test_oracle_matches_closed_form_on_rank_deficient_rho1():
 
 def test_oracle_eigh_budget(monkeypatch):
     # each chart point the oracle visits is decomposed once, and Newton
-    # steps need few points: these six calls take 59, where L-BFGS alone
-    # took 199 and Barzilai-Borwein steepest descent, which also decomposed
-    # every accepted point a second time for its gradient, 766
+    # steps need few points: these six calls take 36 with the decrement
+    # stop (63 with the improvement and gradient-norm stops it replaced),
+    # where L-BFGS alone took 199 and Barzilai-Borwein steepest descent,
+    # which also decomposed every accepted point a second time for its
+    # gradient, 766
     cases = []
     for seed, d in ((3, 4), (99, 2), (21, 6)):
         pair = random_pair(np.random.default_rng(seed), d)
@@ -908,7 +910,7 @@ def test_oracle_newton_step_is_capped():
 
 
 @pytest.mark.parametrize("lam", [1e-2, 1e-3, 1e-4, 1e-6])
-def test_oracle_with_a_chart_spectrum_wider_than_sinh_range(lam):
+def test_oracle_with_a_chart_spectrum_wider_than_sinh_range(monkeypatch, lam):
     # rho1's support spectrum (1 - 1e-11, 1e-11) and a small price spread the
     # chart's exponent over more than 1420, where sinh of the half-gap
     # overflowed: the oracle then landed about 1e-3 off the closed form
@@ -920,7 +922,28 @@ def test_oracle_with_a_chart_spectrum_wider_than_sinh_range(lam):
     pair = HypothesisPair(rho0, rho1, 0.5, 0.5)
     pi1 = helstrom_measurement(pair).pi1
     sol = optimal_attack(pair, pi1, lam)
+    # the Hessian fails Cholesky at nearly every point here; the shifted
+    # Hessian keeps Newton steps, where L-BFGS steps took 2480-3068 points
+    points = _count_calls(monkeypatch, adversary, "_chart_point")
     sigma = oracle_attack(pair, pi1, lam)
+    assert len(points) <= 100
+    assert np.linalg.norm(sigma.matrix - sol.rho1_prime.matrix) <= ORACLE_STATE_TOL
+
+
+def test_oracle_on_a_rank_one_rho1_stops_at_its_one_chart_point(monkeypatch):
+    # the chart of a pure rho1 is a single point, where the Hessian is 0:
+    # its shift starts at 1.0, not at a multiple of max|H| = 0, and the
+    # zero decrement stops the oracle at once, on the closed form's state
+    rng = np.random.default_rng(4)
+    u = haar_unitary(rng, 3)
+    rho1 = DensityOperator(u @ np.diag([1.0, 0.0, 0.0]) @ u.conj().T)
+    pair = HypothesisPair(random_density(rng, 3, 1e-3), rho1, 0.5, 0.5)
+    pi1 = helstrom_measurement(pair).pi1
+    sol = optimal_attack(pair, pi1, 1.0)
+    points = _count_calls(monkeypatch, adversary, "_chart_point")
+    directions = _count_calls(monkeypatch, adversary, "_newton_direction")
+    sigma = oracle_attack(pair, pi1, 1.0)
+    assert len(points) == 1 and len(directions) == 1
     assert np.linalg.norm(sigma.matrix - sol.rho1_prime.matrix) <= ORACLE_STATE_TOL
 
 

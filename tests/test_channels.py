@@ -106,6 +106,11 @@ def test_kraus_validation():
     with pytest.raises(ValueError, match="operator 1 contains non-finite"):
         KrausChannel((np.eye(2), np.full((2, 2), np.nan)))
     assert KrausChannel((np.eye(3),)).dim == 3
+    # any iterable of matrices: a (k, d, d) stack holds k operators, an empty one none
+    stack = KrausChannel(np.stack([np.eye(2), np.zeros((2, 2))]))
+    assert len(stack.operators) == 2 and stack.dim == 2
+    with pytest.raises(ValueError, match="^a channel needs at least one operator$"):
+        KrausChannel(np.zeros((0, 2, 2)))
 
 
 def test_channel_sends_every_input_to_the_target():

@@ -10,8 +10,9 @@ takes ``--tau`` also runs with it; flag and validation failures that
 exit 2 follow.  ``tests/data/cli_manifest.json`` maps each run to its
 exit code and the SHA-256 of its stdout and of its stderr, as the code
 wrote them when the file was made (``python tests/make_cli_manifest.py``
-rewrites it).  A change that moves any byte of any run shows up here,
-with the runs that moved and the scenarios that produced them.
+rewrites it, and ``tests/data/verify_seed0.json`` with it).  A change
+that moves any byte of any run shows up here, with the runs that moved
+and the scenarios that produced them.
 """
 
 import contextlib

@@ -5,8 +5,9 @@ subcommands wrote at an earlier commit, in both formats for every
 subcommand the scenario supports: CSV with 12 significant digits, and
 JSON at full precision (``detect`` with the spectrum and the projector,
 ``attack`` with the utility, Z1 and rho1').  ``verify_seed0.json`` holds
-``qspoof verify --seed 0`` without its wall-clock time.  A change that
-moves any digit shows up here.
+``qspoof verify --seed 0`` without its wall-clock time; ``python
+tests/make_cli_manifest.py`` rewrites it (with the CLI manifest) through
+``verify_seed0_text``.  A change that moves any digit shows up here.
 """
 
 import json
@@ -18,6 +19,7 @@ from qspoof import cli
 from qspoof.serialize import json_text
 
 DATA = Path(__file__).parent / "data"
+VERIFY_GOLDEN = DATA / "verify_seed0.json"
 
 CASES = {
     "csv": [
@@ -62,9 +64,14 @@ def test_json_output_matches_golden(tmp_path, scenario, command):
     assert_golden(tmp_path, scenario, command, "json")
 
 
-def test_verify_output_matches_golden(tmp_path):
-    out = tmp_path / "verify.json"
+def verify_seed0_text(workdir: Path) -> str:
+    """``qspoof verify --seed 0`` as JSON text without its wall-clock time."""
+    out = workdir / "verify.json"
     assert cli.main(["verify", "--seed", "0", "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report.pop("wall_clock_seconds") > 0.0
-    assert json_text(report) == (DATA / "verify_seed0.json").read_text(encoding="utf-8")
+    return json_text(report)
+
+
+def test_verify_output_matches_golden(tmp_path):
+    assert verify_seed0_text(tmp_path) == VERIFY_GOLDEN.read_text(encoding="utf-8")

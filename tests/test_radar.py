@@ -100,6 +100,15 @@ def test_params_reject_a_level_that_is_not_a_nonnegative_integer(field, value):
         RadarParams(n_b=0.4, x=0.5, **levels)
 
 
+@pytest.mark.parametrize("field", ["n_b", "x"])
+@pytest.mark.parametrize("value", [True, "0.4", None])
+def test_params_reject_a_weight_that_is_not_a_real_number(field, value):
+    # a bool used to pass as 0 or 1, and a string to fail in the range comparison with a TypeError
+    weights = {"n_b": 0.4, "x": 0.5, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+        RadarParams(k=1, l=2, **weights)
+
+
 def test_params_accept_numpy_integers():
     params = RadarParams(n_b=0.4, x=0.5, k=np.int64(3), l=np.int32(5))
     assert build_radar_pair(params, 0.5, 0.5).rho0.dim == 6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qspoof import DensityOperator, HypothesisPair, helstrom_measurement, hermitian_part, perturbation_estimate
-from qspoof import verify
+from qspoof import adversary, verify
 from qspoof.config import VerifyOptions
 from qspoof.sampling import haar_unitary, random_density
 from qspoof.verify import run_verification
@@ -54,6 +54,25 @@ def test_commuting_only_mode():
     # every commuting case carries the lower bound as a hard assertion
     assert envelope.stats["lower_asserted_cases"] == SMALL["instances"] * len(SMALL["lambdas"])
     assert envelope.stats["out_of_assumption_shortfalls"] == []
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.3])
+def test_oracle_agrees_with_the_closed_form_at_small_prices(monkeypatch, lam):
+    # one instance at each of these prices reaches chart points whose
+    # Hessian fails Cholesky; the L-BFGS steps once taken there stopped
+    # 0.14 and 0.29 from the closed form (and at 0.1 over 50 instances,
+    # np.linalg.solve raised "Singular matrix" after Cholesky had passed)
+    lbfgs = []
+    inner = adversary._lbfgs_direction
+
+    def counted(*args):
+        lbfgs.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(adversary, "_lbfgs_direction", counted)
+    report = run_verification(0, VerifyOptions(instances=1, lambdas=(lam,), channel_instances=1))
+    assert report.ok
+    assert lbfgs == []  # every support rank here is at most NEWTON_MAX_RANK
 
 
 def _perturbation_reference(seed):
