@@ -216,7 +216,11 @@ class _AttackView(NamedTuple):
 def _attack_view(w: np.ndarray, x: np.ndarray, projectors: np.ndarray) -> _AttackView:
     """The view of rho1's spectrum ``w`` (descending), ``x`` and the projectors:
     the chart is the slice at ``_support_rank``.  ``w`` and ``x`` are one
-    spectrum, or a stack of spectra of one rank with one per projector."""
+    spectrum, or a stack of spectra of one rank with one per projector.
+    A projector of another shape than rho1 is refused with the words of
+    ``trace_product``, the projector's shape first."""
+    if projectors.shape[-2:] != x.shape[-2:]:
+        raise ValueError(f"dimension mismatch: {projectors.shape[-2:]} vs {x.shape[-2:]}")
     k = int(np.max(_support_rank(w)))
     v = np.ascontiguousarray(x[..., :k])  # a strided single column can move the last bit of pi_s
     return _AttackView(w[..., :k], v, x[..., k:], projectors, _in_support(v, projectors))
@@ -366,7 +370,8 @@ def detection_bounds(p_detect: float, lam: float) -> tuple[float, float]:
     The upper bound ``p_detect`` is unconditional.  The lower bound
     ``p_detect * exp(-1/lam)`` is guaranteed for commuting pairs, and holds
     empirically in the noncommuting case for lam >= 2 whenever the spectral
-    gap condition reported by :func:`gap_condition_sums` is satisfied.
+    gap condition reported by :func:`gap_condition_sums` is satisfied, on
+    every level of rho1's support (a rank-deficient rho1 included).
     """
     lam = _check_price(lam)
     return p_detect * math.exp(-1.0 / lam), p_detect
@@ -696,11 +701,17 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
 def gap_condition_sums(rho1: DensityOperator, pi1) -> np.ndarray:
     """Per-level sums sum_{j != i} |<phi_i|Pi1|phi_j>| / |r_i - r_j|.
 
-    The first-order eigenvalue estimate is trustworthy when every entry is
-    below one.  Degenerate pairs of eigenvalues produce ``inf`` entries.
+    The levels are those of rho1's support, the eigenvalues above
+    ``EIGEN_ZERO_TOL`` (``_attack_view``'s chart), so the result has one
+    entry per support level: the exponent ln rho1 - Pi1/lam and the whole
+    attack live on that support, and kernel levels are not levels of the
+    problem.  The first-order eigenvalue estimate is trustworthy when every
+    entry is below one.  Degenerate pairs of eigenvalues produce ``inf``
+    entries.
     """
     dec = spectral_decompose(rho1)
-    return _gap_sums(dec.eigenvalues, _in_support(dec.eigenvectors, as_matrix(pi1)))
+    view = _attack_view(dec.eigenvalues, dec.eigenvectors, as_matrix(pi1)[None])
+    return _gap_sums(view.r, view.pi_s[0])
 
 
 def _gap_sums(r: np.ndarray, pi_s: np.ndarray) -> np.ndarray:
@@ -722,9 +733,8 @@ class PerturbationReport:
     ln r_i - beta_i/lam and ``residual`` their difference.  ``applicable``
     is False when rho1 is rank-deficient, its spectrum is not simple, or
     the overlap matching was ambiguous; residuals are still reported.
-    ``gap_sums`` equals :func:`gap_condition_sums` only on a full-rank rho1;
-    on a rank-deficient one it is ``inf`` on every level (the condition fails),
-    while ``gap_condition_sums`` also sums over the kernel's zero levels.
+    ``gap_sums`` equals :func:`gap_condition_sums`, one entry per support
+    level, and ``gap_condition_holds`` is whether every entry is below one.
     """
 
     lam: float
@@ -795,13 +805,13 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
     paired to levels of rho1 by maximal eigenvector overlap, so reordering
     caused by the shift cannot corrupt the residuals.  The report flags
     near-degenerate clusters (eigenvalue gaps below ``CLUSTER_TOL``) and
-    evaluates the trust condition of :func:`gap_condition_sums` on a
-    full-rank rho1 (see ``PerturbationReport`` for a rank-deficient one).  Like
-    ``optimal_attack`` it takes rho1's support chart and Pi1 in it from
-    the view stored for a ``ProjectorMeasurement``.  The spectral part is
-    the stacked step ``_perturbation_stack`` (the one ``verify`` runs over
-    its pairs and prices) with a stack of one; the cluster flags, gap sums
-    and rank flag are computed per call.
+    evaluates the trust condition of :func:`gap_condition_sums` over the
+    support levels of rho1, at every rank.  Like ``optimal_attack`` it
+    takes rho1's support chart and Pi1 in it from the view stored for a
+    ``ProjectorMeasurement``.  The spectral part is the stacked step
+    ``_perturbation_stack`` (the one ``verify`` runs over its pairs and
+    prices) with a stack of one; the cluster flags, gap sums and rank flag
+    are computed per call.
     """
     lam = _check_price(lam)
     view = _pair_view(pair, pi1).view
@@ -818,7 +828,7 @@ def perturbation_estimate(pair: HypothesisPair, pi1, lam: float) -> Perturbation
     pert = _perturbation_stack(r[None], view.pi_s, np.array([lam]))
     at = (0, 0)
 
-    gap_sums = _gap_sums(r, pi_s) if full_rank else np.full(pair.rho1.dim, math.inf)
+    gap_sums = _gap_sums(r, pi_s)
     gap_holds = bool(np.all(gap_sums < 1.0))
 
     return PerturbationReport(

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityOperator, as_matrix, spectral_decompose
+from .operators import DensityOperator, as_matrix, spectral_decompose, _support_rank
 
 # Channels whose completeness residual exceeds this are refused application.
 COMPLETENESS_TOL = 1e-8
-# Spectral weights at or below this are dropped from the realization.
-WEIGHT_DROP_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,18 +64,18 @@ def realize_channel(rho: DensityOperator, rho_target: DensityOperator) -> KrausC
 
     With spectral weights p_i and eigenvectors v_i of the target, the
     operators are E_ij = sqrt(p_i) |v_i><e_j| over the computational basis
-    e_j; weights at or below ``WEIGHT_DROP_TOL`` are dropped, keeping the
-    operator count at most dim * rank(rho_target).
+    e_j, for the target's support levels only: its first ``_support_rank``
+    eigenpairs, the weights above ``EIGEN_ZERO_TOL``.  So there are
+    dim * rank operators, and the dropped mass is at most
+    dim * ``EIGEN_ZERO_TOL``.
     """
     if rho.dim != rho_target.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {rho_target.dim}")
     d = rho_target.dim
     dec = spectral_decompose(rho_target)
     ops = []
-    for i, p in enumerate(dec.eigenvalues):
-        if p <= WEIGHT_DROP_TOL:
-            continue
-        col = np.sqrt(p) * dec.eigenvectors[:, i]
+    for i in range(_support_rank(dec.eigenvalues)):
+        col = np.sqrt(dec.eigenvalues[i]) * dec.eigenvectors[:, i]
         for j in range(d):
             e = np.zeros((d, d), dtype=np.complex128)
             e[:, j] = col

@@ -1092,11 +1092,12 @@ def test_gap_condition_sums_handmade():
 
 
 def _gap_condition_sums_loop(rho1, pi1):
-    """Reference: the per-entry double loop, with ``inf`` on a zero gap."""
+    """Reference: the per-entry double loop over rho1's support levels (the
+    eigenvalues above ``EIGEN_ZERO_TOL``), with ``inf`` on a zero gap."""
     dec = spectral_decompose(rho1.matrix)
     v, r = dec.eigenvectors, dec.eigenvalues
     overlap = np.abs(v.conj().T @ np.asarray(pi1.matrix) @ v)
-    d = r.shape[0]
+    d = int(np.sum(r > operators.EIGEN_ZERO_TOL))
     out = np.zeros(d)
     for i in range(d):
         acc = 0.0
@@ -1138,6 +1139,79 @@ def test_gap_condition_sums_commuting_are_zero():
     pair = radar_pair()
     pi1 = ProjectorMeasurement(np.diag([0.0, 0.0, 1.0]))
     assert np.allclose(gap_condition_sums(pair.rho1, pi1), 0.0, atol=1e-14)
+
+
+def _kernel_coupled_case(coupling):
+    """rho1 = diag(0.6, 0.4, 0) and the projector onto (1, coupling, 1)
+    normalized: level 0 meets the kernel level through Pi1[0, 2] = 1/|.|^2."""
+    v = np.array([1.0, coupling, 1.0])
+    pair = HypothesisPair(DensityOperator.maximally_mixed(3), DensityOperator.from_diagonal([0.6, 0.4, 0.0]), 0.5, 0.5)
+    return pair, ProjectorMeasurement(np.outer(v, v) / (v @ v))
+
+
+def test_gap_condition_sums_run_over_the_support_levels():
+    # one entry per support level; a sum that also ran over the kernel level
+    # would read 1.078 on level 0, where the support sum is 0.249
+    pair, pi1 = _kernel_coupled_case(0.1)
+    got = gap_condition_sums(pair.rho1, pi1)
+    want = _gap_condition_sums_loop(pair.rho1, pi1)
+    assert got.shape == want.shape == (2,)
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(np.float64).eps * want)
+    assert np.allclose(got, 0.1 / 2.01 / 0.2, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("coupling,holds", [(0.1, True), (1.0, False)])
+def test_perturbation_gap_sums_are_the_gap_condition_sums_at_every_rank(coupling, holds):
+    pair, pi1 = _kernel_coupled_case(coupling)
+    sums = gap_condition_sums(pair.rho1, pi1)
+    for lam in (2.0, 10.0):
+        rep = perturbation_estimate(pair, pi1, lam)
+        assert np.array_equal(rep.gap_sums, sums)
+        assert rep.gap_condition_holds is holds
+        assert holds == bool(np.all(sums < 1.0))
+        assert not rep.full_rank and not rep.applicable
+
+
+def _cut_rho1(rng, d):
+    """A pair of one of ``sampling``'s kinds with rho1 cut to its top k
+    levels (1 <= k < d, renormalized) in its own eigenbasis."""
+    pair = (near_commuting_pair, random_commuting_pair, random_pair)[int(rng.integers(0, 3))](rng, d)
+    w, x = pair.rho1.spectrum.eigenvalues, pair.rho1.spectrum.eigenvectors
+    p = np.where(np.arange(d) < rng.integers(1, d), w, 0.0)
+    return HypothesisPair(pair.rho0, DensityOperator((x * (p / p.sum())) @ x.conj().T), 0.5, 0.5)
+
+
+def test_support_gap_condition_keeps_the_lower_bound_on_rank_deficient_pairs():
+    # wherever every support-level sum is below one, the attack at lam >= 2
+    # keeps genuine P_D >= P_D e^(-1/lam) - BOUND_TOL
+    rng = np.random.default_rng(2025)
+    asserted = 0
+    for _ in range(100):
+        pair = _cut_rho1(rng, int(rng.integers(3, 8)))
+        hel = helstrom_measurement(pair)
+        if not np.all(gap_condition_sums(pair.rho1, hel.pi1) < 1.0):
+            continue
+        for lam in (2.0, 5.0):
+            sol = optimal_attack(pair, hel.pi1, lam)
+            assert BoundReport.evaluate(hel.p_detect, sol.genuine_p_detect, lam).lower_satisfied
+            asserted += 1
+    assert asserted >= 100
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda pair, pi1: optimal_attack(pair, pi1, 1.0), id="optimal_attack"),
+        pytest.param(lambda pair, pi1: oracle_attack(pair, pi1, 1.0), id="oracle_attack"),
+        pytest.param(lambda pair, pi1: perturbation_estimate(pair, pi1, 1.0), id="perturbation_estimate"),
+        pytest.param(lambda pair, pi1: gap_condition_sums(pair.rho1, pi1), id="gap_condition_sums"),
+    ],
+)
+def test_projector_of_another_dimension_is_refused(call):
+    # the chart builder's one shape check, in trace_product's words
+    pair = HypothesisPair(DensityOperator.maximally_mixed(3), DensityOperator.from_diagonal([0.5, 0.3, 0.2]), 0.5, 0.5)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"):
+        call(pair, ProjectorMeasurement(np.diag([1.0, 0.0])))
 
 
 def _clusters_and_matching_loop(pair, pi1, lam):

@@ -13,6 +13,7 @@ from qspoof import (
     realize_channel,
 )
 from qspoof.sampling import random_density
+from qspoof.verify import CHANNEL_TOL
 
 ACTION_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -111,6 +112,17 @@ def test_kraus_validation():
     assert len(stack.operators) == 2 and stack.dim == 2
     with pytest.raises(ValueError, match="^a channel needs at least one operator$"):
         KrausChannel(np.zeros((0, 2, 2)))
+
+
+def test_realization_keeps_the_support_levels_only():
+    # a weight of 5e-13 is below EIGEN_ZERO_TOL: the channel realizes the
+    # two support levels, d * 2 operators, and loses only that mass
+    rho = DensityOperator.maximally_mixed(3)
+    target = DensityOperator.from_diagonal([0.6, 0.4 - 5e-13, 5e-13])
+    ch = realize_channel(rho, target)
+    assert len(ch.operators) == 3 * 2
+    assert completeness_residual(ch) <= CHANNEL_TOL
+    assert np.max(np.abs(apply_channel(ch, rho).matrix - target.matrix)) <= CHANNEL_TOL
 
 
 def test_channel_sends_every_input_to_the_target():

@@ -211,16 +211,23 @@ def run_all(workdir: Path) -> dict:
     return results
 
 
-def test_cli_runs_match_manifest(tmp_path):
-    expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    got = run_all(tmp_path)
+def moved_runs(expected: dict, got: dict) -> list[str]:
+    """The runs whose results differ between two manifests, and the
+    scenarios that produced them, as lines; none when nothing moved."""
     moved = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+    if not moved:
+        return []
+    every_run, drawn = runs(), scenarios()
+    lines = [f"{len(moved)} of {len(expected)} runs moved:"]
+    lines += [f"  {key}: manifest {expected.get(key)}, now {got.get(key)}" for key in moved]
+    lines.append("from the scenarios:")
+    for name in sorted({every_run[key][0] for key in moved if key in every_run}):
+        case = drawn.get(name) or {"config": every_run[name][1], "argv": every_run[name][2]}
+        lines.append(f"  {name}: {json.dumps(case)}")
+    return lines
+
+
+def test_cli_runs_match_manifest(tmp_path):
+    moved = moved_runs(json.loads(MANIFEST.read_text(encoding="utf-8")), run_all(tmp_path))
     if moved:
-        every_run, drawn = runs(), scenarios()
-        lines = [f"{len(moved)} of {len(expected)} runs moved:"]
-        lines += [f"  {key}: manifest {expected.get(key)}, now {got.get(key)}" for key in moved]
-        lines.append("from the scenarios:")
-        for name in sorted({every_run[key][0] for key in moved if key in every_run}):
-            case = drawn.get(name) or {"config": every_run[name][1], "argv": every_run[name][2]}
-            lines.append(f"  {name}: {json.dumps(case)}")
-        raise AssertionError("\n".join(lines))
+        raise AssertionError("\n".join(moved))
