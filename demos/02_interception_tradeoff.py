@@ -55,7 +55,8 @@ print(f"identity check: utility = -lambda ln Z1 -> "
 
 # The oracle knows nothing of the closed form: it descends the objective
 # over the exponential-family chart from the undistorted state, by Newton
-# steps where the chart Hessian is positive definite and L-BFGS elsewhere.
+# steps from the entrywise part of the chart Hessian in the exponent's
+# eigenbasis.
 sigma = oracle_attack(pair, hel.pi1, lam)
 print()
 print("oracle distorted diag:     ", np.round(np.diag(sigma.matrix).real, 6))

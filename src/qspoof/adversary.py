@@ -23,19 +23,17 @@ stored per pair and shared by every price.
 entropies instead; it is the independent audit that ``verify``, the
 oracle and the tests hold the closed form to.  ``oracle_attack``
 provides an independent numerical minimizer over the same feasible set
-for cross-checking: Newton steps from the exact Hessian of the objective
-on the chart e^H / Tr e^H, shifted by a multiple of the identity where
-it is not positive definite, up to support rank ``NEWTON_MAX_RANK``, and
-L-BFGS steps above it; it stops on the decrement -g.p of its direction.
+for cross-checking: on the chart e^H / Tr e^H, at every support rank,
+Newton steps from the entrywise part of the objective's Hessian in H's
+eigenbasis, which is the whole Hessian at the minimizer up to the flat
+identity direction; it stops on the decrement -g.p of its direction.
 It never touches the closed form.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,9 +65,6 @@ CLUSTER_TOL = 1e-8
 # worst errors were 1.3e-12 (series) against 1.0e-10 (log-sum-exp) at
 # lam = 1e5, and 1.3e-10 against 6.7e-12 at lam = 1e4.
 SERIES_PRICE = 1e5
-# Step and gradient-change pairs the oracle keeps for its L-BFGS
-# directions, taken only above support rank NEWTON_MAX_RANK.
-ORACLE_MEMORY = 8
 # The oracle stops once the decrement -g.p of its direction p at gradient g
 # falls below twice this: a Newton step predicts an improvement of -g.p / 2.
 ORACLE_TOL = 1e-14
@@ -79,10 +74,6 @@ ORACLE_ITERATIONS = 5000
 # An uncapped full step can leave a d = 2 search on the chart's flat
 # boundary, max|h| going 1.4 -> 15.8, where it stops 0.13 above the minimum.
 NEWTON_STEP = 1.0
-# Largest support rank at which the oracle assembles the exact Hessian: it
-# takes n^4 memory and n^6 time, and from rank 10 on it costs more per call
-# than the L-BFGS iterations it saves.
-NEWTON_MAX_RANK = 8
 # Points of exp's divided differences closer than this are taken as one:
 # the difference quotients give way to their Taylor limits.
 DIVIDED_DIFFERENCE_GAP = 1e-6
@@ -419,20 +410,16 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
 
 
 def _exp_second_divided_differences(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Second divided differences of exp at the points w, from the first ones ``phi``.
+    """Second divided differences of exp with a repeated point, from the first ones ``phi``.
 
-    Entry (i, k, j) is exp[w_i, w_k, w_j], symmetric in its three points:
-    (phi_ik - phi_kj) / (w_i - w_j) where w_i and w_j are more than
-    ``DIVIDED_DIFFERENCE_GAP`` apart, else (e^wi - phi_ik) / (w_i - w_k)
-    where w_k is, and e^wi / 2 where all three coincide.
+    Entry (i, j) is exp[w_i, w_i, w_j]: (e^wi - phi_ij) / (w_i - w_j) where
+    w_i and w_j are more than ``DIVIDED_DIFFERENCE_GAP`` apart, and e^wi / 2
+    where they are taken as one.
     """
     gap = w[:, None] - w[None, :]
     far = np.abs(gap) > DIVIDED_DIFFERENCE_GAP
-    gap = np.where(far, gap, 1.0)
-    outer = (phi[:, :, None] - phi[None, :, :]) / gap[:, None, :]
     ew = np.exp(w)[:, None]
-    inner = np.where(far, (ew - phi) / gap, 0.5 * ew)
-    return np.where(far[:, None, :], outer, inner[:, :, None])
+    return np.where(far, (ew - phi) / np.where(far, gap, 1.0), 0.5 * ew)
 
 
 class _ChartPoint(NamedTuple):
@@ -455,7 +442,7 @@ def _chart_point(h: np.ndarray, cost: np.ndarray, lam: float) -> _ChartPoint:
     In the eigenbasis of h it reads sum(p * (diag(K~) + lam w)) - lam ln z,
     K~ = u^dagger K u, with the exponentials shifted by the top eigenvalue
     (as in ``_optimal_utility``), so no point overflows and z >= 1.  The
-    decomposition is kept for ``_chart_gradient`` and ``_chart_hessian``.
+    decomposition is kept for ``_chart_gradient`` and ``_newton_direction``.
     """
     w, u = np.linalg.eigh(h)
     w = w - w[-1]
@@ -494,94 +481,31 @@ def _chart_gradient(point: _ChartPoint, a: np.ndarray, phi: np.ndarray) -> np.nd
     return _hermitian(u @ m @ u.conj().T)
 
 
-@functools.lru_cache(maxsize=NEWTON_MAX_RANK)
-def _hermitian_basis(n: int) -> np.ndarray:
-    """The weights c of an orthonormal basis of the n x n Hermitian matrices
-    under Re Tr(a^dagger b), one basis matrix c_jk E_jk + conj(c_jk) E_kj per
-    entry (j, k): E_jj (c = 1/2), (E_jk + E_kj)/sqrt 2 above the diagonal
-    (c = 1/sqrt 2) and i(E_kj - E_jk)/sqrt 2 below it (c = -i/sqrt 2).
-
-    A Hermitian M has the coordinates 2 Re(conj(c) o M), and coordinates
-    x (an n x n real array) give the matrix (c o x) + (c o x)^dagger.
-    """
-    c = np.where(np.triu(np.ones((n, n), dtype=bool)), math.sqrt(0.5) + 0j, -1j * math.sqrt(0.5))
-    np.fill_diagonal(c, 0.5)
-    return _read_only(c)
-
-
-def _chart_hessian(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, lam: float) -> np.ndarray:
-    """Hessian of the objective at a decomposed chart point, in the
-    coordinates of ``_hermitian_basis`` taken in h's eigenbasis, flattened.
-
-    With s(X) = sum p_i X_ii, g(X) = sum A~_ji phi_ij X_ij / z and f the
-    second divided differences of exp at w, the second derivative along
-    Hermitian X, Y (in h's eigenbasis) is
-
-        H[X, Y] = ((lam - mean) / z) sum phi_ij X_ij Y_ji
-                  + (2 mean - lam) s(X) s(Y) - g(X) s(Y) - g(Y) s(X)
-                  + (1/z) sum_ijk A~_ji f_ikj (X_ik Y_kj + Y_ik X_kj),
-
-    the last term from the second Frechet derivative of exp (Higham,
-    *Functions of Matrices*, 2008, ch. 3).  It is assembled as a complex
-    bilinear form Q + Q^T on flattened matrices, with t = (mean - lam/2) s - g
-    making the middle terms t s^T + s t^T, then taken in the real basis
-    entry by entry (no matrix product, so no threaded BLAS call).
-    """
-    n = point.w.shape[0]
-    z, mean = point.z, point.mean
-    c = a.T[:, None, :] * _exp_second_divided_differences(point.w, phi) / z  # c[i, k, j] = A~_ji f_ikj / z
-    ar = np.arange(n)
-    c[ar, :, ar] += (0.5 * (lam - mean) / z) * phi  # pairs X_ij with Y_ji, half in Q and half in Q^T
-    q = np.zeros((n, n * n, n), dtype=np.complex128)
-    q[:, :: n + 1, :] = c  # Q[(i, k), (l, j)] = delta_kl c[i, k, j]
-    q = q.reshape(n * n, n * n)
-    t = -(a.T * phi).reshape(-1) / z
-    t[:: n + 1] += (mean - 0.5 * lam) * point.p
-    q[:, :: n + 1] += t[:, None] * point.p
-    form = (q + q.T).reshape(n, n, n, n)
-    basis = _hermitian_basis(n)
-    right = form * basis + form.swapaxes(2, 3) * basis.conj()
-    both = basis[:, :, None, None] * right + basis.conj()[:, :, None, None] * right.swapaxes(0, 1)
-    return both.real.reshape(n * n, n * n)
-
-
 def _newton_direction(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
-    """-(H + tau I)^-1 grad from the exact Hessian H, with the first shift
-    tau at which a Cholesky factorization and the solve pass (Nocedal &
-    Wright, *Numerical Optimization*, Alg. 3.3).
+    """-grad / |D|, entry by entry in h's eigenbasis, from the entrywise part
+    D of the chart Hessian (Nocedal & Wright, *Numerical Optimization*, ch. 3).
 
-    The objective is flat along the identity, so H is first lifted by
-    max|H| e e^T, e the coordinates of I/sqrt(n); the gradient has no
-    component along e, and neither has the direction.  tau is 0, then
-    1e-3 max|H| (1.0 where H is 0, on the one-point chart of a rank-one
-    rho1), doubling at each failure.  The 30th try's tau exceeds
-    Gershgorin's bound on the lifted spectrum, (n^2 + 1) max|H|, at least
-    4000-fold, so the -grad returned when every try fails is a guard, not
-    a path.  A direction longer than ``NEWTON_STEP`` (Frobenius norm) is
-    shortened to it.
+    With f the second divided differences exp[w_a, w_a, w_b], the Hessian
+    pairs the entry X_ab of a Hermitian X (in h's eigenbasis) with itself by
+
+        D_ab = ((lam - mean) phi_ab + f_ab A~_aa + f_ba A~_bb) / z.
+
+    Where the gradient vanishes, (A~ o phi) / z = mean diag(p) gives
+    A~ = mean I, and there the whole Hessian maps X to D o X up to a
+    multiple of diag(p) on the diagonal, which moves h only along the flat
+    identity: this is Newton's step at the minimizer.  Away from it D can
+    have entries <= 0; taking |D| keeps every direction one of descent.  A
+    direction longer than ``NEWTON_STEP`` (Frobenius norm) is shortened to it.
     """
-    n = point.w.shape[0]
-    lifted = _chart_hessian(point, a, phi, lam)
-    top = np.abs(lifted).max()
-    diagonal = np.arange(0, n * n, n + 1)
-    lifted[diagonal[:, None], diagonal] += top / n
-    basis = _hermitian_basis(n)
     u = point.u
-    hess, shift = lifted, (1e-3 * top if top > 0.0 else 1.0)
-    for _ in range(30):
-        try:
-            np.linalg.cholesky(hess)
-            step = np.linalg.solve(hess, -2.0 * (basis.conj() * (u.conj().T @ grad @ u)).real.reshape(-1))
-            break
-        except np.linalg.LinAlgError:
-            hess, shift = lifted + shift * np.eye(n * n), 2.0 * shift
-    else:
-        return -grad
+    f = _exp_second_divided_differences(point.w, phi)
+    cost_diag = np.diagonal(a).real
+    d = ((lam - point.mean) * phi + f * cost_diag[:, None] + f.T * cost_diag) / point.z
+    step = -(u.conj().T @ grad @ u) / np.abs(d)
     norm = float(np.linalg.norm(step))
     if norm > NEWTON_STEP:
         step *= NEWTON_STEP / norm
-    half = basis * step.reshape(n, n)
-    return _hermitian(u @ (half + half.conj().T) @ u.conj().T)
+    return _hermitian(u @ step @ u.conj().T)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -589,47 +513,24 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
-    """-H grad by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4).
-
-    ``pairs`` holds (s, y, 1 / s.y), oldest first; the initial inverse
-    Hessian is (s.y / y.y) I from the newest pair, and I when none is kept.
-    """
-    q = grad
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * _dot(s, q)
-        alphas.append(alpha)
-        q = q - alpha * y
-    if pairs:
-        _, y, rho = pairs[-1]
-        q = q / (rho * _dot(y, y))
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q = q + (alpha - rho * _dot(y, q)) * s
-    return -q
-
-
 def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
     """Numerical minimizer of the interceptor objective, independent of the closed form.
 
     Optimizes over the exponential-family chart sigma = exp(H)/Tr exp(H)
     with H Hermitian on the support of ``rho1`` (Nocedal & Wright,
-    *Numerical Optimization*, ch. 3 and 7).  Up to support rank
-    ``NEWTON_MAX_RANK`` every direction is Newton's, from the exact
-    Hessian shifted by a multiple of the identity where it is not
-    positive definite, and capped at length ``NEWTON_STEP``
-    (``_newton_direction``).  Above that rank the direction is L-BFGS's,
-    from the last ``ORACLE_MEMORY`` step and gradient-change pairs of the
-    accepted steps (only pairs with positive curvature s.y are kept).  The
+    *Numerical Optimization*, ch. 3).  At every support rank the direction
+    is Newton's, from the entrywise part of the Hessian in h's eigenbasis
+    taken in absolute value, and capped at length ``NEWTON_STEP``
+    (``_newton_direction``); it costs O(n^3), as the gradient does.  The
     step length comes from a backtracking (Armijo) line search that first
     tries the full step.  When rounding makes the direction fail to
-    descend, the pairs are dropped and the search restarts from the
-    negative gradient.  Each trial point is decomposed once; the accepted
-    one's decomposition also gives its gradient and Hessian, and the last
-    one's the returned state.  Descent starts at the undistorted state
-    H = ln rho1 and stops before a line search once the decrement -g.p of
-    the direction p is below 2 ``ORACLE_TOL``, or when the search finds no
-    step that improves the objective.
+    descend, the search restarts from the negative gradient.  Each trial
+    point is decomposed once; the accepted one's decomposition also gives
+    its gradient and direction, and the last one's the returned state.
+    Descent starts at the undistorted state H = ln rho1 and stops before a
+    line search once the decrement -g.p of the direction p is below
+    2 ``ORACLE_TOL``, or when the search finds no step that improves the
+    objective.
 
     Raises
     ------
@@ -654,18 +555,15 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
         a, phi = _chart_cost(point, cost, lam), _exp_divided_differences(point.w)
         return a, phi, _chart_gradient(point, a, phi)
 
-    newton = r.shape[0] <= NEWTON_MAX_RANK
     h = np.diag(log_r.astype(np.complex128))
     point = _chart_point(h, cost, lam)
     a, phi, grad = derivatives(point)
-    pairs = deque(maxlen=ORACLE_MEMORY)
     slope = -math.inf
     for _ in range(ORACLE_ITERATIONS):
-        direction = _newton_direction(point, a, phi, grad, lam) if newton else _lbfgs_direction(grad, pairs)
+        direction = _newton_direction(point, a, phi, grad, lam)
         slope = _dot(grad, direction)
         if not slope < 0.0:
             # rounding broke the curvature model: restart from steepest descent
-            pairs.clear()
             direction, slope = -grad, -_dot(grad, grad)
         if -slope < 2.0 * ORACLE_TOL:
             return lift(point)
@@ -679,13 +577,8 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
         else:
             # no representable step improves the objective: converged in float
             return lift(point)
-        a, phi, grad_new = derivatives(new)
-        s = h_new - h
-        y = grad_new - grad
-        sy = _dot(s, y)
-        if sy > 0.0:
-            pairs.append((s, y, 1.0 / sy))
-        h, point, grad = h_new, new, grad_new
+        a, phi, grad = derivatives(new)
+        h, point = h_new, new
     best = lift(point)
     raise OracleConvergenceError(
         f"no convergence after {ORACLE_ITERATIONS} iterations (last decrement {-slope:.3e})",
@@ -787,11 +680,10 @@ def _perturbation_stack(r: np.ndarray, pi_s: np.ndarray, lams: np.ndarray) -> _P
     weights = np.abs(u) ** 2  # weights[..., i, k] = |<phi_i | alpha_k>|^2
     matched = np.argmax(weights, axis=-1)
     match_overlap = weights.max(axis=-1)
-    distinct = ((matched[..., :, None] == np.arange(n)).sum(axis=-2) == 1).all(axis=-1)
+    distinct = (np.sort(matched, axis=-1) == np.arange(n)).all(axis=-1)
     beta = np.diagonal(pi_s, axis1=-2, axis2=-1).real
     estimate = np.log(r)[:, None] - beta[:, None] / lams[:, None]
-    # exact[..., i] = w[..., matched[..., i]], by flat index into the spectra
-    exact = w.reshape(-1)[np.arange(0, w.size, n).reshape(matched.shape[:-1] + (1,)) + matched]
+    exact = np.take_along_axis(w, matched, axis=-1)
     return _PerturbationStack(
         beta, exact, estimate, exact - estimate, match_overlap, (match_overlap >= 0.5).all(axis=-1) & distinct
     )

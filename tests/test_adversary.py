@@ -37,10 +37,9 @@ from qspoof.adversary import (
     SERIES_PRICE,
     _chart_cost,
     _chart_gradient,
-    _chart_hessian,
     _chart_point,
     _exp_divided_differences,
-    _hermitian_basis,
+    _newton_direction,
 )
 from qspoof.config import VerifyOptions
 from qspoof.sampling import (
@@ -922,8 +921,8 @@ def test_oracle_with_a_chart_spectrum_wider_than_sinh_range(monkeypatch, lam):
     pair = HypothesisPair(rho0, rho1, 0.5, 0.5)
     pi1 = helstrom_measurement(pair).pi1
     sol = optimal_attack(pair, pi1, lam)
-    # the Hessian fails Cholesky at nearly every point here; the shifted
-    # Hessian keeps Newton steps, where L-BFGS steps took 2480-3068 points
+    # the Hessian is not positive definite at nearly every point here;
+    # L-BFGS steps took 2480-3068 points
     points = _count_calls(monkeypatch, adversary, "_chart_point")
     sigma = oracle_attack(pair, pi1, lam)
     assert len(points) <= 100
@@ -931,9 +930,9 @@ def test_oracle_with_a_chart_spectrum_wider_than_sinh_range(monkeypatch, lam):
 
 
 def test_oracle_on_a_rank_one_rho1_stops_at_its_one_chart_point(monkeypatch):
-    # the chart of a pure rho1 is a single point, where the Hessian is 0:
-    # its shift starts at 1.0, not at a multiple of max|H| = 0, and the
-    # zero decrement stops the oracle at once, on the closed form's state
+    # the chart of a pure rho1 is a single point, where the gradient is 0
+    # and the Hessian's one entry is lam: the zero decrement stops the
+    # oracle at once, on the closed form's state
     rng = np.random.default_rng(4)
     u = haar_unitary(rng, 3)
     rho1 = DensityOperator(u @ np.diag([1.0, 0.0, 0.0]) @ u.conj().T)
@@ -958,17 +957,15 @@ def test_exp_divided_differences_of_far_apart_points():
     assert np.array_equal(np.diag(phi), np.exp(w))
 
 
-def test_oracle_above_newton_rank_takes_lbfgs_steps_only(monkeypatch):
-    # the exact Hessian costs n^4 memory and n^6 time: above
-    # NEWTON_MAX_RANK none is assembled, and L-BFGS alone still converges
-    pair = random_pair(np.random.default_rng(12), 10)
+@pytest.mark.parametrize("dim", [10, 32])
+def test_oracle_converges_at_support_ranks_above_ten(dim):
+    # the entrywise Newton direction costs O(n^3), so it also serves ranks
+    # where an n^2 x n^2 Hessian would cost n^6
+    pair = random_pair(np.random.default_rng(12), dim)
     pi1 = helstrom_measurement(pair).pi1
-    assert pair.rho1.spectrum.eigenvalues.min() > 0.0 and adversary.NEWTON_MAX_RANK < 10
-    hessians = _count_calls(monkeypatch, adversary, "_chart_hessian")
-    directions = _count_calls(monkeypatch, adversary, "_newton_direction")
+    assert pair.rho1.spectrum.eigenvalues.min() > 0.0
     sol = optimal_attack(pair, pi1, 1.0)
     sigma = oracle_attack(pair, pi1, 1.0)
-    assert hessians == [] and directions == []
     assert np.linalg.norm(sigma.matrix - sol.rho1_prime.matrix) <= ORACLE_STATE_TOL
 
 
@@ -1027,39 +1024,38 @@ def test_chart_gradient_matches_finite_differences():
     assert math.isfinite(val)
 
 
-def test_chart_hessian_matches_finite_differences():
-    # the exact Hessian, moved from h's eigenbasis to the chart's basis,
-    # against central differences of the gradient along each basis matrix
+def test_chart_hessian_is_entrywise_at_the_minimizer():
+    # at the closed form's exponent h = ln r - pi_s/lam (taken here, never
+    # by the oracle) the gradient vanishes, A~ = mean I and the entrywise
+    # Hessian is D = lam phi / z; central differences of the gradient along
+    # each entry direction X of h's eigenbasis are D o X, up to a multiple
+    # of diag(p) on the diagonal, and Newton's direction for the gradient
+    # u (D o X) u^dagger is -X
     rng = np.random.default_rng(21)
     dim, lam = 3, 1.3
     pair = random_pair(rng, dim)
     r, v = np.linalg.eigh(pair.rho1.matrix)
     pi_s = v.conj().T @ helstrom_measurement(pair).pi1.matrix @ v
     cost = pi_s - lam * np.diag(np.log(r))
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = np.diag(np.log(r)).astype(np.complex128) + 0.3 * (g + g.conj().T) / 2
+    h = np.diag(np.log(r)).astype(np.complex128) - pi_s / lam
     point = _chart_point(h, cost, lam)
-    hess = _chart_hessian(point, _chart_cost(point, cost, lam), _exp_divided_differences(point.w), lam)
-    weights = _hermitian_basis(dim)
-    matrices = []
-    for k in range(dim * dim):
-        half = weights * (np.arange(dim * dim) == k).reshape(dim, dim)
-        matrices.append(half + half.conj().T)
-    assert np.allclose([[np.vdot(x, y).real for y in matrices] for x in matrices], np.eye(dim * dim), atol=1e-15)
-
-    def coordinates(m):
-        return 2.0 * (weights.conj() * m).real.reshape(-1)
-
-    u = point.u
-    to_eigenbasis = np.array([coordinates(u.conj().T @ b @ u) for b in matrices]).T
-    want = to_eigenbasis.T @ hess @ to_eigenbasis
-    eps = 1e-5
-    got = np.array(
-        [coordinates(_gradient_at(h + eps * b, cost, lam) - _gradient_at(h - eps * b, cost, lam)) / (2 * eps)
-         for b in matrices]
-    ).T
-    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
-    assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
+    a, phi = _chart_cost(point, cost, lam), _exp_divided_differences(point.w)
+    assert np.abs(_chart_gradient(point, a, phi)).max() <= 1e-14
+    d = lam * phi / point.z
+    u, p, eps = point.u, point.p, 1e-5
+    for i in range(dim):
+        for j in range(i, dim):
+            for entry in (1.0,) if i == j else (1.0, 1j):
+                x = np.zeros((dim, dim), dtype=np.complex128)
+                x[i, j], x[j, i] = entry, np.conj(entry)
+                b = u @ x @ u.conj().T
+                diff = _gradient_at(h + eps * b, cost, lam) - _gradient_at(h - eps * b, cost, lam)
+                residual = u.conj().T @ diff @ u / (2 * eps) - d * x
+                if i == j:
+                    residual -= (np.vdot(p, np.diag(residual)).real / np.dot(p, p)) * np.diag(p)
+                assert np.abs(residual).max() <= 1e-6 * np.abs(d).max()
+                direction = _newton_direction(point, a, phi, 0.1 * u @ (d * x) @ u.conj().T, lam)
+                assert np.abs(u.conj().T @ direction @ u + 0.1 * x).max() <= 1e-14
 
 
 # ---------------------------------------------------------------- perturbation

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qspoof import DensityOperator, HypothesisPair, helstrom_measurement, hermitian_part, perturbation_estimate
-from qspoof import adversary, verify
+from qspoof import verify
 from qspoof.config import VerifyOptions
 from qspoof.sampling import haar_unitary, random_density
 from qspoof.verify import run_verification
@@ -56,23 +56,14 @@ def test_commuting_only_mode():
     assert envelope.stats["out_of_assumption_shortfalls"] == []
 
 
-@pytest.mark.parametrize("lam", [0.1, 0.3])
-def test_oracle_agrees_with_the_closed_form_at_small_prices(monkeypatch, lam):
-    # one instance at each of these prices reaches chart points whose
-    # Hessian fails Cholesky; the L-BFGS steps once taken there stopped
-    # 0.14 and 0.29 from the closed form (and at 0.1 over 50 instances,
-    # np.linalg.solve raised "Singular matrix" after Cholesky had passed)
-    lbfgs = []
-    inner = adversary._lbfgs_direction
-
-    def counted(*args):
-        lbfgs.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(adversary, "_lbfgs_direction", counted)
+@pytest.mark.parametrize("lam", [0.1, 0.3, 3e-3, 1e-3])
+def test_oracle_agrees_with_the_closed_form_at_small_prices(lam):
+    # at 0.1 and 0.3 one instance reaches chart points where the Hessian is
+    # not positive definite, and steps that ignored that stopped 0.14 and
+    # 0.29 from the closed form; at 3e-3 and 1e-3 Newton steps from a
+    # shifted Hessian crawled and ran out of iterations 0.139 away
     report = run_verification(0, VerifyOptions(instances=1, lambdas=(lam,), channel_instances=1))
     assert report.ok
-    assert lbfgs == []  # every support rank here is at most NEWTON_MAX_RANK
 
 
 def _perturbation_reference(seed):
