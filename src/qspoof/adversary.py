@@ -27,7 +27,8 @@ for cross-checking: on the chart e^H / Tr e^H, at every support rank,
 Newton steps from the entrywise part of the objective's Hessian in H's
 eigenbasis, which is the whole Hessian at the minimizer up to the flat
 identity direction; it stops on the decrement -g.p of its direction.
-It never touches the closed form.
+It never touches the closed form.  ``_oracle_attacks`` runs it for all
+of a pair's prices as one stack; ``oracle_attack`` is the stack of one.
 """
 
 from __future__ import annotations
@@ -258,11 +259,16 @@ class _AttackStack(NamedTuple):
     genuine_p_detect: np.ndarray
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of a contiguous matrix, or of each in a stack."""
+    n = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1]
+
+
 def _log_diag(r: np.ndarray) -> np.ndarray:
     """The complex matrix diag(ln r) of a support spectrum, or a stack of them."""
-    n = r.shape[-1]
-    out = np.zeros(r.shape + (n,), dtype=np.complex128)
-    out.reshape(r.shape[:-1] + (n * n,))[..., :: n + 1] = np.log(r)
+    out = np.zeros(r.shape + r.shape[-1:], dtype=np.complex128)
+    _diagonal(out)[...] = np.log(r)
     return out
 
 
@@ -395,6 +401,14 @@ class BoundReport:
 # independent numerical minimizer
 
 
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for two vectors, or for each pair of two stacks of them.  The
+    oracle's helpers take one chart point or a stack; this (1, k) @ (k, 1)
+    product takes the BLAS dot of p @ x, np.vdot and the Frobenius norm, so
+    each member of a stack is bit-identical to the point evaluated alone."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     """First divided differences of exp at the points w (Daleckii-Krein kernel).
 
@@ -403,10 +417,10 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     (1 - g/2 + g^2/6 below g = ``DIVIDED_DIFFERENCE_GAP``), which overflows
     only where the entry itself does, however far apart the points are.
     """
-    gap = np.abs(w[:, None] - w[None, :])
+    gap = np.abs(w[..., :, None] - w[..., None, :])
     small = gap < DIVIDED_DIFFERENCE_GAP
     ratio = np.where(small, 1.0 - gap / 2.0 + gap * gap / 6.0, -np.expm1(-gap) / np.where(small, 1.0, gap))
-    return np.exp(np.maximum(w[:, None], w[None, :])) * ratio
+    return np.exp(np.maximum(w[..., :, None], w[..., None, :])) * ratio
 
 
 def _exp_second_divided_differences(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -416,24 +430,24 @@ def _exp_second_divided_differences(w: np.ndarray, phi: np.ndarray) -> np.ndarra
     w_i and w_j are more than ``DIVIDED_DIFFERENCE_GAP`` apart, and e^wi / 2
     where they are taken as one.
     """
-    gap = w[:, None] - w[None, :]
+    gap = w[..., :, None] - w[..., None, :]
     far = np.abs(gap) > DIVIDED_DIFFERENCE_GAP
-    ew = np.exp(w)[:, None]
+    ew = np.exp(w)[..., :, None]
     return np.where(far, (ew - phi) / np.where(far, gap, 1.0), 0.5 * ew)
 
 
 class _ChartPoint(NamedTuple):
     """A chart point h, decomposed once, with its objective value."""
 
-    value: float
+    value: np.ndarray
     w: np.ndarray  # spectrum of h minus its top eigenvalue, ascending
     u: np.ndarray  # eigenvector columns of h
-    z: float  # sum of e^w
+    z: np.ndarray  # sum of e^w
     p: np.ndarray  # e^w / z, the spectrum of sigma
-    mean: float  # sum(p * (diag(K~) + lam w)), the value plus lam ln z
+    mean: np.ndarray  # sum(p * (diag(K~) + lam w)), the value plus lam ln z
 
 
-def _chart_point(h: np.ndarray, cost: np.ndarray, lam: float) -> _ChartPoint:
+def _chart_point(h: np.ndarray, cost: np.ndarray, lam) -> _ChartPoint:
     """Objective at chart point ``h`` (Hermitian, support basis).
 
     The state is sigma = e^h / Tr e^h over the support of rho1, and the
@@ -441,24 +455,28 @@ def _chart_point(h: np.ndarray, cost: np.ndarray, lam: float) -> _ChartPoint:
     Tr(K sigma) + lam * Tr(sigma ln sigma) with ``cost`` K = pi_s - lam ln r.
     In the eigenbasis of h it reads sum(p * (diag(K~) + lam w)) - lam ln z,
     K~ = u^dagger K u, with the exponentials shifted by the top eigenvalue
-    (as in ``_optimal_utility``), so no point overflows and z >= 1.  The
-    decomposition is kept for ``_chart_gradient`` and ``_newton_direction``.
+    (as in ``_optimal_utility``), so no point overflows and z >= 1.  A stack
+    of points goes to one ``eigh`` call.  The decomposition is kept for
+    ``_chart_gradient`` and ``_newton_direction``.
     """
+    lam = np.asarray(lam)
     w, u = np.linalg.eigh(h)
-    w = w - w[-1]
+    w = w - w[..., -1:]
     ew = np.exp(w)
-    z = float(np.sum(ew))
-    p = ew / z
-    cost_diag = (u.conj() * (cost @ u)).sum(axis=0).real
-    mean = float(p @ (cost_diag + lam * w))
-    return _ChartPoint(mean - lam * math.log(z), w, u, z, p, mean)
+    z = ew.sum(axis=-1)
+    p = ew / z[..., None]
+    cost_diag = (u.conj() * (cost @ u)).sum(axis=-2).real
+    mean = _inner(p, cost_diag + lam[..., None] * w)
+    # the C library's log, as math.log takes it: numpy's own can differ in the last bit
+    log_z = np.fromiter(map(math.log, z.flat), float, z.size).reshape(z.shape)
+    return _ChartPoint(mean - lam * log_z, w, u, z, p, mean)
 
 
-def _chart_cost(point: _ChartPoint, cost: np.ndarray, lam: float) -> np.ndarray:
+def _chart_cost(point: _ChartPoint, cost: np.ndarray, lam) -> np.ndarray:
     """A~ = K~ + lam diag(w), the cost and the point's own exponent in h's eigenbasis."""
     u = point.u
-    a = u.conj().T @ cost @ u
-    a.reshape(-1)[:: u.shape[0] + 1] += lam * point.w
+    a = u.conj().swapaxes(-1, -2) @ cost @ u
+    _diagonal(a)[...] += np.asarray(lam)[..., None] * point.w
     return a
 
 
@@ -476,12 +494,12 @@ def _chart_gradient(point: _ChartPoint, a: np.ndarray, phi: np.ndarray) -> np.nd
     from ln Tr e^h, so neither appears.
     """
     u = point.u
-    m = a * (phi / point.z)
-    m.reshape(-1)[:: u.shape[0] + 1] -= point.mean * point.p
-    return _hermitian(u @ m @ u.conj().T)
+    m = a * (phi / point.z[..., None, None])
+    _diagonal(m)[...] -= point.mean[..., None] * point.p
+    return _hermitian(u @ m @ u.conj().swapaxes(-1, -2))
 
 
-def _newton_direction(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
+def _newton_direction(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, grad: np.ndarray, lam) -> np.ndarray:
     """-grad / |D|, entry by entry in h's eigenbasis, from the entrywise part
     D of the chart Hessian (Nocedal & Wright, *Numerical Optimization*, ch. 3).
 
@@ -497,20 +515,20 @@ def _newton_direction(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, grad: 
     have entries <= 0; taking |D| keeps every direction one of descent.  A
     direction longer than ``NEWTON_STEP`` (Frobenius norm) is shortened to it.
     """
-    u = point.u
-    f = _exp_second_divided_differences(point.w, phi)
-    cost_diag = np.diagonal(a).real
-    d = ((lam - point.mean) * phi + f * cost_diag[:, None] + f.T * cost_diag) / point.z
-    step = -(u.conj().T @ grad @ u) / np.abs(d)
-    norm = float(np.linalg.norm(step))
-    if norm > NEWTON_STEP:
-        step *= NEWTON_STEP / norm
-    return _hermitian(u @ step @ u.conj().T)
+    u, f, cost_diag = point.u, _exp_second_divided_differences(point.w, phi), _diagonal(a).real
+    lam, mean, z = (np.asarray(x)[..., None, None] for x in (lam, point.mean, point.z))
+    d = ((lam - mean) * phi + f * cost_diag[..., :, None] + f.swapaxes(-1, -2) * cost_diag[..., None, :]) / z
+    step = -(u.conj().swapaxes(-1, -2) @ grad @ u) / np.abs(d)
+    flat = step.reshape(step.shape[:-2] + (-1,))
+    norm = np.sqrt(_inner(flat.real, flat.real) + _inner(flat.imag, flat.imag))
+    step *= (NEWTON_STEP / np.maximum(norm, NEWTON_STEP))[..., None, None]
+    return _hermitian(u @ step @ u.conj().swapaxes(-1, -2))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Real inner product Re Tr(a^dagger b) of two chart directions."""
-    return float(np.vdot(a, b).real)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real inner product Re Tr(a^dagger b) of two chart directions, or of each pair of two stacks."""
+    flat = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
+    return _inner(a.conj().reshape(flat), b.reshape(flat)).real
 
 
 def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
@@ -530,7 +548,7 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
     Descent starts at the undistorted state H = ln rho1 and stops before a
     line search once the decrement -g.p of the direction p is below
     2 ``ORACLE_TOL``, or when the search finds no step that improves the
-    objective.
+    objective.  It is ``_oracle_attacks``'s lockstep descent with one price.
 
     Raises
     ------
@@ -539,52 +557,72 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
         decrement stop; the message names the last decrement, and the error
         carries the best iterate and its utility.
     """
-    lam = _check_price(lam)
+    (out,) = _oracle_attacks(pair, pi1, (lam,))
+    if isinstance(out, OracleConvergenceError):
+        raise out
+    return out
+
+
+def _oracle_attacks(pair: HypothesisPair, pi1, lams) -> list:
+    """``oracle_attack`` at each price of ``lams``, descending in lockstep as one stack.
+
+    Each price keeps its own directions, step lengths and stops; the prices
+    share each helper call, and each round of trial points is one
+    ``_chart_point`` call (one stacked ``eigh``).  A price leaves the stack
+    when it stops, its entry the state, or when it runs out of
+    ``ORACLE_ITERATIONS``, its entry the ``OracleConvergenceError`` that
+    ``oracle_attack`` raises.  Each entry is bit-identical to the price alone.
+    """
+    lams = np.array([_check_price(lam) for lam in lams])
     pi_m = as_matrix(pi1)
     dec = pair.rho1.spectrum
     r, v, kernel, _, pi_s = _attack_view(dec.eigenvalues, dec.eigenvectors, pi_m)
     log_r = np.log(r)
-
-    def lift(point: _ChartPoint) -> DensityOperator:
-        gibbs = _lift_stack(v, kernel, point.w[None, None], point.u[None, None])
-        return _lifted_state(kernel, gibbs, (0, 0))
-
-    cost = pi_s - lam * np.diag(log_r)
-
-    def derivatives(point: _ChartPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a, phi = _chart_cost(point, cost, lam), _exp_divided_differences(point.w)
-        return a, phi, _chart_gradient(point, a, phi)
-
-    h = np.diag(log_r.astype(np.complex128))
-    point = _chart_point(h, cost, lam)
-    a, phi, grad = derivatives(point)
-    slope = -math.inf
+    cost = pi_s - lams[:, None, None] * np.diag(log_r)
+    live = np.arange(len(lams))  # each stacked price's index in lams
+    h = np.repeat(np.diag(log_r.astype(np.complex128))[None], len(lams), axis=0)
+    point = _chart_point(h, cost, lams)
+    w_end, u_end = np.empty_like(point.w), np.empty_like(point.u)  # each price's last point
+    slope = np.full(len(lams), -math.inf)
     for _ in range(ORACLE_ITERATIONS):
-        direction = _newton_direction(point, a, phi, grad, lam)
+        a, phi = _chart_cost(point, cost, lams), _exp_divided_differences(point.w)
+        grad = _chart_gradient(point, a, phi)
+        direction = _newton_direction(point, a, phi, grad, lams)
         slope = _dot(grad, direction)
-        if not slope < 0.0:
-            # rounding broke the curvature model: restart from steepest descent
-            direction, slope = -grad, -_dot(grad, grad)
-        if -slope < 2.0 * ORACLE_TOL:
-            return lift(point)
-        trial = 1.0
+        restart = ~(slope < 0.0)  # rounding broke the curvature model: restart from steepest descent
+        if restart.any():
+            direction[restart], slope[restart] = -grad[restart], -_dot(grad[restart], grad[restart])
+        # the prices in the line search, as indices into the stack; all try steps of one length
+        done = -slope < 2.0 * ORACLE_TOL
+        f, trial = np.nonzero(~done)[0], 1.0
         for _ in range(80):
-            h_new = h + trial * direction
-            new = _chart_point(h_new, cost, lam)
-            if new.value <= point.value + 1e-4 * trial * slope:
+            if not f.size:
                 break
-            trial *= 0.5
-        else:
-            # no representable step improves the objective: converged in float
-            return lift(point)
-        a, phi, grad = derivatives(new)
-        h, point = h_new, new
-    best = lift(point)
-    raise OracleConvergenceError(
-        f"no convergence after {ORACLE_ITERATIONS} iterations (last decrement {-slope:.3e})",
-        best_state=best,
-        best_utility=attacker_utility(best, pair.rho0, pi_m, pair, lam),
-    )
+            h_try = h[f] + trial * direction[f]
+            new = _chart_point(h_try, cost[f], lams[f])
+            ok = new.value <= point.value[f] + 1e-4 * trial * slope[f]
+            # an accepted price moves in place; the others keep their point
+            h[f[ok]] = h_try[ok]
+            for field, value in zip(point, new):
+                field[f[ok]] = value[ok]
+            f, trial = f[~ok], trial * 0.5
+        # stopped, or no representable step improves the objective: converged in float
+        done[f] = True
+        if done.any():
+            w_end[live[done]], u_end[live[done]] = point.w[done], point.u[done]
+            keep = ~done
+            live, h, cost, lams, slope = (x[keep] for x in (live, h, cost, lams, slope))
+            point = _ChartPoint(*(field[keep] for field in point))
+            if not live.size:
+                break
+    w_end[live], u_end[live] = point.w, point.u
+    # every price's state from one lift; a price still in the stack ran out of steps
+    gibbs = _lift_stack(v, kernel, w_end[:, None], u_end[:, None])
+    out: list = [_lifted_state(kernel, gibbs, (i, 0)) for i in range(len(w_end))]
+    for j, i in enumerate(live):
+        message = f"no convergence after {ORACLE_ITERATIONS} iterations (last decrement {-slope[j]:.3e})"
+        out[i] = OracleConvergenceError(message, out[i], attacker_utility(out[i], pair.rho0, pi_m, pair, lams[j]))
+    return out
 
 
 # ---------------------------------------------------------------------------

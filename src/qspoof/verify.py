@@ -15,8 +15,9 @@ and 2 solve each instance's prices in one attack step
 its 10 rho1 as one stack (``_checked_states``, whose spectra chart
 them), solves the 10 pairs in one Helstrom step, charts them in one
 ``_attack_view`` and decomposes their 10 x 2 exponents at once
-(``_perturbation_stack``).  The oracle runs once per
-(instance, price).
+(``_perturbation_stack``).  The oracle runs once per instance: all
+of its prices descend in lockstep as one stack (``_oracle_attacks``),
+each price's state bit-identical to ``oracle_attack`` at that price.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .adversary import (
     attacker_utility,
     gap_condition_sums,
     optimal_attack,
-    oracle_attack,
     _attack_view,
     _optimal_attacks,
+    _oracle_attacks,
     _perturbation_stack,
 )
 from .channels import apply_channel, completeness_residual, realize_channel
@@ -99,11 +100,10 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
     for _ in range(options.instances):
         pair = _draw_pair(rng, options)
         hel = helstrom_measurement(pair)
-        for lam, sol in zip(options.lambdas, _optimal_attacks(pair, hel.pi1, options.lambdas)):
-            try:
-                est = oracle_attack(pair, hel.pi1, lam)
-            except OracleConvergenceError as exc:
-                est = exc.best_state
+        sols = _optimal_attacks(pair, hel.pi1, options.lambdas)
+        for lam, sol, est in zip(options.lambdas, sols, _oracle_attacks(pair, hel.pi1, options.lambdas)):
+            if isinstance(est, OracleConvergenceError):
+                est = est.best_state
                 failures += 1
             err = float(np.linalg.norm(sol.rho1_prime.matrix - est.matrix))
             gap = abs(attacker_utility(est, pair.rho0, hel.pi1, pair, lam) - sol.utility)

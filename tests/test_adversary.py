@@ -946,6 +946,122 @@ def test_oracle_on_a_rank_one_rho1_stops_at_its_one_chart_point(monkeypatch):
     assert np.linalg.norm(sigma.matrix - sol.rho1_prime.matrix) <= ORACLE_STATE_TOL
 
 
+def _oracle_events(monkeypatch):
+    """One log of the oracle's chart points ("P") and Newton directions ("D"), in call order."""
+    events = []
+    for name, tag in (("_chart_point", "P"), ("_newton_direction", "D")):
+        inner = getattr(adversary, name)
+
+        def counted(*args, _inner=inner, _tag=tag):
+            events.append(_tag)
+            return _inner(*args)
+
+        monkeypatch.setattr(adversary, name, counted)
+    return events
+
+
+def _trial_points(events):
+    """The trial points of each iteration of one lone oracle run (0 where it stopped)."""
+    return [len(run) for run in "".join(events).split("D")[1:]]
+
+
+def _lone_oracle(pair, pi1, lam):
+    try:
+        return oracle_attack(pair, pi1, lam)
+    except OracleConvergenceError as exc:
+        return exc
+
+
+def _assert_same_oracle_result(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, OracleConvergenceError):
+        assert (str(a), a.best_utility, a.iterations) == (str(b), b.best_utility, b.iterations)
+        a, b = a.best_state, b.best_state
+    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a.spectrum.eigenvalues, b.spectrum.eigenvalues)
+    assert np.array_equal(a.spectrum.eigenvectors, b.spectrum.eigenvectors)
+
+
+# the first pair verify --seed 283 draws, at d = 2: at 2.0 the first line
+# search backtracks where the other prices take their full steps, and
+# 1e15 stops at its first chart point
+BACKTRACKING_PAIR_SEED = 283
+ORACLE_PRICES = (0.5, 1.0, 2.0, 5.0, 1e15)
+
+
+def _oracle_case(case):
+    if case == "backtracking":
+        pair = verify._draw_pair(np.random.default_rng(BACKTRACKING_PAIR_SEED), VerifyOptions())
+    elif case == "rank3_of_6":
+        pair = _rank_deficient_pair(np.random.default_rng(71), 6, 3)
+    else:
+        pair = random_pair(np.random.default_rng(70 + int(case[1:])), int(case[1:]))
+    return pair, helstrom_measurement(pair).pi1
+
+
+@pytest.mark.parametrize("prices", [ORACLE_PRICES, VerifyOptions().lambdas], ids=["with_1e15", "verify"])
+@pytest.mark.parametrize("case", ["d2", "d3", "d4", "d5", "d6", "d10", "rank3_of_6", "backtracking"])
+def test_stacked_oracle_equals_each_price_alone(case, prices):
+    # without 1e15 every price is in the first line search, so the
+    # backtracking price shares its first round with all the others
+    pair, pi1 = _oracle_case(case)
+    stacked = adversary._oracle_attacks(pair, pi1, prices)
+    assert len(stacked) == len(prices)
+    for lam, got in zip(prices, stacked):
+        assert isinstance(got, DensityOperator)
+        _assert_same_oracle_result(got, _lone_oracle(pair, pi1, lam))
+
+
+def test_stacked_oracle_case_backtracks_beside_full_steps(monkeypatch):
+    # what the "backtracking" case above covers: one price backtracks in
+    # the first line search while the others take their full steps, and
+    # one price stops before any line search
+    pair, pi1 = _oracle_case("backtracking")
+    events = _oracle_events(monkeypatch)
+    first_search = {}
+    for lam in ORACLE_PRICES:
+        events.clear()
+        oracle_attack(pair, pi1, lam)
+        first_search[lam] = _trial_points(events)[0]
+    assert first_search == {0.5: 1, 1.0: 1, 2.0: 2, 5.0: 1, 1e15: 0}
+
+
+@pytest.mark.parametrize("case", ["d4", "rank3_of_6", "backtracking"])
+def test_stacked_oracle_prices_that_run_out_carry_the_lone_error(monkeypatch, case):
+    # two accepted steps are too few for every finite price but 1e15,
+    # which stops at its first point
+    monkeypatch.setattr(adversary, "ORACLE_ITERATIONS", 2)
+    pair, pi1 = _oracle_case(case)
+    stacked = adversary._oracle_attacks(pair, pi1, ORACLE_PRICES)
+    lone = [_lone_oracle(pair, pi1, lam) for lam in ORACLE_PRICES]
+    assert [isinstance(out, OracleConvergenceError) for out in lone] == [True] * 4 + [False]
+    for a, b in zip(stacked, lone):
+        _assert_same_oracle_result(a, b)
+
+
+def test_verify_oracle_check_makes_one_chart_call_per_lockstep_round(monkeypatch):
+    # check 1 runs an instance's prices as one stack, and each round of trial
+    # points is one _chart_point call: as many calls as the longest price
+    # alone, plus one for each line search in which another price backtracks
+    # further (here 2.0 in the first), not the sum over the prices
+    options = VerifyOptions(instances=1, channel_instances=1)
+    pair, pi1 = _oracle_case("backtracking")
+    events = _oracle_events(monkeypatch)
+    lone = []
+    for lam in options.lambdas:
+        events.clear()
+        oracle_attack(pair, pi1, lam)
+        lone.append(_trial_points(events))
+    own = [1 + sum(points) for points in lone]
+    longest = max(map(len, lone))
+    rounds = 1 + sum(max(points[i] if i < len(points) else 0 for points in lone) for i in range(longest))
+    events.clear()
+    assert verify.run_verification(BACKTRACKING_PAIR_SEED, options).ok
+    assert events.count("P") == rounds
+    assert events.count("D") == longest
+    assert max(own) < rounds < sum(own)
+
+
 def test_exp_divided_differences_of_far_apart_points():
     # (e^a - e^b)/(a - b) at a gap of 2000, finite however far apart a and b lie
     w = np.array([0.0, -2000.0, 5.0, 5.0 + 1e-9])
