@@ -67,7 +67,9 @@ CLUSTER_TOL = 1e-8
 # lam = 1e5, and 1.3e-10 against 6.7e-12 at lam = 1e4.
 SERIES_PRICE = 1e5
 # The oracle stops once the decrement -g.p of its direction p at gradient g
-# falls below twice this: a Newton step predicts an improvement of -g.p / 2.
+# falls below twice this times max(1, max|K|), K = Pi_s - lam ln r: a Newton
+# step predicts an improvement of -g.p / 2, and the chart value's terms are
+# of size max|K|, so below that scale its rounding hides any improvement.
 ORACLE_TOL = 1e-14
 # Accepted steps the oracle takes before it gives up (OracleConvergenceError).
 ORACLE_ITERATIONS = 5000
@@ -547,8 +549,10 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
     its gradient and direction, and the last one's the returned state.
     Descent starts at the undistorted state H = ln rho1 and stops before a
     line search once the decrement -g.p of the direction p is below
-    2 ``ORACLE_TOL``, or when the search finds no step that improves the
-    objective.  It is ``_oracle_attacks``'s lockstep descent with one price.
+    2 ``ORACLE_TOL`` max(1, max|K|), the rounding level of the objective's
+    terms (K = Pi1 - lam ln rho1 on the support), or when the search finds
+    no step that improves the objective.  It is ``_oracle_attacks``'s
+    lockstep descent with one price.
 
     Raises
     ------
@@ -579,6 +583,7 @@ def _oracle_attacks(pair: HypothesisPair, pi1, lams) -> list:
     r, v, kernel, _, pi_s = _attack_view(dec.eigenvalues, dec.eigenvectors, pi_m)
     log_r = np.log(r)
     cost = pi_s - lams[:, None, None] * np.diag(log_r)
+    tol = 2.0 * ORACLE_TOL * np.maximum(1.0, np.abs(cost).max(axis=(-2, -1)))
     live = np.arange(len(lams))  # each stacked price's index in lams
     h = np.repeat(np.diag(log_r.astype(np.complex128))[None], len(lams), axis=0)
     point = _chart_point(h, cost, lams)
@@ -593,7 +598,7 @@ def _oracle_attacks(pair: HypothesisPair, pi1, lams) -> list:
         if restart.any():
             direction[restart], slope[restart] = -grad[restart], -_dot(grad[restart], grad[restart])
         # the prices in the line search, as indices into the stack; all try steps of one length
-        done = -slope < 2.0 * ORACLE_TOL
+        done = -slope < tol
         f, trial = np.nonzero(~done)[0], 1.0
         for _ in range(80):
             if not f.size:
@@ -611,7 +616,7 @@ def _oracle_attacks(pair: HypothesisPair, pi1, lams) -> list:
         if done.any():
             w_end[live[done]], u_end[live[done]] = point.w[done], point.u[done]
             keep = ~done
-            live, h, cost, lams, slope = (x[keep] for x in (live, h, cost, lams, slope))
+            live, h, cost, lams, slope, tol = (x[keep] for x in (live, h, cost, lams, slope, tol))
             point = _ChartPoint(*(field[keep] for field in point))
             if not live.size:
                 break

@@ -66,6 +66,16 @@ def test_oracle_agrees_with_the_closed_form_at_small_prices(lam):
     assert report.ok
 
 
+@pytest.mark.parametrize("lam", [1e4, 1e7])
+def test_oracle_stops_at_the_objectives_rounding_level_at_large_prices(lam):
+    # the chart value's terms are of size lam max|ln r| and round at that
+    # scale; a decrement stop fixed at 2e-14 was met only by chance there,
+    # and one instance at each price spent all 5000 accepted steps on moves
+    # that change nothing in float, to end as a non-convergence
+    report = run_verification(0, VerifyOptions(instances=11, channel_instances=1, lambdas=(lam,)))
+    assert report.ok
+
+
 def _perturbation_reference(seed):
     """The perturbation check's figures, pair by pair through the public functions."""
     rng = np.random.default_rng(seed + 4)
