@@ -405,9 +405,9 @@ class BoundReport:
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y for two vectors, or for each pair of two stacks of them.  The
-    oracle's helpers take one chart point or a stack; this (1, k) @ (k, 1)
-    product takes the BLAS dot of p @ x, np.vdot and the Frobenius norm, so
-    each member of a stack is bit-identical to the point evaluated alone."""
+    oracle's helpers take one chart point or a stack; each member's
+    (1, k) @ (k, 1) product is its own reduction, so it does not depend on
+    the stack it is evaluated in."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
@@ -469,9 +469,7 @@ def _chart_point(h: np.ndarray, cost: np.ndarray, lam) -> _ChartPoint:
     p = ew / z[..., None]
     cost_diag = (u.conj() * (cost @ u)).sum(axis=-2).real
     mean = _inner(p, cost_diag + lam[..., None] * w)
-    # the C library's log, as math.log takes it: numpy's own can differ in the last bit
-    log_z = np.fromiter(map(math.log, z.flat), float, z.size).reshape(z.shape)
-    return _ChartPoint(mean - lam * log_z, w, u, z, p, mean)
+    return _ChartPoint(mean - lam * np.log(z), w, u, z, p, mean)
 
 
 def _chart_cost(point: _ChartPoint, cost: np.ndarray, lam) -> np.ndarray:

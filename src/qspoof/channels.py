@@ -4,9 +4,11 @@ Any fixed distortion rho -> rho' is a physical (completely positive,
 trace-preserving) map; ``realize_channel`` constructs an explicit operator
 set witnessing that.  Trace preservation is the completeness condition
 sum_k E_k^dagger E_k = identity, measured in Frobenius norm by
-``completeness_residual``.  Construction does not enforce completeness, so
-deliberately broken operator sets can be built and diagnosed; application
-does enforce it.
+``completeness_residual``.  A channel stores its k operators as one
+read-only (k, d, d) array; the residual and the application sum them
+one operator at a time, so they make no (k, d, d) temporary.
+Construction does not enforce completeness, so deliberately broken
+operator sets can be built and diagnosed; application does enforce it.
 """
 
 from __future__ import annotations
@@ -23,32 +25,34 @@ COMPLETENESS_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """An ordered set of square operators of one shape defining a channel;
-    its dimension is read off operator 0.  ``operators`` is any iterable of
-    matrices, a (k, d, d) array included; it is stored as a tuple of
-    read-only complex arrays."""
+    """An ordered set of square operators of one shape defining a channel.
+    ``operators`` is any iterable of matrices, a (k, d, d) array included;
+    it is stored as one read-only (k, d, d) complex array, whose last axis
+    is the dimension."""
 
-    operators: tuple
+    operators: np.ndarray
 
     def __post_init__(self):
-        ops = []
-        for idx, op in enumerate(self.operators):
-            m = np.array(op, dtype=np.complex128)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"operator {idx} has shape {m.shape}, expected a square matrix")
-            if ops and m.shape != ops[0].shape:
-                raise ValueError(f"operator {idx} has shape {m.shape}, expected {ops[0].shape}")
-            if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-                raise ValueError(f"operator {idx} contains non-finite entries")
-            m.flags.writeable = False
-            ops.append(m)
+        ops = list(self.operators)
         if not ops:
             raise ValueError("a channel needs at least one operator")
-        object.__setattr__(self, "operators", tuple(ops))
+        first = np.shape(ops[0])
+        for idx, op in enumerate(ops):
+            shape = np.shape(op)
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"operator {idx} has shape {shape}, expected a square matrix")
+            if shape != first:
+                raise ValueError(f"operator {idx} has shape {shape}, expected {first}")
+        stack = np.array(ops, dtype=np.complex128)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"operator {int(np.argmin(finite))} contains non-finite entries")
+        stack.flags.writeable = False
+        object.__setattr__(self, "operators", stack)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
 
 def completeness_residual(channel: KrausChannel) -> float:
@@ -66,21 +70,19 @@ def realize_channel(rho: DensityOperator, rho_target: DensityOperator) -> KrausC
     operators are E_ij = sqrt(p_i) |v_i><e_j| over the computational basis
     e_j, for the target's support levels only: its first ``_support_rank``
     eigenpairs, the weights above ``EIGEN_ZERO_TOL``.  So there are
-    dim * rank operators, and the dropped mass is at most
+    dim * rank operators, E_ij at index i * dim + j of one array filled
+    by a single indexed assignment, and the dropped mass is at most
     dim * ``EIGEN_ZERO_TOL``.
     """
     if rho.dim != rho_target.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {rho_target.dim}")
     d = rho_target.dim
     dec = spectral_decompose(rho_target)
-    ops = []
-    for i in range(_support_rank(dec.eigenvalues)):
-        col = np.sqrt(dec.eigenvalues[i]) * dec.eigenvectors[:, i]
-        for j in range(d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[:, j] = col
-            ops.append(e)
-    return KrausChannel(tuple(ops))
+    rank = _support_rank(dec.eigenvalues)
+    ops = np.zeros((rank, d, d, d), dtype=np.complex128)  # (i, j, row, column)
+    j = np.arange(d)
+    ops[:, j, :, j] = (np.sqrt(dec.eigenvalues[:rank]) * dec.eigenvectors[:, :rank]).T
+    return KrausChannel(ops.reshape(rank * d, d, d))
 
 
 def apply_channel(channel: KrausChannel, rho) -> DensityOperator:

@@ -44,6 +44,12 @@ class VerifyOptions:
     commuting_only: bool = False
     channel_instances: int = 50
 
+    def __post_init__(self):
+        if len(self.lambdas) == 0:
+            raise ConfigError("lambdas", "expected at least one price")
+        if self.max_dim < 2:
+            raise ConfigError("max_dim", "must be at least 2")
+
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:

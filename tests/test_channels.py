@@ -12,7 +12,8 @@ from qspoof import (
     completeness_residual,
     realize_channel,
 )
-from qspoof.sampling import random_density
+from qspoof.operators import _support_rank, spectral_decompose
+from qspoof.sampling import haar_unitary, random_density
 from qspoof.verify import CHANNEL_TOL
 
 ACTION_TOL = 1e-10
@@ -148,3 +149,42 @@ def test_realization_property(seed, dim):
     # apply_channel already enforces the density-operator invariants
     assert isinstance(out, DensityOperator)
     assert np.linalg.norm(out.matrix - target.matrix) <= ACTION_TOL
+
+
+def _looped_operators(target):
+    # one matrix at a time, E_ij = sqrt(p_i) |v_i><e_j| with j inner
+    d = target.dim
+    dec = spectral_decompose(target)
+    ops = []
+    for i in range(_support_rank(dec.eigenvalues)):
+        col = np.sqrt(dec.eigenvalues[i]) * dec.eigenvectors[:, i]
+        for j in range(d):
+            e = np.zeros((d, d), dtype=np.complex128)
+            e[:, j] = col
+            ops.append(e)
+    return ops
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+def test_realized_operators_are_one_read_only_array(seed, dim, rank):
+    rng = np.random.default_rng(seed)
+    if rank == "full":
+        target = random_density(rng, dim)
+    else:
+        weights = np.zeros(dim)
+        weights[: dim // 2] = rng.uniform(0.1, 1.0, dim // 2)
+        u = haar_unitary(rng, dim)
+        target = DensityOperator((u * (weights / weights.sum())) @ u.conj().T)
+    ch = realize_channel(DensityOperator.maximally_mixed(dim), target)
+    looped = _looped_operators(target)
+    assert len(looped) == dim * (dim if rank == "full" else dim // 2)
+    assert isinstance(ch.operators, np.ndarray)
+    assert ch.operators.dtype == np.complex128 and not ch.operators.flags.writeable
+    assert ch.operators.shape == (len(looped), dim, dim)
+    assert np.array_equal(ch.operators, np.array(looped))
+    for given in (looped, tuple(looped), np.array(looped)):
+        stored = KrausChannel(given).operators
+        assert stored.shape == ch.operators.shape and not stored.flags.writeable
+        assert np.array_equal(stored, ch.operators)

@@ -1,5 +1,8 @@
 """Self-verification harness: check wiring, seeds, commuting-only mode."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,38 @@ def test_runs_reproducible_for_fixed_seed():
     a.pop("wall_clock_seconds")
     b.pop("wall_clock_seconds")
     assert a == b
+
+
+def test_false_alarm_check_reads_every_attack_of_check_1(monkeypatch):
+    # check 4 draws no pairs of its own: one ulp off in the genuine
+    # false-alarm rate of check 1's last (instance, price) attack fails it
+    calls = []
+    inner = verify._optimal_attacks
+
+    def last_one_off(pair, pi1, lams):
+        sols = inner(pair, pi1, lams)
+        calls.append(len(sols))
+        if len(calls) == 2:  # check 1's last instance
+            sols[-1] = dataclasses.replace(sols[-1], genuine_p_false=math.nextafter(sols[-1].genuine_p_false, 1.0))
+        return sols
+
+    monkeypatch.setattr(verify, "_optimal_attacks", last_one_off)
+    report = run_verification(seed=0, options=VerifyOptions(instances=2, channel_instances=1))
+    by_name = {c.name: c for c in report.checks}
+    assert calls[:2] == [len(VerifyOptions().lambdas)] * 2
+    assert by_name["closed_form_vs_oracle"].passed
+    assert not by_name["false_alarm_equality"].passed
+    assert by_name["false_alarm_equality"].detail == "genuine false-alarm rate deviated from the counterfactual one"
+    assert not report.ok
+
+
+@pytest.mark.parametrize(
+    "options, field",
+    [(dict(lambdas=()), "lambdas"), (dict(lambdas=[]), "lambdas"), (dict(max_dim=1), "max_dim")],
+)
+def test_options_built_in_python_name_the_refused_field(options, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        VerifyOptions(**options)
 
 
 def test_commuting_only_mode():
