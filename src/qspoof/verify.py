@@ -13,11 +13,10 @@ members are bit-identical to the public functions' results: checks 1
 and 2 solve each instance's prices in one attack step
 (``_optimal_attacks``), check 4 reads the genuine false-alarm rate off
 every (instance, price) attack of check 1 and draws no pairs of its
-own, and check 5 builds no pair objects: it checks
-its 10 rho1 as one stack (``_checked_states``, whose spectra chart
-them), solves the 10 pairs in one Helstrom step, charts them in one
-``_attack_view`` and decomposes their 10 x 2 exponents at once
-(``_perturbation_stack``).  The oracle runs once per instance: all
+own, and check 5 builds no pair objects: it checks its 10 rho1 as one
+stack (``_checked_states``, whose spectra chart them), solves the 10
+pairs in one Helstrom step, charts them in one ``_attack_view`` and
+decomposes their 10 x 2 exponents at once (``_perturbation_stack``).  The oracle runs once per instance: all
 of its prices descend in lockstep as one stack (``_oracle_attacks``),
 each price's state bit-identical to ``oracle_attack`` at that price.
 """
