@@ -45,6 +45,9 @@ class VerifyOptions:
     channel_instances: int = 50
 
     def __post_init__(self):
+        for name in ("instances", "channel_instances"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be nonnegative")
         if len(self.lambdas) == 0:
             raise ConfigError("lambdas", "expected at least one price")
         if self.max_dim < 2:

@@ -257,7 +257,8 @@ class DensityOperator:
     computes is kept as ``spectrum`` (descending, read-only);
     ``spectral_decompose`` hands it to every later consumer instead of
     decomposing the matrix again.  A state built from a spectrum already
-    known (``_from_spectrum``) keeps it: the radar states come out of one
+    known (``_from_spectrum``) keeps it: the radar states and the two
+    states of each random pair (``sampling``) come out of one
     ``_checked_states`` call over their stack, and the attack checks its
     stack of rho1' without a decomposition.
     """

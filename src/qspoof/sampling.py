@@ -1,11 +1,24 @@
-"""Seeded random instance generators for verification suites and tests."""
+"""Seeded random instance generators for verification suites and tests.
+
+Each generator draws its random numbers in one fixed order, so a seed
+fixes the instance.  The unit of the stream is one d x d complex
+Gaussian matrix, its real part and then its imaginary part
+(``_gaussians``); the Haar and Wishart steps (``_haar``, ``_wishart``)
+take a whole stack of such matrices, each member bit-identical to the
+same step on that matrix alone, and ``haar_unitary`` and
+``random_density`` are the stack of one.  The pair constructors check
+their two states as one (2, d, d) stack (``_checked_states``) and keep
+the spectra that check computes, so each state still passes every
+density-operator check; verify's perturbation check draws its 10
+instances as stacks in the same way.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .detection import HypothesisPair, ProjectorMeasurement
-from .operators import DensityOperator, hermitian_part
+from .operators import DensityOperator, _checked_states, _hermitian, hermitian_part
 
 # Spectral floor of each state ``random_pair`` draws.
 PAIR_MIN_EIGENVALUE = 1e-3
@@ -13,33 +26,58 @@ PAIR_MIN_EIGENVALUE = 1e-3
 NEAR_COMMUTING_STRENGTH = 0.05
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _gaussians(rng: np.random.Generator, lead: tuple, dim: int) -> np.ndarray:
+    """Complex Gaussian d x d matrices in an array of shape ``lead + (dim, dim)``,
+    drawn matrix by matrix in C order, each as its real part then its imaginary part."""
+    x = rng.standard_normal((*lead, 2, dim, dim))
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries via QR of a complex Gaussian matrix or a stack of them."""
     q, r = np.linalg.qr(g)
     # fix the phase convention so the distribution is exactly Haar
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _wishart(g: np.ndarray, min_eigenvalue: float = 0.0) -> np.ndarray:
+    """Trace-normalized Wishart matrices from a complex Gaussian matrix or a stack,
+    optionally mixed toward identity for a spectral floor."""
+    dim = g.shape[-1]
+    w = g @ g.conj().swapaxes(-1, -2)
+    w = _hermitian(w / np.trace(w, axis1=-2, axis2=-1).real[..., None, None])
+    if min_eigenvalue > 0.0:
+        t = min(1.0, dim * min_eigenvalue)
+        w = (1.0 - t) * w + t * np.eye(dim) / dim
+    return w
+
+
+def _pair(states: np.ndarray) -> HypothesisPair:
+    """Equal-weight pair from a (2, d, d) stack (rho0, rho1), checked as one stack."""
+    m, w, x = _checked_states(states)
+    rho0, rho1 = (DensityOperator._from_spectrum(m[i], w[i], x[i]) for i in range(2))
+    return HypothesisPair(rho0, rho1, 0.5, 0.5)
+
+
+def _diagonal_in(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The matrices u diag(p) u^dagger, one per row of ``p`` (``u`` one unitary or one per row)."""
+    return (u * p[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    return _haar(_gaussians(rng, (), dim))
 
 
 def random_density(rng: np.random.Generator, dim: int, min_eigenvalue: float = 0.0) -> DensityOperator:
     """Normalized Wishart state, optionally mixed toward identity for a spectral floor."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    w = g @ g.conj().T
-    w = hermitian_part(w / np.trace(w).real)
-    if min_eigenvalue > 0.0:
-        t = min(1.0, dim * min_eigenvalue)
-        w = (1.0 - t) * w + t * np.eye(dim) / dim
-    return DensityOperator(w)
+    return DensityOperator(_wishart(_gaussians(rng, (), dim), min_eigenvalue))
 
 
 def random_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
     """Generic full-rank hypothesis pair with equal cost weights."""
-    return HypothesisPair(
-        random_density(rng, dim, PAIR_MIN_EIGENVALUE),
-        random_density(rng, dim, PAIR_MIN_EIGENVALUE),
-        0.5,
-        0.5,
-    )
+    return _pair(_wishart(_gaussians(rng, (2,), dim), PAIR_MIN_EIGENVALUE))
 
 
 def random_spectrum(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -60,9 +98,7 @@ def random_commuting_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
     p0 = random_spectrum(rng, dim)
     p1 = random_spectrum(rng, dim)
     rng.shuffle(p1)
-    rho0 = DensityOperator((u * p0) @ u.conj().T)
-    rho1 = DensityOperator((u * p1) @ u.conj().T)
-    return HypothesisPair(rho0, rho1, 0.5, 0.5)
+    return _pair(_diagonal_in(u, np.stack([p0, p1])))
 
 
 def near_commuting_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
@@ -76,15 +112,11 @@ def near_commuting_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
     p1 = random_spectrum(rng, dim)
     p0 = random_spectrum(rng, dim)
     rng.shuffle(p0)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    k = hermitian_part(g)
+    k = hermitian_part(_gaussians(rng, (), dim))
     k = k / max(np.linalg.norm(k, 2), 1e-12)
     w, vk = np.linalg.eigh(k)
     tilt = (vk * np.exp(1j * NEAR_COMMUTING_STRENGTH * w)) @ vk.conj().T
-    u0 = tilt @ u
-    rho1 = DensityOperator((u * p1) @ u.conj().T)
-    rho0 = DensityOperator((u0 * p0) @ u0.conj().T)
-    return HypothesisPair(rho0, rho1, 0.5, 0.5)
+    return _pair(_diagonal_in(np.stack([tilt @ u, u]), np.stack([p0, p1])))
 
 
 def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None) -> ProjectorMeasurement:

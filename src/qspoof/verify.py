@@ -13,12 +13,16 @@ members are bit-identical to the public functions' results: checks 1
 and 2 solve each instance's prices in one attack step
 (``_optimal_attacks``), check 4 reads the genuine false-alarm rate off
 every (instance, price) attack of check 1 and draws no pairs of its
-own, and check 5 builds no pair objects: it checks its 10 rho1 as one
-stack (``_checked_states``, whose spectra chart them), solves the 10
-pairs in one Helstrom step, charts them in one ``_attack_view`` and
-decomposes their 10 x 2 exponents at once (``_perturbation_stack``).  The oracle runs once per instance: all
-of its prices descend in lockstep as one stack (``_oracle_attacks``),
-each price's state bit-identical to ``oracle_attack`` at that price.
+own, and check 5 builds no pair objects: it draws its 10 instances as
+stacks (one Gaussian draw in the order ``haar_unitary`` and
+``random_density`` take it, one stacked Haar and one stacked Wishart
+step), checks its 10 rho1 and its 10 rho0 as one stack each
+(``_checked_states``; rho1's spectra chart them), solves the 10 pairs
+in one Helstrom step, charts them in one ``_attack_view`` and
+decomposes their 10 x 2 exponents at once (``_perturbation_stack``).
+The oracle runs once per instance: all of its prices descend in
+lockstep as one stack (``_oracle_attacks``), each price's state
+bit-identical to ``oracle_attack`` at that price.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .channels import apply_channel, completeness_residual, realize_channel
 from .config import VerifyOptions
 from .detection import _helstrom_stack, helstrom_measurement
 from .operators import _checked_states
-from .sampling import haar_unitary, near_commuting_pair, random_commuting_pair, random_density, random_pair
+from .sampling import _diagonal_in, _gaussians, _haar, _wishart, near_commuting_pair, random_commuting_pair, random_pair
 
 ORACLE_STATE_TOL = 1e-5
 ORACLE_UTILITY_TOL = 1e-6
@@ -217,17 +221,16 @@ def run_verification(seed: int = 0, options: VerifyOptions | None = None) -> Run
     )
 
     # 5. perturbation residual scaling on well-gapped simple spectra
-    #    (the 10 rho1 checked as one stack, the 10 pairs in one Helstrom step,
+    #    (the 10 instances drawn as stacks, each rho1's eigenbasis before its
+    #    rho0, as haar_unitary and random_density would; the 10 rho1 and the
+    #    10 rho0 each checked as one stack, the 10 pairs in one Helstrom step,
     #    their 10 x 2 exponents in one decomposition; each figure is the one
     #    perturbation_estimate reports)
-    rng = np.random.default_rng(seed + 4)
-    rho0s, rho1s = [], []
-    for _ in range(10):
-        u = haar_unitary(rng, 4)
-        rho1s.append((u * np.array([0.4, 0.3, 0.2, 0.1])) @ u.conj().T)
-        rho0s.append(random_density(rng, 4, 1e-3).matrix)
-    rho1, w, x = _checked_states(np.stack(rho1s))
-    hel = _helstrom_stack(np.stack(rho0s), rho1, np.full(10, 0.5), np.full(10, 0.5))
+    g = _gaussians(np.random.default_rng(seed + 4), (10, 2), 4)
+    u = _haar(g[:, 0])
+    rho1, w, x = _checked_states(_diagonal_in(u, np.array([0.4, 0.3, 0.2, 0.1])))
+    rho0 = _checked_states(_wishart(g[:, 1], 1e-3))[0]
+    hel = _helstrom_stack(rho0, rho1, np.full(10, 0.5), np.full(10, 0.5))
     view = _attack_view(w, x, hel.projectors)
     residuals = np.abs(_perturbation_stack(view.r, view.pi_s, np.array([10.0, 100.0])).residual).max(axis=-1)
     res10, res100 = residuals[:, 0], residuals[:, 1]

@@ -74,7 +74,13 @@ def test_false_alarm_check_reads_every_attack_of_check_1(monkeypatch):
 
 @pytest.mark.parametrize(
     "options, field",
-    [(dict(lambdas=()), "lambdas"), (dict(lambdas=[]), "lambdas"), (dict(max_dim=1), "max_dim")],
+    [
+        (dict(lambdas=()), "lambdas"),
+        (dict(lambdas=[]), "lambdas"),
+        (dict(max_dim=1), "max_dim"),
+        (dict(instances=-3), "instances"),
+        (dict(channel_instances=-1), "channel_instances"),
+    ],
 )
 def test_options_built_in_python_name_the_refused_field(options, field):
     with pytest.raises(ValueError, match=f"^{field}: "):
@@ -136,10 +142,9 @@ def test_perturbation_check_equals_the_public_loop(seed):
 
 
 def test_perturbation_check_is_one_stacked_step(monkeypatch):
-    # the 10 rho1 are checked as one stack, the 10 pairs go through one
-    # Helstrom step and their 10 x 2 exponents through one decomposition;
-    # the other 4 x 4 decompositions are the 10 rho0's own, made when they
-    # are drawn
+    # the 10 rho1 and the 10 rho0 are each checked as one stack, the 10
+    # pairs go through one Helstrom step and their 10 x 2 exponents through
+    # one decomposition; no state is decomposed alone
     helstrom = []
     inner_helstrom = verify._helstrom_stack
 
@@ -158,5 +163,5 @@ def test_perturbation_check_is_one_stacked_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     run_verification(seed=0, options=TINY)
     assert helstrom == [(10, 4, 4)]
-    assert [s for s in shapes if s[-1] == 4 and len(s) > 2] == [(10, 4, 4), (10, 4, 4), (10, 2, 4, 4)]
-    assert shapes.count((4, 4)) == 10
+    assert [s for s in shapes if s[-1] == 4 and len(s) > 2] == [(10, 4, 4)] * 3 + [(10, 2, 4, 4)]
+    assert shapes.count((4, 4)) == 0
