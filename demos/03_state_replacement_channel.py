@@ -7,9 +7,12 @@ positive trace-preserving map, realizable with explicit operator-sum
 (Kraus) elements E_ij = sqrt(p_i) |v_i><e_j| built from the target's
 eigendecomposition and the computational basis e_j.  Summed over every
 e_j they send any input state to the target, the source among them.
-This script realizes a few replacements, verifies completeness
-sum E'E = 1, and shows that a corrupted operator set is caught before
-it can act.
+The channel keeps only the factor A whose columns are sqrt(p_i) v_i and
+builds the d * rank operators when they are first read; completeness
+and the action follow from the factor alone, as sum E'E = ||A||^2 1
+and sum E rho E' = Tr(rho) A A'.  This script realizes a few
+replacements, verifies completeness sum E'E = 1, and shows that a
+corrupted operator set is caught before it can act.
 """
 
 import numpy as np

@@ -1,5 +1,7 @@
 """Operator-sum realization of state replacement and channel application."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,3 +190,49 @@ def test_realized_operators_are_one_read_only_array(seed, dim, rank):
         stored = KrausChannel(given).operators
         assert stored.shape == ch.operators.shape and not stored.flags.writeable
         assert np.array_equal(stored, ch.operators)
+
+
+def _random_target(rng, dim, rank):
+    if rank == "full":
+        return random_density(rng, dim)
+    weights = np.zeros(dim)
+    weights[: dim // 2] = rng.uniform(0.1, 1.0, dim // 2)
+    u = haar_unitary(rng, dim)
+    return DensityOperator((u * (weights / weights.sum())) @ u.conj().T)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+def test_realized_channel_matches_its_explicit_operators(seed, dim, rank):
+    # a realized channel's closed forms against the operator-by-operator
+    # sums of a channel built from its own operators
+    rng = np.random.default_rng(seed)
+    target = _random_target(rng, dim, rank)
+    source = random_density(rng, dim)
+    ch = realize_channel(source, target)
+    explicit = KrausChannel(ch.operators)
+    assert abs(completeness_residual(ch) - completeness_residual(explicit)) <= CHANNEL_TOL
+    for state in (source, DensityOperator.maximally_mixed(dim), source.matrix):
+        out = apply_channel(ch, state).matrix
+        assert np.max(np.abs(out - apply_channel(explicit, state).matrix)) <= CHANNEL_TOL
+        assert np.max(np.abs(out - target.matrix)) <= CHANNEL_TOL
+
+
+def test_realized_channel_needs_no_operator_stack():
+    # at d = 32 the d * d operators of a full-rank target take d^4 * 16 B
+    # = 16 MiB; realizing, sizing, checking and applying the channel must
+    # not build them
+    rng = np.random.default_rng(11)
+    source = random_density(rng, 32)
+    target = random_density(rng, 32)
+    tracemalloc.start()
+    try:
+        ch = realize_channel(source, target)
+        assert ch.dim == 32
+        assert completeness_residual(ch) <= COMPLETENESS_TOL
+        apply_channel(ch, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
