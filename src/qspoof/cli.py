@@ -15,13 +15,17 @@ and seed give byte-identical files.
 
 Exit codes: 0 success, 2 validation failure, 3 verification failure,
 4 I/O failure.  The environment variable ``QSPOOF_OUT_DIR``, when set,
-resolves relative output paths inside that directory.
+resolves relative output paths inside that directory.  An existing
+``--out`` file is rewritten in place (the same file, permissions and
+links) and cut to the new length; the write is neither atomic nor
+fsynced.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 from . import __version__
@@ -41,15 +45,22 @@ OUT_DIR_ENV = "QSPOOF_OUT_DIR"
 
 
 def _emit(text: str, path: str | None) -> None:
-    """Write to stdout, or to ``path`` (relative paths inside ``QSPOOF_OUT_DIR`` when set)."""
+    """Write to stdout, or to ``path`` (relative paths inside ``QSPOOF_OUT_DIR`` when set),
+    rewriting an existing file in place and cutting it to the new length."""
     if path is None:
         sys.stdout.write(text)
         return
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    # open("w") without O_TRUNC: truncating a written file and writing it
+    # again makes ext4 flush it on close; cutting it to length after the
+    # write does not
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _write(cfg: ScenarioConfig, default_format: str, rows, payload, csv=rows_csv) -> int:

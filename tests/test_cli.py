@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -462,6 +463,75 @@ def test_unwritable_out_is_io_error(capsys, radar_config_path, tmp_path):
     )
     assert code == 4
     assert "out.csv" in err
+
+
+# ``--out`` over an existing file: what open("w") gives, from an in-place write
+
+
+def _detect_bytes(capsys, radar_config_path, *argv):
+    """The bytes ``detect`` writes to stdout, then to ``--out`` with ``argv``."""
+    code, out, _ = run_cli(capsys, "detect", "--config", radar_config_path)
+    assert code == 0
+    code, _, _ = run_cli(capsys, "detect", "--config", radar_config_path, *argv)
+    assert code == 0
+    return out.encode("utf-8")
+
+
+@pytest.mark.parametrize("old", [b"x" * 100_000, b"ab"], ids=["longer", "shorter"])
+def test_out_over_an_existing_file_holds_exactly_the_new_bytes(capsys, radar_config_path, tmp_path, old):
+    target = tmp_path / "point.json"
+    target.write_bytes(old)
+    expected = _detect_bytes(capsys, radar_config_path, "--out", str(target))
+    assert target.read_bytes() == expected
+    assert target.stat().st_size == len(expected)
+
+
+def test_out_keeps_the_existing_files_inode_and_permissions(capsys, radar_config_path, tmp_path):
+    target = tmp_path / "point.json"
+    target.write_bytes(b"x" * 100_000)
+    target.chmod(0o640)
+    before = target.stat()
+    _detect_bytes(capsys, radar_config_path, "--out", str(target))
+    after = target.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+
+
+def test_out_through_a_symlink_writes_its_target(capsys, radar_config_path, tmp_path):
+    real = tmp_path / "real.json"
+    real.write_bytes(b"x" * 100_000)
+    link = tmp_path / "link.json"
+    try:
+        link.symlink_to(real)
+    except OSError:
+        pytest.skip("symlinks unavailable")
+    expected = _detect_bytes(capsys, radar_config_path, "--out", str(link))
+    assert link.is_symlink()
+    assert real.read_bytes() == expected
+
+
+def test_out_to_the_null_device_exits_zero(capsys, radar_config_path):
+    # a character device is written but not cut to length
+    code, out, err = run_cli(capsys, "detect", "--config", radar_config_path, "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+def test_out_to_a_directory_is_io_error(capsys, radar_config_path, tmp_path):
+    target = tmp_path / "results"
+    target.mkdir()
+    code, _, err = run_cli(capsys, "detect", "--config", radar_config_path, "--out", str(target))
+    assert code == 4
+    assert err.startswith("i/o error: ")
+    assert repr(str(target)) in err
+
+
+def test_emit_cuts_a_shorter_rewrite_at_its_byte_length(tmp_path):
+    # each "ж" is two UTF-8 bytes: a cut at the character count would keep
+    # half of the first text's tail
+    target = tmp_path / "out.txt"
+    cli._emit("ж" * 50, str(target))
+    cli._emit("ж" * 10, str(target))
+    assert target.read_bytes() == ("ж" * 10).encode("utf-8")
 
 
 def test_negative_seed_is_validation_error(capsys, radar_config_path):

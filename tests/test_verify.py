@@ -72,6 +72,65 @@ def test_false_alarm_check_reads_every_attack_of_check_1(monkeypatch):
     assert not report.ok
 
 
+# one injected fault per check, at the levels each check is known to catch;
+# instances=2 and channel_instances=1 pass every check at seed 0 unfaulted
+FAULT_OPTIONS = VerifyOptions(instances=2, channel_instances=1)
+
+
+def _by_name(report):
+    return {c.name: c for c in report.checks}
+
+
+def test_check_1_catches_a_closed_form_solved_at_a_price_one_percent_off(monkeypatch):
+    """Check 1 compares the closed form at each price with the oracle's
+    minimizer within an absolute 1e-5 on the state, so it catches a price
+    error only while the distortion it causes is that large.  Measured on
+    seed 0 with 20 instances (not asserted here): this fault moves the state
+    by 6.2e-3 at the default prices and by 2.9e-7 at 1e4, where the check
+    passes it; an oracle that returns rho1 unchanged is caught at 1e4
+    (2.9e-5) and 1e5 (2.9e-6) but passes from 1e6 up (2.9e-7), since
+    rho1' - rho1 shrinks as 1/lam."""
+    inner = verify._optimal_attacks
+
+    def off(pair, pi1, lams):
+        return inner(pair, pi1, [1.01 * lam for lam in lams])
+
+    monkeypatch.setattr(verify, "_optimal_attacks", off)
+    checks = _by_name(run_verification(seed=0, options=FAULT_OPTIONS))
+    assert not checks["closed_form_vs_oracle"].passed
+    assert checks["closed_form_vs_oracle"].stats["max_state_residual"] > verify.ORACLE_STATE_TOL
+    assert checks["false_alarm_equality"].passed
+
+
+def test_check_3_catches_a_channel_realized_toward_a_target_one_percent_off(monkeypatch):
+    # the channel is a valid one (complete), but it maps onto 0.99 target
+    # + 0.01 maximally mixed in place of the target
+    inner = verify.realize_channel
+
+    def off_target(src, tgt):
+        d = tgt.matrix.shape[0]
+        return inner(src, DensityOperator(0.99 * tgt.matrix + 0.01 * np.eye(d) / d))
+
+    monkeypatch.setattr(verify, "realize_channel", off_target)
+    report = run_verification(seed=0, options=FAULT_OPTIONS)
+    check = _by_name(report)["channel_realization"]
+    assert not check.passed
+    assert check.stats["max_completeness_residual"] <= verify.CHANNEL_TOL
+    assert check.stats["max_action_deviation"] > verify.CHANNEL_TOL
+    assert [c.name for c in report.checks if not c.passed] == ["channel_realization"]
+
+
+def test_check_4_catches_a_genuine_false_alarm_rate_off_by_1e_12_relative(monkeypatch):
+    inner = verify._optimal_attacks
+
+    def off(pair, pi1, lams):
+        return [dataclasses.replace(s, genuine_p_false=s.genuine_p_false * (1 + 1e-12)) for s in inner(pair, pi1, lams)]
+
+    monkeypatch.setattr(verify, "_optimal_attacks", off)
+    report = run_verification(seed=0, options=FAULT_OPTIONS)
+    assert [c.name for c in report.checks if not c.passed] == ["false_alarm_equality"]
+
+
 @pytest.mark.parametrize(
     "options, field",
     [
