@@ -267,20 +267,20 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1]
 
 
-def _log_diag(r: np.ndarray) -> np.ndarray:
-    """The complex matrix diag(ln r) of a support spectrum, or a stack of them."""
-    out = np.zeros(r.shape + r.shape[-1:], dtype=np.complex128)
-    _diagonal(out)[...] = np.log(r)
-    return out
-
-
 def _exponents(r: np.ndarray, pi_s: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """The exponents ln r - Pi_s/lam (exactly Hermitian), indexed [price, projector].
 
     ``r`` is one support spectrum or a stack of them, one per projector of
-    the stack ``pi_s``, and ``lams`` a vector of prices.
+    the stack ``pi_s``, and ``lams`` a vector of prices.  The quotients
+    Pi_s/lam are taken in one new buffer and turned in place into
+    0 - Pi_s/lam, then ln r is added on the diagonal: bit for bit
+    diag(ln r) - Pi_s/lam, since x - y and (0 - y) + x round alike and a
+    zero quotient gives +0 either way.
     """
-    return _log_diag(r) - pi_s / lams[:, None, None, None]
+    out = np.divide(pi_s, lams[:, None, None, None], out=np.empty(lams.shape + pi_s.shape, np.complex128))
+    np.subtract(0.0, out, out=out)
+    _diagonal(out)[...] += np.log(r)
+    return out
 
 
 def _attack_stack(view: _AttackView, lams: np.ndarray) -> _AttackStack:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,6 +24,9 @@ from .operators import (
     DensityOperator,
     as_matrix,
     trace_product,
+    _HALF_MAX,
+    _locked,
+    _part_range,
     _read_only,
     _require_hermitian,
     _sort_descending,
@@ -37,7 +39,6 @@ IDEMPOTENCY_TOL = 1e-9
 # Allowed deviation of computed rates from the interval [0, 1].
 RATE_TOL = 1e-10
 PRIOR_SUM_TOL = 1e-12
-_HALF_MAX = sys.float_info.max / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +51,15 @@ class ProjectorMeasurement:
 
     def __post_init__(self):
         m, rank = _check_projectors(as_matrix(self.matrix))
-        object.__setattr__(self, "matrix", _read_only(m))
+        object.__setattr__(self, "matrix", _locked(m))
         object.__setattr__(self, "rank", int(rank))
 
     @classmethod
     def _from_checked(cls, matrix: np.ndarray, rank: int) -> "ProjectorMeasurement":
-        """A projector whose matrix has passed ``_check_projectors`` with ``rank``."""
+        """A projector whose matrix has passed ``_check_projectors`` with ``rank``;
+        the matrix is kept as it is, never copied, and marked read-only."""
         pi = object.__new__(cls)
-        object.__setattr__(pi, "matrix", _read_only(matrix))
+        object.__setattr__(pi, "matrix", _locked(matrix))
         object.__setattr__(pi, "rank", rank)
         return pi
 
@@ -78,17 +80,22 @@ def _check_projectors(m: np.ndarray, ranks=None) -> tuple[np.ndarray, np.ndarray
     against its trace.
 
     ``ranks`` defaults to each trace rounded to the nearest integer.
-    Returns the symmetrized stack and the ranks.
+    Returns the symmetrized stack (the new array ``_require_hermitian``
+    makes) and the ranks.  Pi^2 - Pi is formed in the buffer of the
+    product; each test is written as the passing comparison, so that a
+    NaN fails it.
     """
     m = _require_hermitian(m)
-    dev = np.linalg.norm(m @ m - m, axis=(-2, -1))
-    if (dev > IDEMPOTENCY_TOL).any():
+    sq = m @ m
+    sq -= m
+    dev = np.linalg.norm(sq, axis=(-2, -1))
+    if not (dev <= IDEMPOTENCY_TOL).all():
         raise ValueError(f"not a projector: ||Pi^2 - Pi||_F = {float(dev.max()):.3e}")
     tr = np.trace(m, axis1=-2, axis2=-1).real
     ranks = np.rint(tr).astype(int) if ranks is None else np.asarray(ranks)
-    off = np.abs(tr - ranks) > IDEMPOTENCY_TOL
-    if off.any():
-        i = int(np.argmax(off))
+    near = np.abs(tr - ranks) <= IDEMPOTENCY_TOL
+    if not near.all():
+        i = int(np.argmin(near))
         raise ValueError(f"rank {np.ravel(ranks)[i]} does not match trace {float(np.ravel(tr)[i])!r}")
     return m, ranks
 
@@ -167,11 +174,13 @@ class HypothesisPair:
 
     @classmethod
     def from_tau(cls, rho0: DensityOperator, rho1: DensityOperator, tau: float) -> "HypothesisPair":
-        """Pair with cost weights c0 = 1/(1+tau), c1 = tau/(1+tau)."""
-        tau = _number(tau, "threshold tau")
-        if tau < 0:
+        """Pair with cost weights c0 = 1/(1+tau), c1 = tau/(1+tau); tau is finite and nonnegative."""
+        x = _number(tau, "threshold tau")
+        if not math.isfinite(x):
+            raise ValueError(f"threshold tau must be finite, got {tau!r}")
+        if x < 0:
             raise ValueError("threshold must be nonnegative")
-        return cls(rho0, rho1, *_cost_weights(tau))
+        return cls(rho0, rho1, *_cost_weights(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,10 +245,16 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.n
     whose ``rho1 - tau*rho0`` has an entry beyond half the largest float
     (from about 1.5e308 on the README radar pair) is refused with a
     ``ValueError`` that names it: symmetrizing that matrix would overflow.
+    ``rho1 - tau*rho0`` is formed in one new buffer, the product's, and
+    the overflow test reads its range (``_part_range``) without a float
+    temporary.
     """
     taus = _threshold(c0, c1)
-    a = rho1 - taus[:, None, None] * rho0
-    big = np.abs(a.view(np.float64)).max(axis=(-2, -1)) > _HALF_MAX
+    t = taus[:, None, None]
+    a = np.multiply(t, rho0, out=np.empty(np.broadcast_shapes(t.shape, rho0.shape, rho1.shape), np.complex128))
+    np.subtract(rho1, a, out=a)
+    lo, hi = _part_range(a, axis=(-2, -1))
+    big = (hi > _HALF_MAX) | (lo < -_HALF_MAX)
     if big.any():
         tau = float(np.broadcast_to(taus, big.shape)[int(np.argmax(big))])
         raise ValueError(f"threshold c1/c0 = {tau!r} is too large: rho1 - tau*rho0 leaves the float range")

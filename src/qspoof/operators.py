@@ -13,6 +13,7 @@ overflow is involved.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,8 @@ TRACE_TOL = 1e-10
 TRACE_RESIDUE_TOL = 1e-10
 # Mass of nu1 outside the support of nu0 above which S(nu1||nu0) = +inf.
 SUPPORT_LEAK_TOL = 1e-9
+# A float part of a matrix entry beyond this may overflow when two entries are added.
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 class NonHermitianError(ValueError):
@@ -40,11 +43,15 @@ def as_matrix(a) -> np.ndarray:
 
     Accepts bare arrays, nested sequences, or any object exposing a
     ``matrix`` attribute (``DensityOperator``, ``ProjectorMeasurement``).
+    A 0 x 0 matrix is refused: no operator of the package lives on an
+    empty space.
     """
     m = getattr(a, "matrix", a)
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not arr.size:
+        raise ValueError(f"expected a nonempty matrix, got shape {arr.shape}")
     return arr
 
 
@@ -54,8 +61,21 @@ def hermitian_part(a) -> np.ndarray:
 
 
 def _hermitian(arr: np.ndarray) -> np.ndarray:
-    """``hermitian_part`` of every matrix in a stack (last two axes)."""
-    return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
+    """``hermitian_part`` of every matrix in a complex stack (last two axes).
+
+    One new C-ordered buffer takes the adjoint, then the sum and the
+    halving in place: bit for bit ``(A + A^dagger)/2``, since a float sum
+    does not depend on the order of its two terms.
+    """
+    out = _adjoint(arr)
+    out += arr
+    out /= 2.0
+    return out
+
+
+def _adjoint(arr: np.ndarray) -> np.ndarray:
+    """``A^dagger`` of every matrix in a stack, in a new C-ordered complex buffer."""
+    return np.conjugate(arr.swapaxes(-1, -2), out=np.empty(arr.shape, dtype=np.complex128))
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -66,6 +86,9 @@ def require_hermitian(a) -> np.ndarray:
     NonHermitianError
         If any entry of ``A - A^dagger`` exceeds ``HERMITIAN_TOL`` in
         magnitude, or the matrix contains non-finite entries.
+    ValueError
+        If a real or imaginary part of an entry lies beyond half the
+        largest float, where ``A + A^dagger`` could overflow.
     """
     return _require_hermitian(as_matrix(a))
 
@@ -74,22 +97,61 @@ def _require_hermitian(arr: np.ndarray) -> np.ndarray:
     """``require_hermitian`` over a stack of complex matrices (last two axes).
 
     The whole stack passes or the call raises, naming the worst deviation.
+    ``arr`` is only read, and the result is a new C-ordered array: the
+    difference A - A^dagger is formed in it, measured, and overwritten in
+    place by the symmetrized matrices, bit for bit ``(A + A^dagger)/2``.
+    The adjoint takes one more buffer for the call.  Finiteness and the
+    half-max rule are read off the range of the entries' float parts
+    (``_part_range``): an entry with a real or imaginary part beyond half
+    the largest float, where the sum can overflow, is refused by name
+    instead of turning into inf or NaN.
     """
-    if not np.isfinite(arr).all():
-        raise NonHermitianError("matrix contains non-finite entries")
-    adjoint = arr.conj().swapaxes(-1, -2)
-    dev = float(np.abs(arr - adjoint).max()) if arr.size else 0.0
+    lo, hi = _part_range(arr)
+    if not -_HALF_MAX <= lo <= hi <= _HALF_MAX:  # a NaN fails too
+        if not np.isfinite(arr).all():
+            raise NonHermitianError("matrix contains non-finite entries")
+        part = float(hi if hi > _HALF_MAX else lo)
+        raise ValueError(f"matrix entry part {part!r} lies beyond half the largest float: A + A^dagger would overflow")
+    adjoint = _adjoint(arr)
+    out = np.subtract(arr, adjoint)
+    dev = float(np.abs(out).max(initial=0.0))
     if dev > HERMITIAN_TOL:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e} > {HERMITIAN_TOL:.1e}"
         )
-    return (arr + adjoint) / 2.0
+    np.add(arr, adjoint, out=out)
+    out /= 2.0
+    return out
+
+
+def _part_range(a: np.ndarray, axis=None):
+    """The smallest and the largest real or imaginary part of the entries of
+    the complex array ``a`` over ``axis`` (all axes by default), 0.0 taken
+    in; a NaN entry makes both NaN.  Two reductions over the float view of
+    ``a`` (of a contiguous copy where its last axis is strided), with no
+    temporary of its size."""
+    if a.strides[-1] != a.itemsize:
+        a = np.ascontiguousarray(a)
+    v = a.view(np.float64)
+    return v.min(axis=axis, initial=0.0), v.max(axis=axis, initial=0.0)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.flags.writeable = False
-    return out
+    """A read-only copy of ``arr``."""
+    return _locked(np.array(arr, copy=True))
+
+
+def _locked(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, marked read-only: for an array its caller hands over."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _spectrum(w: np.ndarray, x: np.ndarray) -> "SpectralDecomposition":
+    """A read-only spectrum of eigenvalues ``w`` and eigenvector columns ``x``,
+    each taken as it is where it is C-contiguous and copied where it is not
+    (the reversed views ``_sort_descending`` makes of an ``eigh`` result)."""
+    return SpectralDecomposition(_locked(np.ascontiguousarray(w)), _locked(np.ascontiguousarray(x)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +179,7 @@ def spectral_decompose(a) -> SpectralDecomposition:
     """
     if isinstance(a, DensityOperator):
         return a.spectrum
-    w, v = _sort_descending(*np.linalg.eigh(require_hermitian(a)))
-    return SpectralDecomposition(_read_only(w), _read_only(v))
+    return _spectrum(*_sort_descending(*np.linalg.eigh(require_hermitian(a))))
 
 
 def _support_rank(w: np.ndarray):
@@ -223,16 +284,17 @@ def _check_unit_trace_psd(m: np.ndarray, wmin) -> None:
     ``m`` holds symmetrized matrices in its last two axes and ``wmin`` the
     smallest eigenvalue of each.  Raises for the first state whose trace
     deviates from one by more than ``TRACE_TOL`` or whose smallest
-    eigenvalue is below ``-PSD_TOL``.
+    eigenvalue is below ``-PSD_TOL``, or is NaN.
     """
     tr = np.trace(m, axis1=-2, axis2=-1).real
-    off = np.abs(tr - 1.0) > TRACE_TOL
-    if off.any():
-        bad = float(np.ravel(tr)[int(np.argmax(off))])
+    # each test is written as the passing comparison, so that a NaN fails it
+    near = np.abs(tr - 1.0) <= TRACE_TOL
+    if not near.all():
+        bad = float(np.ravel(tr)[int(np.argmin(near))])
         raise ValueError(f"density operator trace {bad!r} deviates from 1 by more than {TRACE_TOL:.1e}")
-    negative = wmin < -PSD_TOL
-    if negative.any():
-        bad = float(np.ravel(wmin)[int(np.argmax(negative))])
+    psd = wmin >= -PSD_TOL
+    if not psd.all():
+        bad = float(np.ravel(wmin)[int(np.argmin(psd))])
         raise ValueError(f"density operator is not PSD: smallest eigenvalue {bad:.6e} < -{PSD_TOL:.1e}")
 
 
@@ -281,14 +343,28 @@ class DensityOperator:
         instead of decomposing the matrix; the caller vouches that the
         columns of ``eigenvectors`` are orthonormal eigenvectors of
         ``matrix``.
+
+        ``matrix`` is kept as it is, never copied, and so are
+        ``eigenvalues`` and ``eigenvectors`` where they are C-contiguous;
+        where they are not, they are copied (``_store``).
         """
         state = object.__new__(cls)
         state._store(matrix, eigenvalues, eigenvectors)
         return state
 
     def _store(self, m: np.ndarray, w: np.ndarray, x: np.ndarray) -> None:
-        object.__setattr__(self, "matrix", _read_only(m))
-        object.__setattr__(self, "spectrum", SpectralDecomposition(_read_only(w), _read_only(x)))
+        """Keep ``m`` as the matrix and ``w``, ``x`` as the spectrum, all marked read-only.
+
+        ``m`` is taken as it is, never copied: the caller hands over a
+        C-ordered array that nothing else writes to, such as the new array
+        ``_require_hermitian`` returns or one state's slice of a stack of
+        them.  ``w`` and ``x`` are taken as they are where they are
+        C-contiguous (a concatenation the caller has just made) and copied
+        where they are not, as the reversed views of an ``eigh`` result
+        that ``_checked_states`` returns are (``_spectrum``).
+        """
+        object.__setattr__(self, "matrix", _locked(m))
+        object.__setattr__(self, "spectrum", _spectrum(w, x))
 
     @property
     def dim(self) -> int:

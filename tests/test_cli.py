@@ -124,6 +124,24 @@ def test_a_threshold_whose_decision_operator_overflows_exits_two(capsys, tmp_pat
     assert err.endswith(" is too large: rho1 - tau*rho0 leaves the float range\n")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["detect", "attack", "roc"])
+@pytest.mark.parametrize("field", ["rho0", "rho1"])
+def test_a_state_whose_symmetrization_overflows_exits_two_by_name(capsys, tmp_path, command, field):
+    # every number in the file is finite; this used to exit 2 with "matrix contains non-finite entries"
+    states = {"rho0": [[0.5, 0.0], [0.0, 0.5]], "rho1": [[0.5, 0.0], [0.0, 0.5]]}
+    states[field] = [[1e308, 1e308], [1e308, -1e308]]
+    cfg = {"explicit": {**states, "c0": 0.5, "c1": 0.5}, "attack": {"lambdas": [1.0]}}
+    p = tmp_path / "huge_state.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(p))
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == (
+        f"error: explicit.{field}: matrix entry part 1e+308 lies beyond half the largest float: "
+        "A + A^dagger would overflow\n"
+    )
+
+
 # ---------------------------------------------------------------- attack
 
 def test_attack_radar_lambda_one(capsys, radar_config_path):

@@ -88,6 +88,15 @@ def test_pair_from_tau_rejects_nan(tau):
         HypothesisPair.from_tau(rho, rho, tau)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_pair_from_tau_names_a_non_finite_tau(tau):
+    # it used to report the weights it derived, e.g. c0=0.0, c1=nan for tau = inf
+    rho = DensityOperator.maximally_mixed(2)
+    with pytest.raises(ValueError, match=rf"^threshold tau must be finite, got {tau!r}$"):
+        HypothesisPair.from_tau(rho, rho, tau)
+
+
 def test_pair_from_tau_rejects_a_bool():
     rho = DensityOperator.maximally_mixed(2)
     with pytest.raises(ValueError, match="threshold tau must be a number, got True"):
@@ -150,6 +159,20 @@ def test_stacked_checks_reject_one_bad_member():
         detection._checked_rates(np.array([[0.2, 1.5], [0.0, 1.0]]))
     with pytest.raises(operators.NonHermitianError, match="non-finite"):
         detection._check_projectors(np.stack([good, np.full((2, 2), np.nan)]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_projector_with_an_entry_whose_symmetrization_overflows_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^matrix entry part 1e\+308 lies beyond half the largest float"):
+        ProjectorMeasurement([[1e308, 1e308], [1e308, -1e308]])
+
+
+def test_projector_check_fails_on_nan():
+    # Pi^2 of [[a, a], [a, -a]] at a = 1e200 holds inf - inf = NaN, and so does
+    # ||Pi^2 - Pi||; that matrix used to pass as a rank-0 projector
+    a = 1e200
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not a projector"):
+        ProjectorMeasurement([[a, a], [a, -a]])
 
 
 def test_rate_check_rejects_nan_and_clamps_to_positive_zero():

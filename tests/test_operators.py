@@ -1,6 +1,7 @@
 """Operator-algebra layer: decompositions, exp/log, entropy, validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,79 @@ def test_require_hermitian_rejects_nonfinite():
 def test_require_hermitian_rejects_nonsquare():
     with pytest.raises(ValueError):
         require_hermitian(np.zeros((2, 3)))
+
+
+HALF_MAX = float(np.finfo(float).max) / 2.0
+PAST_HALF = math.nextafter(HALF_MAX, math.inf)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "matrix,part",
+    [
+        pytest.param([[1e308, 1e308], [1e308, -1e308]], "1e+308", id="real"),
+        pytest.param([[0.5, -1e308j], [1e308j, 0.5]], "1e+308", id="imaginary"),
+        pytest.param([[0.5, 0.0], [0.0, -PAST_HALF]], repr(-PAST_HALF), id="just-past-half"),
+    ],
+)
+def test_an_entry_whose_symmetrization_overflows_is_refused_by_name(matrix, part):
+    # every entry is finite, but (A + A^dagger)/2 overflows; the state used
+    # to come out as inf+nanj and pass the trace and PSD checks on NaN
+    message = rf"^matrix entry part {re.escape(part)} lies beyond half the largest float: A \+ A\^dagger would overflow$"
+    for build in (require_hermitian, DensityOperator, hermitian_sum_checked_as_stack):
+        with pytest.raises(ValueError, match=message) as caught:
+            build(np.array(matrix, dtype=complex))
+        assert not isinstance(caught.value, NonHermitianError)
+
+
+def hermitian_sum_checked_as_stack(m):
+    return operators._checked_states(np.stack([np.eye(2) / 2, m]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_entries_up_to_half_the_largest_float_symmetrize():
+    m = np.array([[HALF_MAX, -HALF_MAX], [-HALF_MAX, 1.0]], dtype=complex)
+    assert require_hermitian(m).tolist() == m.tolist()
+    with pytest.raises(NonHermitianError, match="non-finite"):
+        require_hermitian(np.array([[1.0, np.inf], [1e308, 1.0]]))
+
+
+def test_state_checks_fail_on_nan():
+    # a NaN trace or smallest eigenvalue fails its check, as a value out of range does
+    nan_state = np.full((1, 2, 2), np.nan, dtype=complex)
+    with pytest.raises(ValueError, match="density operator trace nan deviates"):
+        operators._check_unit_trace_psd(nan_state, np.zeros(1))
+    with pytest.raises(ValueError, match="not PSD: smallest eigenvalue nan"):
+        operators._check_unit_trace_psd(np.eye(2)[None] / 2, np.array([np.nan]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DensityOperator(np.zeros((0, 0))),
+        lambda: DensityOperator.maximally_mixed(0),
+        lambda: DensityOperator.from_diagonal([]),
+        lambda: trace_product(np.zeros((0, 0)), np.zeros((0, 0))),
+        lambda: require_hermitian(np.zeros((0, 0))),
+        lambda: hermitian_part(np.zeros((0, 0))),
+        lambda: spectral_decompose(np.zeros((0, 0))),
+    ],
+    ids=["state", "maximally-mixed", "from-diagonal", "trace-product", "require-hermitian", "hermitian-part", "spectrum"],
+)
+def test_an_empty_matrix_is_refused_by_its_shape(build):
+    with pytest.raises(ValueError, match=r"^expected a nonempty matrix, got shape \(0, 0\)$"):
+        build()
+
+
+def test_a_state_owns_its_matrix():
+    # the constructor keeps the array it symmetrized, never the caller's
+    m = np.diag([0.6, 0.4]).astype(complex)
+    rho = DensityOperator(m)
+    m[0, 0] = 5.0
+    assert rho.matrix.tolist() == [[0.6, 0.0], [0.0, 0.4]]
+    assert rho.matrix.flags.c_contiguous and not rho.matrix.flags.writeable
+    spec = rho.spectrum
+    assert spec.eigenvalues.flags.c_contiguous and spec.eigenvectors.flags.c_contiguous
 
 
 # ---------------------------------------------------------------- entropy
