@@ -277,7 +277,7 @@ def _exponents(r: np.ndarray, pi_s: np.ndarray, lams: np.ndarray) -> np.ndarray:
     diag(ln r) - Pi_s/lam, since x - y and (0 - y) + x round alike and a
     zero quotient gives +0 either way.
     """
-    out = np.divide(pi_s, lams[:, None, None, None], out=np.empty(lams.shape + pi_s.shape, np.complex128))
+    out = np.divide(pi_s, lams[:, None, None, None], order="C")
     np.subtract(0.0, out, out=out)
     _diagonal(out)[...] += np.log(r)
     return out

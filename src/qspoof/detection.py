@@ -25,8 +25,8 @@ from .operators import (
     as_matrix,
     trace_product,
     _HALF_MAX,
+    _HalfMaxError,
     _locked,
-    _part_range,
     _read_only,
     _require_hermitian,
     _sort_descending,
@@ -235,30 +235,31 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.n
     """The risk-optimal projector of ``rho1 - tau*rho0`` and its Bayes risk for each cost weight pair.
 
     ``c0`` and ``c1`` are vectors of weights and ``rho0`` and ``rho1`` the
-    two states' matrices or stacks of them; the two broadcast against each
-    other: N weight pairs on one pair of states, one weight pair on N pairs
-    of states, or N of each.  One ``eigh`` call decomposes
-    the whole stack; each projector is built from its kept (leading)
+    two states' matrices or stacks of them, of one shape; weights and
+    states broadcast against each other: N weight pairs on one pair of
+    states, one weight pair on N pairs of states, or N of each.  One
+    ``eigh`` call decomposes the whole stack; each projector is built from its kept (leading)
     eigenvector columns, with one matrix product per distinct rank, and
     the stack then passes the projector and rate checks.  A point's result
     is bit-identical whether it is solved alone or in a stack.  A threshold
     whose ``rho1 - tau*rho0`` has an entry beyond half the largest float
     (from about 1.5e308 on the README radar pair) is refused with a
     ``ValueError`` that names it: symmetrizing that matrix would overflow.
-    ``rho1 - tau*rho0`` is formed in one new buffer, the product's, and
-    the overflow test reads its range (``_part_range``) without a float
-    temporary.
+    ``rho1 - tau*rho0`` is formed in one new buffer, the product's.  The
+    half-max rule is ``_require_hermitian``'s: its refusal
+    (``_HalfMaxError``) is turned into the threshold's, so the test runs
+    once per stack, with no float temporary.
     """
     taus = _threshold(c0, c1)
-    t = taus[:, None, None]
-    a = np.multiply(t, rho0, out=np.empty(np.broadcast_shapes(t.shape, rho0.shape, rho1.shape), np.complex128))
+    a = taus[:, None, None] * rho0
     np.subtract(rho1, a, out=a)
-    lo, hi = _part_range(a, axis=(-2, -1))
-    big = (hi > _HALF_MAX) | (lo < -_HALF_MAX)
-    if big.any():
+    try:
+        a = _require_hermitian(a)
+    except _HalfMaxError:
+        parts = a.view(np.float64)
+        big = (np.maximum.reduce(parts, axis=(-2, -1)) > _HALF_MAX) | (np.minimum.reduce(parts, axis=(-2, -1)) < -_HALF_MAX)
         tau = float(np.broadcast_to(taus, big.shape)[int(np.argmax(big))])
-        raise ValueError(f"threshold c1/c0 = {tau!r} is too large: rho1 - tau*rho0 leaves the float range")
-    a = _require_hermitian(a)
+        raise ValueError(f"threshold c1/c0 = {tau!r} is too large: rho1 - tau*rho0 leaves the float range") from None
     w, x = _sort_descending(*np.linalg.eigh(a))
     ranks = _support_rank(w)
     proj = np.empty_like(a)

@@ -38,6 +38,12 @@ class NonHermitianError(ValueError):
     """Input matrix violates conjugate symmetry beyond tolerance."""
 
 
+class _HalfMaxError(ValueError):
+    """A real or imaginary part of a matrix entry lies beyond ``_HALF_MAX``,
+    where the sum of two entries can overflow; raised by ``_require_hermitian``
+    so that a caller can name its own cause."""
+
+
 def as_matrix(a) -> np.ndarray:
     """Return the underlying square complex matrix of an operator-like object.
 
@@ -63,19 +69,12 @@ def hermitian_part(a) -> np.ndarray:
 def _hermitian(arr: np.ndarray) -> np.ndarray:
     """``hermitian_part`` of every matrix in a complex stack (last two axes).
 
-    One new C-ordered buffer takes the adjoint, then the sum and the
-    halving in place: bit for bit ``(A + A^dagger)/2``, since a float sum
-    does not depend on the order of its two terms.
+    The sum A + A^dagger is one new C-ordered array, halved in place: bit
+    for bit ``(A + A^dagger)/2``.
     """
-    out = _adjoint(arr)
-    out += arr
+    out = arr + arr.conj().swapaxes(-1, -2)
     out /= 2.0
     return out
-
-
-def _adjoint(arr: np.ndarray) -> np.ndarray:
-    """``A^dagger`` of every matrix in a stack, in a new C-ordered complex buffer."""
-    return np.conjugate(arr.swapaxes(-1, -2), out=np.empty(arr.shape, dtype=np.complex128))
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -100,21 +99,24 @@ def _require_hermitian(arr: np.ndarray) -> np.ndarray:
     ``arr`` is only read, and the result is a new C-ordered array: the
     difference A - A^dagger is formed in it, measured, and overwritten in
     place by the symmetrized matrices, bit for bit ``(A + A^dagger)/2``.
-    The adjoint takes one more buffer for the call.  Finiteness and the
-    half-max rule are read off the range of the entries' float parts
-    (``_part_range``): an entry with a real or imaginary part beyond half
-    the largest float, where the sum can overflow, is refused by name
-    instead of turning into inf or NaN.
+    The conjugate of ``arr`` takes one more buffer for the call.
+    Finiteness and the half-max rule are read off the smallest and the
+    largest float part of the entries, two reductions over ``arr``'s float
+    view: an entry with a part beyond half the largest float, where the
+    sum can overflow, is refused by name (``_HalfMaxError``) instead of
+    turning into inf or NaN.
     """
-    lo, hi = _part_range(arr)
+    parts = (arr if arr.strides[-1] == arr.itemsize else np.ascontiguousarray(arr)).view(np.float64)
+    lo = np.minimum.reduce(parts, axis=None, initial=0.0)
+    hi = np.maximum.reduce(parts, axis=None, initial=0.0)
     if not -_HALF_MAX <= lo <= hi <= _HALF_MAX:  # a NaN fails too
         if not np.isfinite(arr).all():
             raise NonHermitianError("matrix contains non-finite entries")
         part = float(hi if hi > _HALF_MAX else lo)
-        raise ValueError(f"matrix entry part {part!r} lies beyond half the largest float: A + A^dagger would overflow")
-    adjoint = _adjoint(arr)
-    out = np.subtract(arr, adjoint)
-    dev = float(np.abs(out).max(initial=0.0))
+        raise _HalfMaxError(f"matrix entry part {part!r} lies beyond half the largest float: A + A^dagger would overflow")
+    adjoint = arr.conj().swapaxes(-1, -2)
+    out = arr - adjoint
+    dev = float(np.maximum.reduce(np.abs(out), axis=None, initial=0.0))
     if dev > HERMITIAN_TOL:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e} > {HERMITIAN_TOL:.1e}"
@@ -122,18 +124,6 @@ def _require_hermitian(arr: np.ndarray) -> np.ndarray:
     np.add(arr, adjoint, out=out)
     out /= 2.0
     return out
-
-
-def _part_range(a: np.ndarray, axis=None):
-    """The smallest and the largest real or imaginary part of the entries of
-    the complex array ``a`` over ``axis`` (all axes by default), 0.0 taken
-    in; a NaN entry makes both NaN.  Two reductions over the float view of
-    ``a`` (of a contiguous copy where its last axis is strided), with no
-    temporary of its size."""
-    if a.strides[-1] != a.itemsize:
-        a = np.ascontiguousarray(a)
-    v = a.view(np.float64)
-    return v.min(axis=axis, initial=0.0), v.max(axis=axis, initial=0.0)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
