@@ -238,17 +238,18 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.n
     two states' matrices or stacks of them, of one shape; weights and
     states broadcast against each other: N weight pairs on one pair of
     states, one weight pair on N pairs of states, or N of each.  One
-    ``eigh`` call decomposes the whole stack; each projector is built from its kept (leading)
-    eigenvector columns, with one matrix product per distinct rank, and
-    the stack then passes the projector and rate checks.  A point's result
-    is bit-identical whether it is solved alone or in a stack.  A threshold
+    ``eigh`` call decomposes the whole stack; each projector is built from
+    its kept (leading) eigenvector columns, with one matrix product per
+    distinct rank, and the stack then passes the projector and rate
+    checks.  A point's result is bit-identical whether it is solved alone
+    or in a stack.  A threshold
     whose ``rho1 - tau*rho0`` has an entry beyond half the largest float
     (from about 1.5e308 on the README radar pair) is refused with a
     ``ValueError`` that names it: symmetrizing that matrix would overflow.
     ``rho1 - tau*rho0`` is formed in one new buffer, the product's.  The
     half-max rule is ``_require_hermitian``'s: its refusal
     (``_HalfMaxError``) is turned into the threshold's, so the test runs
-    once per stack, with no float temporary.
+    once per stack, with no float temporary unless it fails.
     """
     taus = _threshold(c0, c1)
     a = taus[:, None, None] * rho0
@@ -256,8 +257,7 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.n
     try:
         a = _require_hermitian(a)
     except _HalfMaxError:
-        parts = a.view(np.float64)
-        big = (np.maximum.reduce(parts, axis=(-2, -1)) > _HALF_MAX) | (np.minimum.reduce(parts, axis=(-2, -1)) < -_HALF_MAX)
+        big = np.abs(a.view(np.float64)).max(axis=(-2, -1)) > _HALF_MAX
         tau = float(np.broadcast_to(taus, big.shape)[int(np.argmax(big))])
         raise ValueError(f"threshold c1/c0 = {tau!r} is too large: rho1 - tau*rho0 leaves the float range") from None
     w, x = _sort_descending(*np.linalg.eigh(a))
