@@ -40,17 +40,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detection import HypothesisPair, ProjectorMeasurement, _checked_rate, _checked_rates, _number
+from .detection import HypothesisPair, ProjectorMeasurement, _check_projectors, _checked_rate, _checked_rates, _number
 from .operators import (
     DensityOperator,
     as_matrix,
     relative_entropy,
     spectral_decompose,
     trace_product,
-    _check_unit_trace_psd,
     _hermitian,
     _read_only,
-    _require_hermitian,
     _support_rank,
     _traces,
 )
@@ -153,10 +151,10 @@ class _Gibbs(NamedTuple):
     columns: np.ndarray  # its eigenvector columns on the full space, v u
     z1: np.ndarray  # Tr e^h; 0.0 where it is below the smallest float
     p: np.ndarray  # e^w / Tr e^h, from exponentials shifted by the top of w
-    matrices: np.ndarray  # e^h / Tr e^h on the full space, checked
+    matrices: np.ndarray  # e^h / Tr e^h on the full space, states by construction
 
 
-def _lift_stack(v: np.ndarray, kernel: np.ndarray, w: np.ndarray, u: np.ndarray) -> _Gibbs:
+def _lift_stack(v: np.ndarray, w: np.ndarray, u: np.ndarray) -> _Gibbs:
     """The states e^h / Tr e^h for a stack of chart points h, given their
     spectra ``w`` (ascending) and eigenvector columns ``u`` (support basis).
 
@@ -164,21 +162,19 @@ def _lift_stack(v: np.ndarray, kernel: np.ndarray, w: np.ndarray, u: np.ndarray)
     scaling), so p = e^(w - w_max) / sum e^(w - w_max) is finite at every
     price; Z1 = sum e^(w - w_max) * e^w_max, taken as the one exponential
     e^(w_max + ln sum e^(w - w_max)) where that product is subnormal,
-    reads 0.0 when the true value is below the smallest float.  The
-    columns W = v u carry each state, (W p) W^dagger, and its
-    eigenvectors; every state then passes the density-operator checks
-    (Hermiticity and finiteness, unit trace, PSD) together.  Its spectrum
-    is known without another decomposition: p on the columns of W, and
-    zero on the kernel of rho1 (see ``_lifted_state``).
+    reads 0.0 when the true value is below the smallest float.  Each state
+    is (W p) W^dagger, symmetrized, with orthonormal columns W = v u and a
+    probability vector p: a density operator by construction, so it is not
+    checked again.  Its spectrum is known without another decomposition:
+    p on the columns of W, and zero on the kernel of rho1 (see
+    ``_lifted_state``).
     """
     top = w[..., -1:]
     ew = np.exp(w - top)
     total = np.sum(ew, axis=-1)
     p = ew / total[..., None]
     columns = v @ u
-    matrices = _require_hermitian((columns * p[..., None, :]) @ columns.conj().swapaxes(-1, -2))
-    wmin = p.min(axis=-1)
-    _check_unit_trace_psd(matrices, np.minimum(wmin, 0.0) if kernel.shape[-1] else wmin)
+    matrices = _hermitian((columns * p[..., None, :]) @ columns.conj().swapaxes(-1, -2))
     z1 = total * np.exp(top[..., 0])
     # a subnormal product rounds twice; one exponential rounds once
     z1 = np.where(z1 < np.finfo(float).tiny, np.exp(top[..., 0] + np.log(total)), z1)
@@ -186,7 +182,7 @@ def _lift_stack(v: np.ndarray, kernel: np.ndarray, w: np.ndarray, u: np.ndarray)
 
 
 def _lifted_state(kernel: np.ndarray, gibbs: _Gibbs, at) -> DensityOperator:
-    """The checked state ``gibbs.matrices[at]`` wrapped with its known
+    """The state ``gibbs.matrices[at]`` wrapped with its known
     spectrum, descending: the ascending ``gibbs.p`` reversed on the
     reversed ``gibbs.columns``, then zeros on the kernel of rho1."""
     return DensityOperator._from_spectrum(
@@ -232,14 +228,25 @@ class _StoredView(NamedTuple):
 _VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _projector_matrix(pi1) -> np.ndarray:
+    """The matrix of ``pi1`` where it enters the attack layer: a
+    ``ProjectorMeasurement``'s as it is, checked when it was built, and a
+    bare array's after the projector checks (``_check_projectors``), which
+    refuse a non-projector or a non-finite entry by name."""
+    if isinstance(pi1, ProjectorMeasurement):
+        return pi1.matrix
+    return _check_projectors(as_matrix(pi1))[0]
+
+
 def _pair_view(pair: HypothesisPair, pi1) -> _StoredView:
     """The attack view of (pair, pi1) and the genuine false-alarm rate.
 
     The entry is stored when ``pi1`` is a ``ProjectorMeasurement``
     (validated and read-only), keyed weakly by the frozen pair, and found
-    again only for that same projector object; a bare array may be
-    written to between calls, so it is never stored.  Found or built, an
-    entry holds the same values.  A new pair object over the same states
+    again only for that same projector object; a bare array, checked as
+    a projector at every call (``_projector_matrix``), may be written to
+    between calls, so it is never stored.  Found or built, an entry holds
+    the same values.  A new pair object over the same states
     misses the store, and an entry keeps its projector alive while its
     pair lives.
     """
@@ -247,7 +254,7 @@ def _pair_view(pair: HypothesisPair, pi1) -> _StoredView:
     if entry is not None and entry.pi1 is pi1:
         return entry
     dec = pair.rho1.spectrum
-    view = _attack_view(dec.eigenvalues, dec.eigenvectors, as_matrix(pi1)[None])
+    view = _attack_view(dec.eigenvalues, dec.eigenvectors, _projector_matrix(pi1)[None])
     entry = _StoredView(pi1, view, _checked_rate(trace_product(view.projectors[0], pair.rho0.matrix)))
     if isinstance(pi1, ProjectorMeasurement):
         _VIEWS[pair] = entry
@@ -268,19 +275,16 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
 
 
 def _exponents(r: np.ndarray, pi_s: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """The exponents ln r - Pi_s/lam (exactly Hermitian), indexed [price, projector].
+    """The exponents diag(ln r) - Pi_s/lam, indexed [price, projector];
+    exactly Hermitian when ``pi_s`` is.
 
     ``r`` is one support spectrum or a stack of them, one per projector of
-    the stack ``pi_s``, and ``lams`` a vector of prices.  The quotients
-    Pi_s/lam are taken in one new buffer and turned in place into
-    0 - Pi_s/lam, then ln r is added on the diagonal: bit for bit
-    diag(ln r) - Pi_s/lam, since x - y and (0 - y) + x round alike and a
-    zero quotient gives +0 either way.
+    the stack ``pi_s``, and ``lams`` a vector of prices.
     """
-    out = np.divide(pi_s, lams[:, None, None, None], order="C")
-    np.subtract(0.0, out, out=out)
-    _diagonal(out)[...] += np.log(r)
-    return out
+    n = r.shape[-1]
+    log_diag = np.zeros(r.shape + (n,), dtype=np.complex128)
+    _diagonal(log_diag)[...] = np.log(r)
+    return log_diag - pi_s / lams[:, None, None, None]
 
 
 def _attack_stack(view: _AttackView, lams: np.ndarray) -> _AttackStack:
@@ -293,7 +297,7 @@ def _attack_stack(view: _AttackView, lams: np.ndarray) -> _AttackStack:
     rate check together.  Every point is bit-identical to the same point
     solved alone.
     """
-    gibbs = _lift_stack(view.v, view.kernel, *np.linalg.eigh(_exponents(view.r, view.pi_s, lams)))
+    gibbs = _lift_stack(view.v, *np.linalg.eigh(_exponents(view.r, view.pi_s, lams)))
     return _AttackStack(gibbs, _checked_rates(_traces(view.projectors, gibbs.matrices)))
 
 
@@ -330,8 +334,8 @@ def optimal_attack(pair: HypothesisPair, pi1, lam: float) -> AttackerSolution:
     Only the exponent depends on the price.  For a ``ProjectorMeasurement``
     the rest (rho1's support chart, Pi1 in it and the genuine false-alarm
     rate) is built at the first call on a pair and reused by later calls
-    on the same pair object; a bare array is taken afresh every call.
-    Either way the result is the same, to the bit.
+    on the same pair object; a bare array is checked as a projector and
+    taken afresh every call.  Either way the result is the same, to the bit.
 
     Every finite positive price gives a state: its spectrum comes from
     exponentials shifted by the exponent's top eigenvalue.  ``z1`` is
@@ -576,7 +580,7 @@ def _oracle_attacks(pair: HypothesisPair, pi1, lams) -> list:
     ``oracle_attack`` raises.  Each entry is bit-identical to the price alone.
     """
     lams = np.array([_check_price(lam) for lam in lams])
-    pi_m = as_matrix(pi1)
+    pi_m = _projector_matrix(pi1)
     dec = pair.rho1.spectrum
     r, v, kernel, _, pi_s = _attack_view(dec.eigenvalues, dec.eigenvectors, pi_m)
     log_r = np.log(r)
@@ -620,7 +624,7 @@ def _oracle_attacks(pair: HypothesisPair, pi1, lams) -> list:
                 break
     w_end[live], u_end[live] = point.w, point.u
     # every price's state from one lift; a price still in the stack ran out of steps
-    gibbs = _lift_stack(v, kernel, w_end[:, None], u_end[:, None])
+    gibbs = _lift_stack(v, w_end[:, None], u_end[:, None])
     out: list = [_lifted_state(kernel, gibbs, (i, 0)) for i in range(len(w_end))]
     for j, i in enumerate(live):
         message = f"no convergence after {ORACLE_ITERATIONS} iterations (last decrement {-slope[j]:.3e})"

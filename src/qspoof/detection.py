@@ -26,6 +26,7 @@ from .operators import (
     trace_product,
     _HALF_MAX,
     _HalfMaxError,
+    _hermitian,
     _locked,
     _read_only,
     _require_hermitian,
@@ -56,8 +57,9 @@ class ProjectorMeasurement:
 
     @classmethod
     def _from_checked(cls, matrix: np.ndarray, rank: int) -> "ProjectorMeasurement":
-        """A projector whose matrix has passed ``_check_projectors`` with ``rank``;
-        the matrix is kept as it is, never copied, and marked read-only."""
+        """A projector of ``rank`` wrapped without a check: a Helstrom projector,
+        V V^dagger of ``rank`` orthonormal ``eigh`` columns, symmetrized.  The
+        matrix is kept as it is, never copied, and marked read-only."""
         pi = object.__new__(cls)
         object.__setattr__(pi, "matrix", _locked(matrix))
         object.__setattr__(pi, "rank", rank)
@@ -74,27 +76,26 @@ class ProjectorMeasurement:
         return cls(v @ v.conj().T)
 
 
-def _check_projectors(m: np.ndarray, ranks=None) -> tuple[np.ndarray, np.ndarray]:
-    """The projector checks over a stack (last two axes): Hermiticity and
-    finiteness, ``||Pi^2 - Pi||_F <= IDEMPOTENCY_TOL``, and each rank
-    against its trace.
-
-    ``ranks`` defaults to each trace rounded to the nearest integer.
-    Returns the symmetrized stack (the new array ``_require_hermitian``
-    makes) and the ranks.  Pi^2 - Pi is formed in the buffer of the
-    product; each test is written as the passing comparison, so that a
-    NaN fails it.
+def _check_projectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projector checks over a stack (last two axes), for a projector
+    that enters from outside (the constructor, a bare-array ``pi1`` of the
+    attack layer): Hermiticity and finiteness, ``||Pi^2 - Pi||_F <=
+    IDEMPOTENCY_TOL``, and each trace within ``IDEMPOTENCY_TOL`` of its
+    rank, the rounded trace.  Returns the symmetrized stack and the ranks.
+    Each test is written as the passing comparison, so that a NaN fails
+    it; a Pi^2 or a trace past the largest float fails without an overflow
+    warning.
     """
     m = _require_hermitian(m)
-    sq = m @ m
-    sq -= m
-    dev = np.linalg.norm(sq, axis=(-2, -1))
-    if not (dev <= IDEMPOTENCY_TOL).all():
-        raise ValueError(f"not a projector: ||Pi^2 - Pi||_F = {float(dev.max()):.3e}")
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    ranks = np.rint(tr).astype(int) if ranks is None else np.asarray(ranks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.linalg.norm(m @ m - m, axis=(-2, -1))
+        tr = m.trace(axis1=-2, axis2=-1).real
+        ranks = np.rint(tr).astype(int)
+    idempotent = dev <= IDEMPOTENCY_TOL
     near = np.abs(tr - ranks) <= IDEMPOTENCY_TOL
-    if not near.all():
+    if not (idempotent & near).all():
+        if not idempotent.all():
+            raise ValueError(f"not a projector: ||Pi^2 - Pi||_F = {float(dev.max()):.3e}")
         i = int(np.argmin(near))
         raise ValueError(f"rank {np.ravel(ranks)[i]} does not match trace {float(np.ravel(tr)[i])!r}")
     return m, ranks
@@ -223,7 +224,7 @@ def bayes_risk(pi1, pair: HypothesisPair) -> float:
 class _HelstromStack(NamedTuple):
     """Risk-optimal projectors for a stack of (pair, threshold) points, indexed by point."""
 
-    projectors: np.ndarray  # (N, d, d), checked by _check_projectors
+    projectors: np.ndarray  # (N, d, d), projectors by construction, symmetrized
     ranks: np.ndarray
     eigenvalues: np.ndarray  # (N, d), each spectrum of rho1 - tau*rho0 descending
     p_detect: np.ndarray
@@ -238,22 +239,20 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.n
     two states' matrices or stacks of them, of one shape; weights and
     states broadcast against each other: N weight pairs on one pair of
     states, one weight pair on N pairs of states, or N of each.  One
-    ``eigh`` call decomposes the whole stack; each projector is built from
-    its kept (leading) eigenvector columns, with one matrix product per
-    distinct rank, and the stack then passes the projector and rate
-    checks.  A point's result is bit-identical whether it is solved alone
-    or in a stack.  A threshold
-    whose ``rho1 - tau*rho0`` has an entry beyond half the largest float
-    (from about 1.5e308 on the README radar pair) is refused with a
-    ``ValueError`` that names it: symmetrizing that matrix would overflow.
-    ``rho1 - tau*rho0`` is formed in one new buffer, the product's.  The
-    half-max rule is ``_require_hermitian``'s: its refusal
-    (``_HalfMaxError``) is turned into the threshold's, so the test runs
-    once per stack, with no float temporary unless it fails.
+    ``eigh`` call decomposes the whole stack; each projector is V V^dagger
+    of its kept (leading) orthonormal eigenvector columns V, with one
+    matrix product per distinct rank, symmetrized: a projector of that
+    rank by construction, so it is not checked again.  The rates pass
+    the rate check.  A point's result is bit-identical whether it is
+    solved alone or in a stack.  A threshold whose ``rho1 - tau*rho0``
+    has an entry beyond half the largest float (from about 1.5e308 on the
+    README radar pair) is refused with a ``ValueError`` that names it:
+    symmetrizing that matrix would overflow.  The half-max rule is
+    ``_require_hermitian``'s, whose refusal (``_HalfMaxError``) is turned
+    into the threshold's.
     """
     taus = _threshold(c0, c1)
-    a = taus[:, None, None] * rho0
-    np.subtract(rho1, a, out=a)
+    a = rho1 - taus[:, None, None] * rho0
     try:
         a = _require_hermitian(a)
     except _HalfMaxError:
@@ -267,7 +266,7 @@ def _helstrom_stack(rho0: np.ndarray, rho1: np.ndarray, c0: np.ndarray, c1: np.n
         sel = ranks == k
         cols = x[sel, :, :k]
         proj[sel] = cols @ cols.conj().swapaxes(-1, -2)
-    proj, ranks = _check_projectors(proj, ranks)
+    proj = _hermitian(proj)
     p_detect = _checked_rates(_traces(proj, rho1))
     p_false = _checked_rates(_traces(proj, rho0))
     return _HelstromStack(proj, ranks, w, p_detect, p_false, _risk(c0, c1, p_detect, p_false))

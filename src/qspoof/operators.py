@@ -67,14 +67,10 @@ def hermitian_part(a) -> np.ndarray:
 
 
 def _hermitian(arr: np.ndarray) -> np.ndarray:
-    """``hermitian_part`` of every matrix in a complex stack (last two axes).
-
-    The sum A + A^dagger is one new C-ordered array, halved in place: bit
-    for bit ``(A + A^dagger)/2``.
-    """
-    out = arr + arr.conj().swapaxes(-1, -2)
-    out /= 2.0
-    return out
+    """``hermitian_part`` of every matrix in a stack (last two axes), with no
+    check: the closed form symmetrizes with it what is Hermitian by
+    construction, such as its projectors and states."""
+    return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -95,16 +91,13 @@ def require_hermitian(a) -> np.ndarray:
 def _require_hermitian(arr: np.ndarray) -> np.ndarray:
     """``require_hermitian`` over a stack of complex matrices (last two axes).
 
-    The whole stack passes or the call raises, naming the worst deviation.
-    ``arr`` is only read, and the result is a new C-ordered array: the
-    difference A - A^dagger is formed in it, measured, and overwritten in
-    place by the symmetrized matrices, bit for bit ``(A + A^dagger)/2``.
-    The conjugate of ``arr`` takes one more buffer for the call.
+    The check for a matrix that enters from outside the closed form (a
+    user's state or projector, or the Helstrom step's rho1 - tau*rho0):
+    the whole stack passes or the call raises, naming the worst deviation.
     Finiteness and the half-max rule are read off the smallest and the
-    largest float part of the entries, two reductions over ``arr``'s float
-    view: an entry with a part beyond half the largest float, where the
-    sum can overflow, is refused by name (``_HalfMaxError``) instead of
-    turning into inf or NaN.
+    largest float part of the entries: an entry with a part beyond half
+    the largest float, where A + A^dagger can overflow, is refused by name
+    (``_HalfMaxError``) instead of turning into inf or NaN.
     """
     parts = (arr if arr.strides[-1] == arr.itemsize else np.ascontiguousarray(arr)).view(np.float64)
     lo = np.minimum.reduce(parts, axis=None, initial=0.0)
@@ -115,15 +108,12 @@ def _require_hermitian(arr: np.ndarray) -> np.ndarray:
         part = float(hi if hi > _HALF_MAX else lo)
         raise _HalfMaxError(f"matrix entry part {part!r} lies beyond half the largest float: A + A^dagger would overflow")
     adjoint = arr.conj().swapaxes(-1, -2)
-    out = arr - adjoint
-    dev = float(np.maximum.reduce(np.abs(out), axis=None, initial=0.0))
+    dev = float(np.abs(arr - adjoint).max(initial=0.0))
     if dev > HERMITIAN_TOL:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e} > {HERMITIAN_TOL:.1e}"
         )
-    np.add(arr, adjoint, out=out)
-    out /= 2.0
-    return out
+    return (arr + adjoint) / 2.0
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -274,18 +264,21 @@ def _check_unit_trace_psd(m: np.ndarray, wmin) -> None:
     ``m`` holds symmetrized matrices in its last two axes and ``wmin`` the
     smallest eigenvalue of each.  Raises for the first state whose trace
     deviates from one by more than ``TRACE_TOL`` or whose smallest
-    eigenvalue is below ``-PSD_TOL``, or is NaN.
+    eigenvalue is below ``-PSD_TOL``, or is NaN.  A trace past the largest
+    float reads inf and fails, with no overflow warning before the refusal.
     """
-    tr = np.trace(m, axis1=-2, axis2=-1).real
+    with np.errstate(over="ignore"):
+        tr = m.trace(axis1=-2, axis2=-1).real
     # each test is written as the passing comparison, so that a NaN fails it
     near = np.abs(tr - 1.0) <= TRACE_TOL
+    psd = wmin >= -PSD_TOL
+    if (near & psd).all():
+        return
     if not near.all():
         bad = float(np.ravel(tr)[int(np.argmin(near))])
         raise ValueError(f"density operator trace {bad!r} deviates from 1 by more than {TRACE_TOL:.1e}")
-    psd = wmin >= -PSD_TOL
-    if not psd.all():
-        bad = float(np.ravel(wmin)[int(np.argmin(psd))])
-        raise ValueError(f"density operator is not PSD: smallest eigenvalue {bad:.6e} < -{PSD_TOL:.1e}")
+    bad = float(np.ravel(wmin)[int(np.argmin(psd))])
+    raise ValueError(f"density operator is not PSD: smallest eigenvalue {bad:.6e} < -{PSD_TOL:.1e}")
 
 
 def _checked_states(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,11 +301,13 @@ class DensityOperator:
     on a stack of one.  The eigendecomposition that the positivity check
     computes is kept as ``spectrum`` (descending, read-only);
     ``spectral_decompose`` hands it to every later consumer instead of
-    decomposing the matrix again.  A state built from a spectrum already
-    known (``_from_spectrum``) keeps it: the radar states and the two
-    states of each random pair (``sampling``) come out of one
-    ``_checked_states`` call over their stack, and the attack checks its
-    stack of rho1' without a decomposition.
+    decomposing the matrix again.  The constructor is the check for a
+    state that enters from outside; the radar states and the two states
+    of each random pair (``sampling``) pass the same checks in one
+    ``_checked_states`` call over their stack.  The states the attack and
+    the oracle build, W diag(p) W^dagger from orthonormal columns W and a
+    probability vector p, are states by construction and are wrapped
+    unchecked (``_from_spectrum``).
     """
 
     matrix: np.ndarray
@@ -323,16 +318,14 @@ class DensityOperator:
 
     @classmethod
     def _from_spectrum(cls, matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "DensityOperator":
-        """A checked state whose eigendecomposition is already known.
+        """A state whose eigendecomposition is already known, wrapped without a check.
 
-        The caller has run the public constructor's checks on ``matrix``
-        (``_checked_states``, or ``_require_hermitian`` and then
-        ``_check_unit_trace_psd`` with the smallest of ``eigenvalues``),
-        usually on a whole stack of states at once.  The given pairs, which
-        the caller passes in descending order, are kept as ``spectrum``
-        instead of decomposing the matrix; the caller vouches that the
-        columns of ``eigenvectors`` are orthonormal eigenvectors of
-        ``matrix``.
+        ``matrix`` is either checked by the caller (``_checked_states`` over
+        a stack of states) or a state by construction (``_lift_stack``'s
+        W diag(p) W^dagger, symmetrized).  The given pairs, which the caller
+        passes in descending order, are kept as ``spectrum`` instead of
+        decomposing the matrix; the caller vouches that the columns of
+        ``eigenvectors`` are orthonormal eigenvectors of ``matrix``.
 
         ``matrix`` is kept as it is, never copied, and so are
         ``eigenvalues`` and ``eigenvectors`` where they are C-contiguous;
@@ -347,11 +340,11 @@ class DensityOperator:
 
         ``m`` is taken as it is, never copied: the caller hands over a
         C-ordered array that nothing else writes to, such as the new array
-        ``_require_hermitian`` returns or one state's slice of a stack of
-        them.  ``w`` and ``x`` are taken as they are where they are
-        C-contiguous (a concatenation the caller has just made) and copied
-        where they are not, as the reversed views of an ``eigh`` result
-        that ``_checked_states`` returns are (``_spectrum``).
+        ``_require_hermitian`` or ``_hermitian`` returns or one state's
+        slice of a stack of them.  ``w`` and ``x`` are taken as they are
+        where they are C-contiguous (a concatenation the caller has just
+        made) and copied where they are not, as the reversed views of an
+        ``eigh`` result that ``_checked_states`` returns are (``_spectrum``).
         """
         object.__setattr__(self, "matrix", _locked(m))
         object.__setattr__(self, "spectrum", _spectrum(w, x))

@@ -1326,6 +1326,47 @@ def test_projector_of_another_dimension_is_refused(call):
         call(pair, ProjectorMeasurement(np.diag([1.0, 0.0])))
 
 
+ENTRY_POINTS = [
+    pytest.param(lambda pair, pi1: optimal_attack(pair, pi1, 1.0), id="optimal_attack"),
+    pytest.param(lambda pair, pi1: oracle_attack(pair, pi1, 1.0), id="oracle_attack"),
+    pytest.param(lambda pair, pi1: perturbation_estimate(pair, pi1, 1.0), id="perturbation_estimate"),
+]
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "pi1,message",
+    [
+        (5.0 * np.eye(3), r"^not a projector: \|\|Pi\^2 - Pi\|\|_F = 3\.464e\+01$"),
+        (np.diag([1e300, 0.0, 0.0]), r"^not a projector: \|\|Pi\^2 - Pi\|\|_F = nan$"),
+        (np.full((3, 3), np.nan), r"^matrix contains non-finite entries$"),
+    ],
+    ids=["five-identity", "huge-entry", "nan"],
+)
+def test_a_bare_array_that_is_no_projector_is_refused_where_it_enters(call, pi1, message):
+    # the oracle used to return a state for 5 I and fail inside eigh on NaN;
+    # the closed form refused 5 I only through its rate check
+    with pytest.raises(ValueError, match=message):
+        call(random_pair(np.random.default_rng(1), 3), pi1)
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS)
+def test_a_bare_projector_gives_the_projector_measurement_result(call):
+    # a bare array enters as the symmetrized matrix its ProjectorMeasurement stores
+    pair = random_pair(np.random.default_rng(4), 4)
+    pi1 = random_projector(np.random.default_rng(5), 4, 2).matrix.copy()
+    pi1[0, 1] += 1e-12
+    bare = call(pair, pi1)
+    measured = call(pair, ProjectorMeasurement(pi1))
+    if isinstance(bare, DensityOperator):
+        assert bare.matrix.tobytes() == measured.matrix.tobytes()
+    elif isinstance(bare, PerturbationReport):
+        assert bare.exact.tobytes() == measured.exact.tobytes()
+    else:
+        assert bare.rho1_prime.matrix.tobytes() == measured.rho1_prime.matrix.tobytes()
+        assert (bare.utility, bare.genuine_p_false) == (measured.utility, measured.genuine_p_false)
+
+
 def _clusters_and_matching_loop(pair, pi1, lam):
     """Reference: cluster flags and overlap matching, one level at a time."""
     view = adversary._attack_view(pair.rho1.spectrum.eigenvalues, pair.rho1.spectrum.eigenvectors, pi1.matrix)

@@ -1,11 +1,15 @@
-"""The one-buffer forms of the d x d steps against the expressions they replace.
+"""Byte-level references for the d x d steps of the closed form.
 
-Each test holds the earlier expression as its reference and compares bytes,
-so a signed zero or a last bit that moves fails it.  The inputs are the
-edge cases of these steps: radar projectors with exact +-0.0 entries, a
-(3 prices x 2 projectors) stack with one spectrum per projector as
-``photon_sweep`` builds it, a rank-deficient rho1 with a nonempty kernel,
-and subnormal entries.
+Each test holds a plain numpy expression as its reference and compares
+bytes, so a signed zero or a last bit that moves fails it.  The references
+are the expressions the code computes: the symmetrization (A + A^dagger)/2,
+the exponent diag(ln r) - Pi_s/lam built on a zero matrix, the decision
+operator rho1 - tau*rho0 and the residual Pi^2 - Pi.  They equal the code,
+and they stay to guard the next rewrite of any of these steps, which must
+keep every byte.  The inputs are the edge cases of these steps: radar
+projectors with exact +-0.0 entries, a (3 prices x 2 projectors) stack
+with one spectrum per projector as ``photon_sweep`` builds it, a
+rank-deficient rho1 with a nonempty kernel, and subnormal entries.
 """
 
 import numpy as np
@@ -29,7 +33,7 @@ def old_hermitian(a):
 
 
 def old_exponents(r, pi_s, lams):
-    """diag(ln r) - Pi_s/lam as the deleted ``_log_diag`` built it."""
+    """diag(ln r) - Pi_s/lam, ln r written on the diagonal of a zero matrix."""
     n = r.shape[-1]
     log_diag = np.zeros(r.shape + (n,), dtype=np.complex128)
     log_diag.reshape(r.shape[:-1] + (n * n,))[..., :: n + 1] = np.log(r)

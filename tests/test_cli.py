@@ -142,6 +142,18 @@ def test_a_state_whose_symmetrization_overflows_exits_two_by_name(capsys, tmp_pa
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_state_whose_trace_overflows_exits_two_with_only_the_error_line(capsys, tmp_path):
+    # the trace of diag(8e307, 8e307, 8e307) overflows; the CLI used to print a RuntimeWarning before its error line
+    huge = np.diag([8e307] * 3).tolist()
+    cfg = {"explicit": {"rho0": huge, "rho1": (np.eye(3) / 3).tolist(), "c0": 0.5, "c1": 0.5}}
+    p = tmp_path / "huge_trace.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run_cli(capsys, "detect", "--config", str(p))
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == "error: explicit.rho0: density operator trace inf deviates from 1 by more than 1.0e-10\n"
+
+
 # ---------------------------------------------------------------- attack
 
 def test_attack_radar_lambda_one(capsys, radar_config_path):

@@ -144,13 +144,12 @@ def test_projector_zero_and_identity():
 
 
 def test_stacked_checks_reject_one_bad_member():
-    # the sweeps check whole stacks with the code the constructors run on a
-    # stack of one; one bad member among good ones fails the stack
+    # the entry checks run over whole stacks (a stack of one in the
+    # constructors, the radar and random pairs' states as one stack); one
+    # bad member among good ones fails the stack
     good = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="not a projector"):
         detection._check_projectors(np.stack([good, good, np.diag([0.5, 0.0]).astype(complex), good]))
-    with pytest.raises(ValueError, match=r"rank 2 does not match trace 1\.0"):
-        detection._check_projectors(np.stack([good, good]), np.array([1, 2]))
     with pytest.raises(ValueError, match=r"trace 1\.5 deviates"):
         operators._check_unit_trace_psd(np.stack([good, 1.5 * good]), np.zeros(2))
     with pytest.raises(ValueError, match=r"smallest eigenvalue -1\.000000e-03"):
@@ -159,6 +158,20 @@ def test_stacked_checks_reject_one_bad_member():
         detection._checked_rates(np.array([[0.2, 1.5], [0.0, 1.0]]))
     with pytest.raises(operators.NonHermitianError, match="non-finite"):
         detection._check_projectors(np.stack([good, np.full((2, 2), np.nan)]))
+
+
+def test_projector_whose_trace_misses_its_rank_is_refused():
+    # each eigenvalue 7e-10 above one keeps ||Pi^2 - Pi||_F under
+    # IDEMPOTENCY_TOL, but the trace adds the two past it
+    with pytest.raises(ValueError, match=r"^rank 2 does not match trace 2\.0000000014$"):
+        ProjectorMeasurement(np.diag([1 + 7e-10, 1 + 7e-10, 0.0]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_projector_whose_square_overflows_is_refused_without_a_warning():
+    # Pi @ Pi is past the largest float (inf + NaN i): it used to warn before the refusal
+    with pytest.raises(ValueError, match=r"^not a projector: \|\|Pi\^2 - Pi\|\|_F = nan$"):
+        ProjectorMeasurement(np.diag([1e160, 0.0]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -160,6 +160,13 @@ def test_entries_up_to_half_the_largest_float_symmetrize():
         require_hermitian(np.array([[1.0, np.inf], [1e308, 1.0]]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_state_whose_trace_overflows_is_refused_without_a_warning():
+    # each entry is below half the largest float, their sum is not: the trace used to warn before the refusal
+    with pytest.raises(ValueError, match=r"^density operator trace inf deviates from 1 by more than 1\.0e-10$"):
+        DensityOperator(np.diag([8e307] * 3))
+
+
 def test_state_checks_fail_on_nan():
     # a NaN trace or smallest eigenvalue fails its check, as a value out of range does
     nan_state = np.full((1, 2, 2), np.nan, dtype=complex)
