@@ -124,15 +124,17 @@ def _check_price(lam) -> float:
 def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: float) -> float:
     """Interceptor objective Tr(Pi1 rho1') + lam (S(rho1'||rho1) + S(rho0'||rho0)).
 
-    Returns ``math.inf`` when either distorted state escapes the support of
-    the state it replaces (infinite relative-entropy price).
+    ``pi1`` enters as in the attacks (``_projector_matrix``).  Returns
+    ``math.inf`` when either distorted state escapes the support of the
+    state it replaces (infinite relative-entropy price).
     """
     lam = _check_price(lam)
+    pi_m = _projector_matrix(pi1)
     s1 = relative_entropy(rho1_prime, pair.rho1)
     s0 = relative_entropy(rho0_prime, pair.rho0)
     if math.isinf(s1) or math.isinf(s0):
         return math.inf
-    return trace_product(pi1, rho1_prime) + lam * (s1 + s0)
+    return trace_product(pi_m, rho1_prime) + lam * (s1 + s0)
 
 
 def _in_support(v: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -628,7 +630,7 @@ def _oracle_attacks(pair: HypothesisPair, pi1, lams) -> list:
     out: list = [_lifted_state(kernel, gibbs, (i, 0)) for i in range(len(w_end))]
     for j, i in enumerate(live):
         message = f"no convergence after {ORACLE_ITERATIONS} iterations (last decrement {-slope[j]:.3e})"
-        out[i] = OracleConvergenceError(message, out[i], attacker_utility(out[i], pair.rho0, pi_m, pair, lams[j]))
+        out[i] = OracleConvergenceError(message, out[i], attacker_utility(out[i], pair.rho0, pi1, pair, lams[j]))
     return out
 
 
@@ -645,10 +647,10 @@ def gap_condition_sums(rho1: DensityOperator, pi1) -> np.ndarray:
     attack live on that support, and kernel levels are not levels of the
     problem.  The first-order eigenvalue estimate is trustworthy when every
     entry is below one.  Degenerate pairs of eigenvalues produce ``inf``
-    entries.
+    entries.  ``pi1`` enters as in the attacks (``_projector_matrix``).
     """
     dec = spectral_decompose(rho1)
-    view = _attack_view(dec.eigenvalues, dec.eigenvectors, as_matrix(pi1)[None])
+    view = _attack_view(dec.eigenvalues, dec.eigenvectors, _projector_matrix(pi1)[None])
     return _gap_sums(view.r, view.pi_s[0])
 
 

@@ -76,7 +76,7 @@ def cmd_detect(cfg: ScenarioConfig) -> int:
     row = dict(tau=pair.tau, rank=hel.pi1.rank, p_detect=hel.p_detect, p_false=hel.p_false, bayes_risk=hel.bayes_risk)
 
     def payload():
-        return {**row, "spectrum": [float(v) for v in hel.eigenvalues], "projector": matrix_to_literal(hel.pi1.matrix)}
+        return {**row, "spectrum": hel.eigenvalues.tolist(), "projector": matrix_to_literal(hel.pi1.matrix)}
 
     return _write(cfg, "json", [row], payload)
 

@@ -4,25 +4,28 @@ A scenario names its hypothesis pair either explicitly (matrix literals
 plus cost weights) or through radar parameters.  Grids, seeds and output
 destinations have defaults; physics parameters never default silently.
 
-Each rule for input from outside the program is written here once: one
-walk per block (:func:`_fields`) and one parser per kind of value, which
-the ``--seed``, ``--lambda``, ``--tau`` and ``--out`` flags share
-(:func:`apply_overrides`); matrix literal entries go through the same
-finite-number rule.  Every rejection names its field or flag.
+Each rule for input from outside the program is written once.  Config
+states the rules of shape (blocks, unknown and missing fields, literals,
+finite numbers, counts, booleans, paths, formats) and calls the library's
+for the rest: ``_check_price``, ``_check_sweep``, ``check_cost_weights``,
+``DensityOperator``, ``RadarParams``.  The flags share their fields'
+parsers, ``VerifyOptions`` runs the ``verify`` block's, and every
+rejection names its field or flag.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .adversary import _check_price
-from .detection import HypothesisPair, _cost_weights, _threshold, check_cost_weights
+from .detection import HypothesisPair, _threshold, check_cost_weights
 from .operators import DensityOperator
-from .radar import RadarParams, build_radar_pair
+from .radar import RadarParams, _check_sweep, build_radar_pair
 
 
 class ConfigError(ValueError):
@@ -38,6 +41,8 @@ DEFAULT_VERIFY_LAMBDAS = (0.5, 1.0, 2.0, 5.0)
 
 @dataclass(frozen=True)
 class VerifyOptions:
+    """Options of the ``verify`` battery, each stored as its ``verify`` field's parser returns it."""
+
     instances: int = 50
     max_dim: int = 6
     lambdas: tuple = DEFAULT_VERIFY_LAMBDAS
@@ -45,13 +50,8 @@ class VerifyOptions:
     channel_instances: int = 50
 
     def __post_init__(self):
-        for name in ("instances", "channel_instances"):
-            if getattr(self, name) < 0:
-                raise ConfigError(name, "must be nonnegative")
-        if len(self.lambdas) == 0:
-            raise ConfigError("lambdas", "expected at least one price")
-        if self.max_dim < 2:
-            raise ConfigError("max_dim", "must be at least 2")
+        for name, parse in _VERIFY.items():
+            object.__setattr__(self, name, parse(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,31 +120,24 @@ def _real(value, where: str) -> float:
     return float(value)
 
 
-def _positive(value, where: str, what: str) -> float:
-    x = _real(value, where)
-    if x <= 0:
-        raise ConfigError(where, f"{what} must be positive, got {x!r}")
-    return x
-
-
 def _price(value, where: str) -> float:
-    return _named(where, _check_price, _positive(value, where, "distortion price"))
+    return _named(where, _check_price, value)
 
 
 def _tau(value, where: str) -> float:
-    tau = _positive(value, where, "threshold")
-    _named(where, _cost_weights, tau)
-    return tau
+    grid, _, _ = _named(where, _check_sweep, [value], ())
+    return float(grid[0])
 
 
 def _nonneg_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    # int is Integral; naming it first skips the slower ABC check for it
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < 0:
         raise ConfigError(where, f"expected a nonnegative integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _list(value, where: str, item) -> tuple:
-    if not isinstance(value, list) or not value:
+    if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(where, "expected a nonempty list")
     return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
 
@@ -155,8 +148,7 @@ def _prices(value, where: str) -> tuple:
 
 def _tau_grid(value, where: str) -> tuple:
     grid = _list(value, where, _tau)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(where, "thresholds must be strictly increasing")
+    _named(where, _check_sweep, grid, ())
     return grid
 
 
@@ -165,9 +157,10 @@ def _l_values(value, where: str) -> tuple:
 
 
 def _max_dim(value, where: str) -> int:
-    if _nonneg_int(value, where) < 2:
+    dim = _nonneg_int(value, where)
+    if dim < 2:
         raise ConfigError(where, "must be at least 2")
-    return value
+    return dim
 
 
 def _flag(value, where: str) -> bool:

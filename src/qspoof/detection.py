@@ -156,22 +156,21 @@ class HypothesisPair:
     """The two candidate states with their Bayes cost weights.
 
     ``c0`` and ``c1`` are finite and nonnegative, sum to one within ``PRIOR_SUM_TOL``,
-    and the threshold ``tau = c1/c0`` is finite (``_threshold``).
+    and the threshold ``tau = c1/c0`` is finite (``_threshold``); ``tau`` is
+    derived once, when the pair is built.
     """
 
     rho0: DensityOperator
     rho1: DensityOperator
     c0: float
     c1: float
+    tau: float = field(init=False)
 
     def __post_init__(self):
         if self.rho0.dim != self.rho1.dim:
             raise ValueError(f"dimension mismatch: {self.rho0.dim} vs {self.rho1.dim}")
         check_cost_weights(self.c0, self.c1)
-
-    @property
-    def tau(self) -> float:
-        return float(_threshold(self.c0, self.c1))
+        object.__setattr__(self, "tau", float(_threshold(self.c0, self.c1)))
 
     @classmethod
     def from_tau(cls, rho0: DensityOperator, rho1: DensityOperator, tau: float) -> "HypothesisPair":

@@ -23,8 +23,8 @@ def matrix_to_literal(m) -> list:
     """Emit a matrix literal; plain real entries when no imaginary part exists."""
     arr = np.asarray(m, dtype=np.complex128)
     if np.all(arr.imag == 0.0):
-        return [[float(x.real) for x in row] for row in arr]
-    return [[[float(x.real), float(x.imag)] for x in row] for row in arr]
+        return arr.real.tolist()
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def sig12(value: float) -> str:

@@ -1330,6 +1330,8 @@ ENTRY_POINTS = [
     pytest.param(lambda pair, pi1: optimal_attack(pair, pi1, 1.0), id="optimal_attack"),
     pytest.param(lambda pair, pi1: oracle_attack(pair, pi1, 1.0), id="oracle_attack"),
     pytest.param(lambda pair, pi1: perturbation_estimate(pair, pi1, 1.0), id="perturbation_estimate"),
+    pytest.param(lambda pair, pi1: gap_condition_sums(pair.rho1, pi1), id="gap_condition_sums"),
+    pytest.param(lambda pair, pi1: attacker_utility(pair.rho1, pair.rho0, pi1, pair, 1.0), id="attacker_utility"),
 ]
 
 
@@ -1345,7 +1347,8 @@ ENTRY_POINTS = [
 )
 def test_a_bare_array_that_is_no_projector_is_refused_where_it_enters(call, pi1, message):
     # the oracle used to return a state for 5 I and fail inside eigh on NaN;
-    # the closed form refused 5 I only through its rate check
+    # the closed form refused 5 I only through its rate check; the gap sums
+    # of 5 I came out near zero and its utility as 5.0
     with pytest.raises(ValueError, match=message):
         call(random_pair(np.random.default_rng(1), 3), pi1)
 
@@ -1360,6 +1363,8 @@ def test_a_bare_projector_gives_the_projector_measurement_result(call):
     measured = call(pair, ProjectorMeasurement(pi1))
     if isinstance(bare, DensityOperator):
         assert bare.matrix.tobytes() == measured.matrix.tobytes()
+    elif isinstance(bare, (float, np.ndarray)):
+        assert np.asarray(bare).tobytes() == np.asarray(measured).tobytes()
     elif isinstance(bare, PerturbationReport):
         assert bare.exact.tobytes() == measured.exact.tobytes()
     else:

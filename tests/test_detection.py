@@ -413,3 +413,21 @@ def test_sample_outcomes_reports_the_trial_count_as_an_int(n):
     pair = plus_vs_zero()
     hits, trials = sample_outcomes(pair.rho1, ProjectorMeasurement(np.eye(2)), n, seed=0)
     assert type(trials) is int and trials == n == hits
+
+
+def test_from_tau_refuses_a_negative_threshold():
+    rho = DensityOperator.maximally_mixed(2)
+    with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
+        HypothesisPair.from_tau(rho, rho, -1.0)
+
+
+def test_pair_threshold_is_derived_once_with_the_weights_bits():
+    # numpy weights keep their exact quotient; the threshold is stored, not rederived per read
+    rho = DensityOperator.maximally_mixed(2)
+    c0 = np.float64(0.3)
+    pair = HypothesisPair(rho, rho, c0, 1.0 - c0)
+    assert type(pair.tau) is float
+    assert pair.tau == float(np.float64(1.0 - c0) / c0)
+    assert pair.tau is pair.tau
+    with pytest.raises(TypeError):
+        HypothesisPair(rho, rho, 0.5, 0.5, tau=1.0)

@@ -464,3 +464,13 @@ def test_relative_entropy_reads_stored_spectra(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert relative_entropy(a, b) == want
+
+
+def test_trace_product_refuses_matrices_of_two_dimensions():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"):
+        trace_product(np.eye(2), np.eye(3))
+
+
+def test_pure_state_of_a_zero_vector_is_refused():
+    with pytest.raises(ValueError, match="^zero vector cannot define a pure state$"):
+        DensityOperator.pure([0.0, 0.0])

@@ -538,3 +538,9 @@ def test_photon_sweep_decomposes_once_per_step_and_rank(monkeypatch, levels, n_l
     per_rank = [(n_lam, ranks.count(r)) for r in sorted(set(ranks))]
     assert calls == [(2, len(ranks)), (len(ranks),)] + per_rank
     assert steps == ["_helstrom_stack"] + ["_attack_stack"] * len(per_rank)
+
+
+@pytest.mark.parametrize("grid", [[], [[1.0, 2.0]]], ids=["empty", "2-d"])
+def test_roc_sweep_refuses_a_grid_that_is_no_nonempty_sequence(grid):
+    with pytest.raises(ValueError, match="^threshold grid must be a nonempty 1-d sequence$"):
+        roc_sweep(REF, lambdas=[1.0], tau_grid=grid)

@@ -10,6 +10,7 @@ from qspoof.sampling import (
     near_commuting_pair,
     random_commuting_pair,
     random_pair,
+    random_projector,
     random_spectrum,
 )
 
@@ -94,3 +95,9 @@ def test_pair_states_are_checked_as_one_stack(monkeypatch, stacked, dim):
     stacked(np.random.default_rng(dim), dim)
     # near_commuting_pair also decomposes the Hermitian generator of its tilt
     assert shapes == ([(dim, dim)] if stacked is near_commuting_pair else []) + [(2, dim, dim)]
+
+
+@pytest.mark.parametrize("rank", [-1, 4])
+def test_random_projector_refuses_a_rank_outside_the_dimension(rank):
+    with pytest.raises(ValueError, match=rf"^rank must lie in \[0, 3\], got {rank}$"):
+        random_projector(np.random.default_rng(0), 3, rank)

@@ -4,10 +4,13 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from qspoof import RadarParams, RocCurve, cli, roc_sweep
+from qspoof.adversary import _check_price
 from qspoof.config import ConfigError, entry_from_literal, load_config, matrix_from_literal, parse_config
+from qspoof.radar import _check_sweep
 from qspoof.serialize import (
     csv_text,
     json_text,
@@ -51,6 +54,22 @@ def test_matrix_literal_roundtrip_complex():
     m = matrix_from_literal(lit)
     assert m[0, 1] == -0.5j
     assert matrix_to_literal(m) == lit
+
+
+@pytest.mark.parametrize("complex_part", [False, True], ids=["real", "complex"])
+def test_matrix_literal_holds_the_python_float_of_each_entry(complex_part):
+    # signed zeros, subnormals, values near the float limit and a strided view,
+    # each entry as float() reads it: the literal's JSON bytes do not depend on how it is built
+    rng = np.random.default_rng(7)
+    edge = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1.7976931348623157e308, 1.0 / 3.0])
+    big = rng.choice(edge, (12, 12)) * rng.choice([1.0, -0.5, 0.1], (12, 12))
+    if complex_part:
+        big = big + 1j * rng.choice(edge, (12, 12))
+    m = big[1::2, ::-2].T
+    entry = (lambda z: [float(z.real), float(z.imag)]) if complex_part else (lambda z: float(z.real))
+    literal = matrix_to_literal(m)
+    assert json.dumps(literal) == json.dumps([[entry(z) for z in row] for row in np.asarray(m, dtype=complex)])
+    assert {type(x) for x in np.ravel(np.array(literal, dtype=object))} == {float}
 
 
 def test_matrix_literal_error_names_entry():
@@ -432,3 +451,71 @@ def test_flag_rejection_names_field(tmp_path, capsys, argv, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}: ")
+
+
+# ------------------------------------------- one statement per price and threshold rule
+
+
+def _refusal(rule, value) -> str:
+    with pytest.raises(ValueError) as err:
+        rule(value)
+    return str(err.value)
+
+
+def _cli_error(tmp_path, capsys, cfg, argv) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def _flag_values(value) -> list:
+    # a flag carries what float() reads from its text: no string or bool reaches the rule
+    return [] if isinstance(value, (str, bool)) else [float(value)]
+
+
+@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf, "1", True, 1e-309], ids=repr)
+def test_prices_are_refused_in_the_library_rule_words(tmp_path, capsys, value):
+    refusals = [
+        (f"error: {field}[0]: {_refusal(_check_price, value)}\n", radar_config(**{block: {"lambdas": [value]}}), ["detect"])
+        for block, field in (("attack", "attack.lambdas"), ("verify", "verify.lambdas"))
+    ]
+    refusals += [
+        (f"error: --lambda: {_refusal(_check_price, x)}\n", radar_config(), ["attack", "--lambda", repr(x)])
+        for x in _flag_values(value)
+    ]
+    for expected, cfg, argv in refusals:
+        assert _cli_error(tmp_path, capsys, cfg, argv) == expected
+
+
+def _check_threshold(tau):
+    _check_sweep([tau], ())
+
+
+@pytest.mark.parametrize("value", [0, -2, math.nan, math.inf, sys.float_info.max], ids=repr)
+def test_thresholds_are_refused_in_the_library_rule_words(tmp_path, capsys, value):
+    words = _refusal(_check_threshold, value)
+    refusals = [
+        (f"error: sweep.tau: {words}\n", radar_config(sweep={"tau": value}), ["detect"]),
+        (f"error: sweep.tau_grid[0]: {words}\n", radar_config(sweep={"tau_grid": [value]}), ["detect"]),
+    ]
+    refusals += [
+        (f"error: --tau: {_refusal(_check_threshold, x)}\n", radar_config(), ["detect", "--tau", repr(x)])
+        for x in _flag_values(value)
+    ]
+    for expected, cfg, argv in refusals:
+        assert _cli_error(tmp_path, capsys, cfg, argv) == expected
+
+
+@pytest.mark.parametrize("grid", [[2.0, 1.0], [1.0, 1.0]], ids=["decreasing", "repeated"])
+def test_a_grid_out_of_order_is_refused_in_the_library_rule_words(tmp_path, capsys, grid):
+    expected = f"error: sweep.tau_grid: {_refusal(lambda g: _check_sweep(g, ()), grid)}\n"
+    assert _cli_error(tmp_path, capsys, radar_config(sweep={"tau_grid": grid}), ["detect"]) == expected
+
+
+def test_an_explicit_scenario_has_no_default_signal_levels():
+    with pytest.raises(ConfigError) as err:
+        parse_config(explicit_block()).effective_l_values()
+    assert (err.value.field, str(err.value)) == ("sweep.l_values", "sweep.l_values: required for an explicit-pair scenario")

@@ -1,15 +1,24 @@
 """Self-verification harness: check wiring, seeds, commuting-only mode."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qspoof import DensityOperator, HypothesisPair, helstrom_measurement, hermitian_part, perturbation_estimate
+from qspoof import (
+    DensityOperator,
+    HypothesisPair,
+    OracleConvergenceError,
+    helstrom_measurement,
+    hermitian_part,
+    perturbation_estimate,
+)
 from qspoof import verify
 from qspoof.config import VerifyOptions
 from qspoof.sampling import haar_unitary, random_density
+from qspoof.serialize import json_text
 from qspoof.verify import run_verification
 
 SMALL = dict(instances=5, max_dim=3, lambdas=(1.0,), channel_instances=5)
@@ -139,11 +148,59 @@ def test_check_4_catches_a_genuine_false_alarm_rate_off_by_1e_12_relative(monkey
         (dict(max_dim=1), "max_dim"),
         (dict(instances=-3), "instances"),
         (dict(channel_instances=-1), "channel_instances"),
+        # taken as given before the verify block's rules ran here: "no" ran the
+        # commuting-only battery, 2.5 and True ran, 1.5 failed with a TypeError
+        # inside run_verification
+        (dict(commuting_only="no"), "commuting_only"),
+        (dict(max_dim=2.5), "max_dim"),
+        (dict(instances=True), "instances"),
+        (dict(instances=1.5), "instances"),
+        (dict(lambdas=(0.0,)), r"lambdas\[0\]"),
+        (dict(lambdas=1.0), "lambdas"),
     ],
 )
 def test_options_built_in_python_name_the_refused_field(options, field):
     with pytest.raises(ValueError, match=f"^{field}: "):
         VerifyOptions(**options)
+
+
+def test_options_take_numpy_integer_counts_as_ints():
+    options = VerifyOptions(instances=np.int64(1), max_dim=np.int64(3), lambdas=[1.0], channel_instances=np.int64(1))
+    assert options == VerifyOptions(instances=1, max_dim=3, lambdas=(1.0,), channel_instances=1)
+    assert {type(options.instances), type(options.max_dim), type(options.channel_instances)} == {int}
+    assert json.loads(json_text(run_verification(0, options).to_dict()))["options"]["instances"] == 1
+
+
+def test_non_convergences_are_counted_and_fail_check_1(monkeypatch):
+    inner = verify._oracle_attacks
+
+    def stalled(pair, pi1, lams):
+        return [OracleConvergenceError("stalled", state, math.nan) for state in inner(pair, pi1, lams)]
+
+    monkeypatch.setattr(verify, "_oracle_attacks", stalled)
+    report = run_verification(seed=0, options=VerifyOptions(instances=2, max_dim=3, lambdas=(1.0, 2.0), channel_instances=1))
+    check = report.checks[0]
+    assert (check.name, check.passed, check.stats["non_convergences"]) == ("closed_form_vs_oracle", False, 4)
+    assert check.detail.endswith(", 4 non-convergences")
+    # the best states are the converged ones, so the count alone fails the check
+    assert check.stats["max_state_residual"] <= verify.ORACLE_STATE_TOL
+
+
+def test_out_of_assumption_shortfalls_are_reported_not_failed(monkeypatch):
+    inner = verify._optimal_attacks
+
+    def undetected(pair, pi1, lams):
+        return [dataclasses.replace(s, genuine_p_detect=0.0) for s in inner(pair, pi1, lams)]
+
+    monkeypatch.setattr(verify, "_optimal_attacks", undetected)
+    report = run_verification(seed=0, options=VerifyOptions(instances=2, max_dim=3, lambdas=(0.5,), channel_instances=1))
+    envelope = next(c for c in report.checks if c.name == "detection_rate_envelope")
+    # instance 0 commutes, so its shortfall is asserted; instance 1 does not, and at
+    # lam = 0.5 < 2 its shortfall is only reported
+    assert (envelope.stats["lower_asserted_cases"], envelope.stats["lower_violations"]) == (1, 1)
+    (short,) = envelope.stats["out_of_assumption_shortfalls"]
+    assert short["lam"] == 0.5 and short["shortfall"] > 0.0 and isinstance(short["gap_condition"], bool)
+    assert "1 out-of-assumption shortfalls reported, not failed" in envelope.detail
 
 
 def test_commuting_only_mode():
