@@ -16,9 +16,7 @@ from .operators import (
     DensityOperator,
     NonHermitianError,
     SpectralDecomposition,
-    hermitian_part,
     relative_entropy,
-    require_hermitian,
     spectral_decompose,
     trace_product,
 )
@@ -61,9 +59,7 @@ __all__ = [
     "DensityOperator",
     "NonHermitianError",
     "SpectralDecomposition",
-    "hermitian_part",
     "relative_entropy",
-    "require_hermitian",
     "spectral_decompose",
     "trace_product",
     "HelstromResult",

@@ -40,10 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detection import HypothesisPair, ProjectorMeasurement, _check_projectors, _checked_rate, _checked_rates, _number
+from .detection import HypothesisPair, ProjectorMeasurement, _checked_rate, _checked_rates, _number, _projector_matrix
 from .operators import (
     DensityOperator,
-    as_matrix,
     relative_entropy,
     spectral_decompose,
     trace_product,
@@ -138,7 +137,7 @@ def attacker_utility(rho1_prime, rho0_prime, pi1, pair: HypothesisPair, lam: flo
 
 
 def _in_support(v: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """A matrix in the support basis, ``hermitian_part(v^dagger Pi v)``.
+    """A matrix in the support basis, ``_hermitian(v^dagger Pi v)``.
 
     ``v`` is one chart's columns or a stack of them, ``pi`` a matrix or a
     stack; the two broadcast against each other over their leading axes.
@@ -228,16 +227,6 @@ class _StoredView(NamedTuple):
 
 # One stored view per pair; an entry goes with its pair.
 _VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _projector_matrix(pi1) -> np.ndarray:
-    """The matrix of ``pi1`` where it enters the attack layer: a
-    ``ProjectorMeasurement``'s as it is, checked when it was built, and a
-    bare array's after the projector checks (``_check_projectors``), which
-    refuse a non-projector or a non-finite entry by name."""
-    if isinstance(pi1, ProjectorMeasurement):
-        return pi1.matrix
-    return _check_projectors(as_matrix(pi1))[0]
 
 
 def _pair_view(pair: HypothesisPair, pi1) -> _StoredView:
@@ -524,7 +513,9 @@ def _newton_direction(point: _ChartPoint, a: np.ndarray, phi: np.ndarray, grad: 
     u, f, cost_diag = point.u, _exp_second_divided_differences(point.w, phi), _diagonal(a).real
     lam, mean, z = (np.asarray(x)[..., None, None] for x in (lam, point.mean, point.z))
     d = ((lam - mean) * phi + f * cost_diag[..., :, None] + f.swapaxes(-1, -2) * cost_diag[..., None, :]) / z
-    step = -(u.conj().swapaxes(-1, -2) @ grad @ u) / np.abs(d)
+    g = -(u.conj().swapaxes(-1, -2) @ grad @ u)
+    # d rounds to 0 only with the gradient (a rank-one support at lam below about eps * mean): no step there
+    step = np.divide(g, np.abs(d), out=np.zeros_like(g), where=d != 0.0)
     flat = step.reshape(step.shape[:-2] + (-1,))
     norm = np.sqrt(_inner(flat.real, flat.real) + _inner(flat.imag, flat.imag))
     step *= (NEWTON_STEP / np.maximum(norm, NEWTON_STEP))[..., None, None]

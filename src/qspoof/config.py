@@ -7,7 +7,7 @@ destinations have defaults; physics parameters never default silently.
 Each rule for input from outside the program is written once.  Config
 states the rules of shape (blocks, unknown and missing fields, literals,
 finite numbers, counts, booleans, paths, formats) and calls the library's
-for the rest: ``_check_price``, ``_check_sweep``, ``check_cost_weights``,
+for the rest: ``_check_price``, ``_check_thresholds``, ``check_cost_weights``,
 ``DensityOperator``, ``RadarParams``.  The flags share their fields'
 parsers, ``VerifyOptions`` runs the ``verify`` block's, and every
 rejection names its field or flag.
@@ -23,9 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adversary import _check_price
-from .detection import HypothesisPair, _threshold, check_cost_weights
+from .detection import HypothesisPair, _check_thresholds, check_cost_weights
 from .operators import DensityOperator
-from .radar import RadarParams, _check_sweep, build_radar_pair
+from .radar import RadarParams, build_radar_pair
 
 
 class ConfigError(ValueError):
@@ -82,7 +82,7 @@ class ScenarioConfig:
         """Sweep threshold: explicit ``sweep.tau`` wins, else c1/c0 of the cost weights."""
         if self.tau is not None:
             return self.tau
-        return float(_threshold(self.c0, self.c1))
+        return check_cost_weights(self.c0, self.c1)[2]
 
     def effective_l_values(self) -> tuple:
         if self.l_values is not None:
@@ -125,8 +125,7 @@ def _price(value, where: str) -> float:
 
 
 def _tau(value, where: str) -> float:
-    grid, _, _ = _named(where, _check_sweep, [value], ())
-    return float(grid[0])
+    return _named(where, _check_thresholds, [value])[0][0]
 
 
 def _nonneg_int(value, where: str) -> int:
@@ -148,7 +147,7 @@ def _prices(value, where: str) -> tuple:
 
 def _tau_grid(value, where: str) -> tuple:
     grid = _list(value, where, _tau)
-    _named(where, _check_sweep, grid, ())
+    _named(where, _check_thresholds, grid)
     return grid
 
 

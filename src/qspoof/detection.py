@@ -8,7 +8,10 @@ Randomized decision rules are out of scope; only projector-valued choices
 are represented.
 
 The threshold convention lives only here: ``_threshold`` (weights to tau,
-which must be finite), ``_cost_weights`` (tau to weights) and ``_risk``.
+which must be finite), ``_cost_weights`` (tau to weights) and ``_risk``,
+and so does the one rule of a threshold given from outside,
+``_check_thresholds``, which ``HypothesisPair.from_tau``, the radar sweeps
+and config's ``tau`` and ``tau_grid`` fields share.
 """
 
 from __future__ import annotations
@@ -101,6 +104,17 @@ def _check_projectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, ranks
 
 
+def _projector_matrix(pi1) -> np.ndarray:
+    """The matrix of ``pi1`` where it enters a public entry (the rates, the
+    attack layer): a ``ProjectorMeasurement``'s as it is, checked when it
+    was built, and a bare array's after the projector checks
+    (``_check_projectors``), which refuse a non-projector or a non-finite
+    entry by name."""
+    if isinstance(pi1, ProjectorMeasurement):
+        return pi1.matrix
+    return _check_projectors(as_matrix(pi1))[0]
+
+
 def _number(value, name: str) -> float:
     """``value`` as a float: a real number, never a bool; an int beyond float range reads as +-inf."""
     # float and int are Reals; naming them first skips the slower ABC check for them
@@ -130,13 +144,29 @@ def _cost_weights(tau):
     return c0, c1
 
 
+def _check_thresholds(taus) -> tuple[list, tuple[np.ndarray, np.ndarray]]:
+    """The thresholds ``taus`` as floats and their cost weights (c0, c1) as arrays, under the one rule
+    of a detector threshold: a real number, never a bool, converted once (``_number``), positive and
+    finite, strictly increasing along a grid, with a finite c1/c0 of its weights (``_cost_weights``)."""
+    grid = []
+    for tau in taus:
+        x = _number(tau, "threshold tau")
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
+        if grid and x <= grid[-1]:
+            raise ValueError("threshold grid must be strictly increasing")
+        grid.append(x)
+    return grid, _cost_weights(np.array(grid))
+
+
 def _risk(c0, c1, p_detect, p_false):
     """The Bayes risk c1 (1 - P_D) + c0 P_F, of numbers or of arrays of them."""
     return c1 * (1.0 - p_detect) + c0 * p_false
 
 
-def check_cost_weights(c0: float, c1: float) -> None:
-    """Raise ValueError unless the weights obey the rule stated on :class:`HypothesisPair`.
+def check_cost_weights(c0: float, c1: float) -> tuple[float, float, float]:
+    """The weights as floats and their threshold c1/c0, or a ValueError unless
+    they obey the rule stated on :class:`HypothesisPair`.
 
     Each weight is read through ``_number``: a bool is refused, and an int
     beyond float range fails the finiteness rule, not the conversion.
@@ -148,7 +178,7 @@ def check_cost_weights(c0: float, c1: float) -> None:
         raise ValueError("cost weights must be nonnegative")
     if abs(x0 + x1 - 1.0) > PRIOR_SUM_TOL:
         raise ValueError(f"cost weights must sum to 1, got {c0 + c1!r}")
-    _threshold(x0, x1)
+    return x0, x1, float(_threshold(x0, x1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +186,9 @@ class HypothesisPair:
     """The two candidate states with their Bayes cost weights.
 
     ``c0`` and ``c1`` are finite and nonnegative, sum to one within ``PRIOR_SUM_TOL``,
-    and the threshold ``tau = c1/c0`` is finite (``_threshold``); ``tau`` is
-    derived once, when the pair is built.
+    and the threshold ``tau = c1/c0`` is finite (``_threshold``).  The weights
+    are stored as floats with ``tau``, which ``check_cost_weights`` derives
+    once, when the pair is built.
     """
 
     rho0: DensityOperator
@@ -169,18 +200,15 @@ class HypothesisPair:
     def __post_init__(self):
         if self.rho0.dim != self.rho1.dim:
             raise ValueError(f"dimension mismatch: {self.rho0.dim} vs {self.rho1.dim}")
-        check_cost_weights(self.c0, self.c1)
-        object.__setattr__(self, "tau", float(_threshold(self.c0, self.c1)))
+        for name, value in zip(("c0", "c1", "tau"), check_cost_weights(self.c0, self.c1)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_tau(cls, rho0: DensityOperator, rho1: DensityOperator, tau: float) -> "HypothesisPair":
-        """Pair with cost weights c0 = 1/(1+tau), c1 = tau/(1+tau); tau is finite and nonnegative."""
-        x = _number(tau, "threshold tau")
-        if not math.isfinite(x):
-            raise ValueError(f"threshold tau must be finite, got {tau!r}")
-        if x < 0:
-            raise ValueError("threshold must be nonnegative")
-        return cls(rho0, rho1, *_cost_weights(x))
+        """Pair with cost weights c0 = 1/(1+tau), c1 = tau/(1+tau), under the threshold rule
+        (``_check_thresholds``).  A pair at tau = 0 is ``HypothesisPair(rho0, rho1, 1.0, 0.0)``."""
+        _, (c0, c1) = _check_thresholds([tau])
+        return cls(rho0, rho1, c0[0], c1[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,9 +237,11 @@ def _checked_rate(t: float) -> float:
 
 
 def rates(pi1, rho1, rho0) -> tuple[float, float]:
-    """Detection and false-alarm probabilities (Tr Pi1 rho1, Tr Pi1 rho0)."""
-    p_detect = _checked_rate(trace_product(pi1, rho1))
-    p_false = _checked_rate(trace_product(pi1, rho0))
+    """Detection and false-alarm probabilities (Tr Pi1 rho1, Tr Pi1 rho0); a
+    bare-array ``pi1`` is checked as a projector (``_projector_matrix``)."""
+    pi_m = _projector_matrix(pi1)
+    p_detect = _checked_rate(trace_product(pi_m, rho1))
+    p_false = _checked_rate(trace_product(pi_m, rho0))
     return p_detect, p_false
 
 
@@ -291,7 +321,8 @@ def sample_outcomes(rho, pi1, n: int, seed: int) -> tuple[int, int]:
     Each trial announces H1 with the Born probability Tr(Pi1 rho);
     the draw is reproducible through ``numpy.random.default_rng(seed)``.
     ``n`` is an integer (a numpy integer too, never a bool) from 1 to
-    the int64 maximum.
+    the int64 maximum; a bare-array ``pi1`` is checked as a projector
+    (``_projector_matrix``).
 
     Returns
     -------
@@ -300,7 +331,7 @@ def sample_outcomes(rho, pi1, n: int, seed: int) -> tuple[int, int]:
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= np.iinfo(np.int64).max:
         raise ValueError(f"trial count n must be an integer from 1 to 2**63 - 1, got {n!r}")
-    p = _checked_rate(trace_product(pi1, rho))
+    p = _checked_rate(trace_product(_projector_matrix(pi1), rho))
     rng = np.random.default_rng(seed)
     hits = int(rng.binomial(n, p))
     return hits, int(n)

@@ -61,39 +61,21 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
-def hermitian_part(a) -> np.ndarray:
-    """(A + A^dagger)/2 -- exact symmetrization of a square matrix."""
-    return _hermitian(as_matrix(a))
-
-
 def _hermitian(arr: np.ndarray) -> np.ndarray:
-    """``hermitian_part`` of every matrix in a stack (last two axes), with no
+    """(A + A^dagger)/2 of every matrix in a stack (last two axes), with no
     check: the closed form symmetrizes with it what is Hermitian by
     construction, such as its projectors and states."""
     return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
 
 
-def require_hermitian(a) -> np.ndarray:
-    """Validate conjugate symmetry within ``HERMITIAN_TOL``; return the symmetrized matrix.
-
-    Raises
-    ------
-    NonHermitianError
-        If any entry of ``A - A^dagger`` exceeds ``HERMITIAN_TOL`` in
-        magnitude, or the matrix contains non-finite entries.
-    ValueError
-        If a real or imaginary part of an entry lies beyond half the
-        largest float, where ``A + A^dagger`` could overflow.
-    """
-    return _require_hermitian(as_matrix(a))
-
-
 def _require_hermitian(arr: np.ndarray) -> np.ndarray:
-    """``require_hermitian`` over a stack of complex matrices (last two axes).
+    """Conjugate symmetry within ``HERMITIAN_TOL`` of a stack of complex
+    matrices (last two axes); returns the symmetrized stack (A + A^dagger)/2.
 
     The check for a matrix that enters from outside the closed form (a
     user's state or projector, or the Helstrom step's rho1 - tau*rho0):
-    the whole stack passes or the call raises, naming the worst deviation.
+    the whole stack passes or the call raises ``NonHermitianError``, naming
+    the worst deviation or a non-finite entry.
     Finiteness and the half-max rule are read off the smallest and the
     largest float part of the entries: an entry with a part beyond half
     the largest float, where A + A^dagger can overflow, is refused by name
@@ -159,7 +141,7 @@ def spectral_decompose(a) -> SpectralDecomposition:
     """
     if isinstance(a, DensityOperator):
         return a.spectrum
-    return _spectrum(*_sort_descending(*np.linalg.eigh(require_hermitian(a))))
+    return _spectrum(*_sort_descending(*np.linalg.eigh(_require_hermitian(as_matrix(a)))))
 
 
 def _support_rank(w: np.ndarray):

@@ -19,23 +19,23 @@ one stacked Helstrom step and stacked attack steps, with
 its threshold grid on one pair, the radar pair or any ``HypothesisPair``,
 attacking once per (price, distinct projector), since the projector is
 piecewise constant in the threshold; ``photon_sweep``, radar only, over
-all its signal levels at once.  Thresholds take
-the cost weights of ``HypothesisPair.from_tau``, and every point is
-bit-identical to what ``helstrom_measurement`` and ``optimal_attack``
-give.  ROC curves are columns (``RocCurve``): the curves of one sweep
-hold the same threshold, P_F and P_D tuples.
+all its signal levels at once.  Thresholds pass the one threshold rule,
+``_check_thresholds``, and take its cost weights, those of
+``HypothesisPair.from_tau``; every point is bit-identical to what
+``helstrom_measurement`` and ``optimal_attack`` give.  ROC curves are
+columns (``RocCurve``): the curves of one sweep hold the same threshold,
+P_F and P_D tuples.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import _attack_stack, _attack_view, _check_price
-from .detection import HypothesisPair, _cost_weights, _helstrom_stack, _number
+from .detection import HypothesisPair, _check_thresholds, _helstrom_stack, _number
 from .operators import DensityOperator, as_matrix, _checked_states, _support_rank
 
 
@@ -105,19 +105,6 @@ def default_tau_grid() -> np.ndarray:
     return np.logspace(-2.0, 2.0, 60)
 
 
-def _check_sweep(taus: list, lambdas) -> tuple:
-    """The thresholds as floats with their cost weights (c0, c1), and the distinct prices, ascending,
-    under the rules of config's ``tau_grid`` and ``lambdas`` fields.  A threshold is a real number,
-    never a bool, converted once (``_number``), positive and finite, with a finite c1/c0."""
-    grid = np.array([_number(tau, "threshold tau") for tau in taus])
-    bad = ~((grid > 0.0) & (grid < math.inf))
-    if bad.any():
-        raise ValueError(f"threshold tau must be positive and finite, got {taus[int(np.argmax(bad))]!r}")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("threshold grid must be strictly increasing")
-    return grid, _cost_weights(grid), sorted(set(map(_check_price, lambdas)))
-
-
 @dataclass(frozen=True)
 class PhotonSweepRow:
     """One signal-level sample: counterfactual and genuine detection rates."""
@@ -140,7 +127,8 @@ def photon_sweep(base: RadarParams, l_values, lambdas, tau: float) -> list[Photo
     attack step covers all prices and every level whose rho1 has the
     same support rank.  Rows come back ordered by (lam, l).
     """
-    _, weights, lams = _check_sweep([tau], lambdas)
+    _, weights = _check_thresholds([tau])
+    lams = sorted(set(map(_check_price, lambdas)))
     if not lams:
         raise ValueError("lambdas must be a nonempty sequence of distortion prices")
     levels = list(l_values)
@@ -228,7 +216,8 @@ def roc_sweep(params: RadarParams | HypothesisPair, lambdas, tau_grid=None) -> l
     grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=object)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("threshold grid must be a nonempty 1-d sequence")
-    grid, weights, lams = _check_sweep(grid.tolist(), lambdas)
+    grid, weights = _check_thresholds(grid.tolist())
+    lams = sorted(set(map(_check_price, lambdas)))
 
     # the grid sets the cost weights, so the radar pair's own are arbitrary
     pair = params if isinstance(params, HypothesisPair) else build_radar_pair(params, 0.5, 0.5)
@@ -238,6 +227,6 @@ def roc_sweep(params: RadarParams | HypothesisPair, lambdas, tau_grid=None) -> l
     _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
     dec = pair.rho1.spectrum
     att = _attack_stack(_attack_view(dec.eigenvalues, dec.eigenvectors, hel.projectors[first]), np.array(lams))
-    taus, p_false, p_detect = (tuple(c.tolist()) for c in (grid, hel.p_false, hel.p_detect))
+    taus, p_false, p_detect = tuple(grid), tuple(hel.p_false.tolist()), tuple(hel.p_detect.tolist())
     genuine = [p_detect, *map(tuple, att.genuine_p_detect[:, inverse].tolist())]
     return [RocCurve(lam, taus, p_false, p_detect, g) for lam, g in zip([None, *lams], genuine)]

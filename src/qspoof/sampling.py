@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .detection import HypothesisPair, ProjectorMeasurement
-from .operators import DensityOperator, _checked_states, _hermitian, hermitian_part
+from .operators import DensityOperator, _checked_states, _hermitian
 
 # Spectral floor of each state ``random_pair`` draws.
 PAIR_MIN_EIGENVALUE = 1e-3
@@ -112,7 +112,7 @@ def near_commuting_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
     p1 = random_spectrum(rng, dim)
     p0 = random_spectrum(rng, dim)
     rng.shuffle(p0)
-    k = hermitian_part(_gaussians(rng, (), dim))
+    k = _hermitian(_gaussians(rng, (), dim))
     k = k / max(np.linalg.norm(k, 2), 1e-12)
     w, vk = np.linalg.eigh(k)
     tilt = (vk * np.exp(1j * NEAR_COMMUTING_STRENGTH * w)) @ vk.conj().T

@@ -20,15 +20,17 @@ from qspoof import (
     ProjectorMeasurement,
     RadarParams,
     attacker_utility,
+    bayes_risk,
     build_radar_pair,
     detection_bounds,
     gap_condition_sums,
     helstrom_measurement,
-    hermitian_part,
     optimal_attack,
     oracle_attack,
     perturbation_estimate,
+    rates,
     relative_entropy,
+    sample_outcomes,
     spectral_decompose,
 )
 from qspoof import adversary, detection, operators, verify
@@ -1332,6 +1334,9 @@ ENTRY_POINTS = [
     pytest.param(lambda pair, pi1: perturbation_estimate(pair, pi1, 1.0), id="perturbation_estimate"),
     pytest.param(lambda pair, pi1: gap_condition_sums(pair.rho1, pi1), id="gap_condition_sums"),
     pytest.param(lambda pair, pi1: attacker_utility(pair.rho1, pair.rho0, pi1, pair, 1.0), id="attacker_utility"),
+    pytest.param(lambda pair, pi1: rates(pi1, pair.rho1, pair.rho0), id="rates"),
+    pytest.param(lambda pair, pi1: bayes_risk(pi1, pair), id="bayes_risk"),
+    pytest.param(lambda pair, pi1: sample_outcomes(pair.rho1, pi1, 10, 0), id="sample_outcomes"),
 ]
 
 
@@ -1340,15 +1345,17 @@ ENTRY_POINTS = [
     "pi1,message",
     [
         (5.0 * np.eye(3), r"^not a projector: \|\|Pi\^2 - Pi\|\|_F = 3\.464e\+01$"),
+        (0.5 * np.eye(3), r"^not a projector: \|\|Pi\^2 - Pi\|\|_F = 4\.330e-01$"),
         (np.diag([1e300, 0.0, 0.0]), r"^not a projector: \|\|Pi\^2 - Pi\|\|_F = nan$"),
         (np.full((3, 3), np.nan), r"^matrix contains non-finite entries$"),
     ],
-    ids=["five-identity", "huge-entry", "nan"],
+    ids=["five-identity", "half-identity", "huge-entry", "nan"],
 )
 def test_a_bare_array_that_is_no_projector_is_refused_where_it_enters(call, pi1, message):
     # the oracle used to return a state for 5 I and fail inside eigh on NaN;
     # the closed form refused 5 I only through its rate check; the gap sums
-    # of 5 I came out near zero and its utility as 5.0
+    # of 5 I came out near zero and its utility as 5.0; the rates and the
+    # sampled outcomes of 0.5 I were measured as given
     with pytest.raises(ValueError, match=message):
         call(random_pair(np.random.default_rng(1), 3), pi1)
 
@@ -1363,7 +1370,7 @@ def test_a_bare_projector_gives_the_projector_measurement_result(call):
     measured = call(pair, ProjectorMeasurement(pi1))
     if isinstance(bare, DensityOperator):
         assert bare.matrix.tobytes() == measured.matrix.tobytes()
-    elif isinstance(bare, (float, np.ndarray)):
+    elif isinstance(bare, (float, tuple, np.ndarray)):
         assert np.asarray(bare).tobytes() == np.asarray(measured).tobytes()
     elif isinstance(bare, PerturbationReport):
         assert bare.exact.tobytes() == measured.exact.tobytes()
@@ -1381,7 +1388,7 @@ def _clusters_and_matching_loop(pair, pi1, lam):
     for i in range(n - 1):
         if r[i] - r[i + 1] < adversary.CLUSTER_TOL:
             cluster[i] = cluster[i + 1] = True
-    w, u = np.linalg.eigh(hermitian_part(np.diag(np.log(r).astype(np.complex128)) - pi_s / lam))
+    w, u = np.linalg.eigh(operators._hermitian(np.diag(np.log(r).astype(np.complex128)) - pi_s / lam))
     weights = np.abs(u) ** 2
     matched, overlap, ok, taken = [], [], True, set()
     for i in range(n):

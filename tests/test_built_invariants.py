@@ -87,10 +87,6 @@ def test_optimal_attacks_build_projectors_and_states(d, kind):
 
 
 @CASES
-# The oracle's Newton direction divides 0 by 0 on a rank-one support at
-# prices of 1e-50 and below and warns; the state it returns keeps its
-# invariants, which is what this guard checks.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
 def test_oracle_builds_states(d, kind):
     pair = pair_of(d, kind)
     for out in adversary._oracle_attacks(pair, helstrom_measurement(pair).pi1, ORACLE_LAMS):

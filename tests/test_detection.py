@@ -1,7 +1,10 @@
 """Risk-optimal binary detection: projectors, rates, optimality, sampling."""
 
+import ast
 import math
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +96,7 @@ def test_pair_from_tau_rejects_nan(tau):
 def test_pair_from_tau_names_a_non_finite_tau(tau):
     # it used to report the weights it derived, e.g. c0=0.0, c1=nan for tau = inf
     rho = DensityOperator.maximally_mixed(2)
-    with pytest.raises(ValueError, match=rf"^threshold tau must be finite, got {tau!r}$"):
+    with pytest.raises(ValueError, match=rf"^threshold tau must be positive and finite, got {tau!r}$"):
         HypothesisPair.from_tau(rho, rho, tau)
 
 
@@ -417,8 +420,55 @@ def test_sample_outcomes_reports_the_trial_count_as_an_int(n):
 
 def test_from_tau_refuses_a_negative_threshold():
     rho = DensityOperator.maximally_mixed(2)
-    with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
+    with pytest.raises(ValueError, match="^threshold tau must be positive and finite, got -1.0$"):
         HypothesisPair.from_tau(rho, rho, -1.0)
+
+
+def test_from_tau_refuses_a_zero_threshold_which_the_weights_still_give():
+    # from_tau states the sweeps' and --tau's rule; a pair at tau = 0 is built from its weights
+    rho = DensityOperator.maximally_mixed(2)
+    with pytest.raises(ValueError, match="^threshold tau must be positive and finite, got 0.0$"):
+        HypothesisPair.from_tau(rho, rho, 0.0)
+    pair = HypothesisPair(rho, rho, 1.0, 0.0)
+    assert (pair.c0, pair.c1, pair.tau) == (1.0, 0.0, 0.0)
+
+
+def _names(node):
+    """The names an AST node references: a name, an attribute or an imported name."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name]
+    return []
+
+
+def test_only_detection_references_the_threshold_convention():
+    # the modules reach tau = c1/c0 through check_cost_weights, _check_thresholds and HypothesisPair
+    convention = {"_threshold", "_cost_weights"}
+    found = [
+        (path.name, name)
+        for path in sorted(Path(detection.__file__).parent.glob("*.py"))
+        if path.name != "detection.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _names(node)
+        if name in convention
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "c0,c1",
+    [(Fraction(1, 4), Fraction(3, 4)), (np.float32(0.3), np.float32(0.7))],
+    ids=["fraction", "float32"],
+)
+def test_pair_stores_its_weights_as_floats_with_a_float64_threshold(c0, c1):
+    # a Fraction pair used to fail in numpy's isfinite; float32 weights gave a float32 quotient
+    rho = DensityOperator.maximally_mixed(2)
+    pair = HypothesisPair(rho, rho, c0, c1)
+    assert [type(v) for v in (pair.c0, pair.c1, pair.tau)] == [float, float, float]
+    assert (pair.c0, pair.c1, pair.tau) == (float(c0), float(c1), float(c1) / float(c0))
 
 
 def test_pair_threshold_is_derived_once_with_the_weights_bits():

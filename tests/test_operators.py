@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from qspoof import (
     DensityOperator,
     NonHermitianError,
+    ProjectorMeasurement,
     SpectralDecomposition,
-    hermitian_part,
+    rates,
     relative_entropy,
-    require_hermitian,
     spectral_decompose,
     trace_product,
 )
@@ -101,9 +101,14 @@ def test_spectral_reconstruction_property(seed, dim):
     assert np.allclose(gram, np.eye(dim), atol=1e-10)
 
 
+def require_hermitian(a):
+    """The Hermiticity check of a matrix from outside, as ``spectral_decompose`` runs it."""
+    return operators._require_hermitian(operators.as_matrix(a))
+
+
 def test_hermitian_part_symmetrizes():
-    a = np.array([[1.0, 2.0], [0.0, 3.0]])
-    h = hermitian_part(a)
+    a = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
+    h = operators._hermitian(a)
     assert np.allclose(h, h.conj().T)
     assert np.allclose(h, [[1.0, 1.0], [1.0, 3.0]])
 
@@ -183,11 +188,11 @@ def test_state_checks_fail_on_nan():
         lambda: DensityOperator.maximally_mixed(0),
         lambda: DensityOperator.from_diagonal([]),
         lambda: trace_product(np.zeros((0, 0)), np.zeros((0, 0))),
-        lambda: require_hermitian(np.zeros((0, 0))),
-        lambda: hermitian_part(np.zeros((0, 0))),
+        lambda: ProjectorMeasurement(np.zeros((0, 0))),
+        lambda: rates(np.zeros((0, 0)), DensityOperator.maximally_mixed(2), DensityOperator.maximally_mixed(2)),
         lambda: spectral_decompose(np.zeros((0, 0))),
     ],
-    ids=["state", "maximally-mixed", "from-diagonal", "trace-product", "require-hermitian", "hermitian-part", "spectrum"],
+    ids=["state", "maximally-mixed", "from-diagonal", "trace-product", "projector", "bare-pi1", "spectrum"],
 )
 def test_an_empty_matrix_is_refused_by_its_shape(build):
     with pytest.raises(ValueError, match=r"^expected a nonempty matrix, got shape \(0, 0\)$"):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qspoof import DensityOperator, HypothesisPair, hermitian_part
+from qspoof import DensityOperator, HypothesisPair
+from qspoof.operators import _hermitian
 from qspoof.sampling import (
     NEAR_COMMUTING_STRENGTH,
     PAIR_MIN_EIGENVALUE,
@@ -30,7 +31,7 @@ def _haar_unitary(rng, dim):
 def _random_density(rng, dim, min_eigenvalue):
     g = _gaussian(rng, dim)
     w = g @ g.conj().T
-    w = hermitian_part(w / np.trace(w).real)
+    w = _hermitian(w / np.trace(w).real)
     t = min(1.0, dim * min_eigenvalue)
     return DensityOperator((1.0 - t) * w + t * np.eye(dim) / dim)
 
@@ -53,7 +54,7 @@ def _near_commuting_pair(rng, dim):
     p1 = random_spectrum(rng, dim)
     p0 = random_spectrum(rng, dim)
     rng.shuffle(p0)
-    k = hermitian_part(_gaussian(rng, dim))
+    k = _hermitian(_gaussian(rng, dim))
     k = k / max(np.linalg.norm(k, 2), 1e-12)
     w, vk = np.linalg.eigh(k)
     u0 = (vk * np.exp(1j * NEAR_COMMUTING_STRENGTH * w)) @ vk.conj().T @ u

@@ -7,10 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from qspoof import RadarParams, RocCurve, cli, roc_sweep
+from qspoof import DensityOperator, HypothesisPair, RadarParams, RocCurve, cli, roc_sweep
 from qspoof.adversary import _check_price
 from qspoof.config import ConfigError, entry_from_literal, load_config, matrix_from_literal, parse_config
-from qspoof.radar import _check_sweep
+from qspoof.detection import _check_thresholds
 from qspoof.serialize import (
     csv_text,
     json_text,
@@ -491,10 +491,10 @@ def test_prices_are_refused_in_the_library_rule_words(tmp_path, capsys, value):
 
 
 def _check_threshold(tau):
-    _check_sweep([tau], ())
+    _check_thresholds([tau])
 
 
-@pytest.mark.parametrize("value", [0, -2, math.nan, math.inf, sys.float_info.max], ids=repr)
+@pytest.mark.parametrize("value", [0, -2, math.nan, math.inf, sys.float_info.max, True], ids=repr)
 def test_thresholds_are_refused_in_the_library_rule_words(tmp_path, capsys, value):
     words = _refusal(_check_threshold, value)
     refusals = [
@@ -507,11 +507,14 @@ def test_thresholds_are_refused_in_the_library_rule_words(tmp_path, capsys, valu
     ]
     for expected, cfg, argv in refusals:
         assert _cli_error(tmp_path, capsys, cfg, argv) == expected
+    # from_tau states no rule of its own: it refuses in the words sweep.tau prints
+    rho = DensityOperator.maximally_mixed(2)
+    assert _refusal(lambda tau: HypothesisPair.from_tau(rho, rho, tau), value) == words
 
 
 @pytest.mark.parametrize("grid", [[2.0, 1.0], [1.0, 1.0]], ids=["decreasing", "repeated"])
 def test_a_grid_out_of_order_is_refused_in_the_library_rule_words(tmp_path, capsys, grid):
-    expected = f"error: sweep.tau_grid: {_refusal(lambda g: _check_sweep(g, ()), grid)}\n"
+    expected = f"error: sweep.tau_grid: {_refusal(_check_thresholds, grid)}\n"
     assert _cli_error(tmp_path, capsys, radar_config(sweep={"tau_grid": grid}), ["detect"]) == expected
 
 

@@ -12,11 +12,11 @@ from qspoof import (
     HypothesisPair,
     OracleConvergenceError,
     helstrom_measurement,
-    hermitian_part,
     perturbation_estimate,
 )
 from qspoof import verify
 from qspoof.config import VerifyOptions
+from qspoof.operators import _hermitian
 from qspoof.sampling import haar_unitary, random_density
 from qspoof.serialize import json_text
 from qspoof.verify import run_verification
@@ -239,7 +239,7 @@ def _perturbation_reference(seed):
     worst_res, worst_ratio = 0.0, float("inf")
     for _ in range(10):
         u = haar_unitary(rng, 4)
-        rho1 = DensityOperator(hermitian_part((u * np.array([0.4, 0.3, 0.2, 0.1])) @ u.conj().T))
+        rho1 = DensityOperator(_hermitian((u * np.array([0.4, 0.3, 0.2, 0.1])) @ u.conj().T))
         pair = HypothesisPair(random_density(rng, 4, 1e-3), rho1, 0.5, 0.5)
         pi1 = helstrom_measurement(pair).pi1
         rep10, rep100 = (perturbation_estimate(pair, pi1, lam) for lam in (10.0, 100.0))
