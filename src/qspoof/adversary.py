@@ -27,8 +27,9 @@ for cross-checking: on the chart e^H / Tr e^H, at every support rank,
 Newton steps from the entrywise part of the objective's Hessian in H's
 eigenbasis, which is the whole Hessian at the minimizer up to the flat
 identity direction; it stops on the decrement -g.p of its direction.
-It never touches the closed form.  ``_oracle_attacks`` runs it for all
-of a pair's prices as one stack; ``oracle_attack`` is the stack of one.
+It never touches the closed form: it charts rho1 and checks the states
+it builds itself.  ``_oracle_attacks`` runs it for all of a pair's prices
+as one stack; ``oracle_attack`` is the stack of one.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .operators import (
     relative_entropy,
     spectral_decompose,
     trace_product,
+    _checked_states,
     _hermitian,
     _read_only,
     _support_rank,
@@ -145,54 +147,6 @@ def _in_support(v: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return _hermitian(v.conj().swapaxes(-1, -2) @ pi @ v)
 
 
-class _Gibbs(NamedTuple):
-    """The states e^h / Tr e^h of a (price x projector) stack of chart points h."""
-
-    w: np.ndarray  # spectrum of each h, ascending
-    columns: np.ndarray  # its eigenvector columns on the full space, v u
-    z1: np.ndarray  # Tr e^h; 0.0 where it is below the smallest float
-    p: np.ndarray  # e^w / Tr e^h, from exponentials shifted by the top of w
-    matrices: np.ndarray  # e^h / Tr e^h on the full space, states by construction
-
-
-def _lift_stack(v: np.ndarray, w: np.ndarray, u: np.ndarray) -> _Gibbs:
-    """The states e^h / Tr e^h for a stack of chart points h, given their
-    spectra ``w`` (ascending) and eigenvector columns ``u`` (support basis).
-
-    The exponentials are shifted by the top eigenvalue (log-sum-exp
-    scaling), so p = e^(w - w_max) / sum e^(w - w_max) is finite at every
-    price; Z1 = sum e^(w - w_max) * e^w_max, taken as the one exponential
-    e^(w_max + ln sum e^(w - w_max)) where that product is subnormal,
-    reads 0.0 when the true value is below the smallest float.  Each state
-    is (W p) W^dagger, symmetrized, with orthonormal columns W = v u and a
-    probability vector p: a density operator by construction, so it is not
-    checked again.  Its spectrum is known without another decomposition:
-    p on the columns of W, and zero on the kernel of rho1 (see
-    ``_lifted_state``).
-    """
-    top = w[..., -1:]
-    ew = np.exp(w - top)
-    total = np.sum(ew, axis=-1)
-    p = ew / total[..., None]
-    columns = v @ u
-    matrices = _hermitian((columns * p[..., None, :]) @ columns.conj().swapaxes(-1, -2))
-    z1 = total * np.exp(top[..., 0])
-    # a subnormal product rounds twice; one exponential rounds once
-    z1 = np.where(z1 < np.finfo(float).tiny, np.exp(top[..., 0] + np.log(total)), z1)
-    return _Gibbs(w, columns, z1, p, matrices)
-
-
-def _lifted_state(kernel: np.ndarray, gibbs: _Gibbs, at) -> DensityOperator:
-    """The state ``gibbs.matrices[at]`` wrapped with its known
-    spectrum, descending: the ascending ``gibbs.p`` reversed on the
-    reversed ``gibbs.columns``, then zeros on the kernel of rho1."""
-    return DensityOperator._from_spectrum(
-        gibbs.matrices[at],
-        np.concatenate([gibbs.p[at][::-1], np.zeros(kernel.shape[-1])]),
-        np.hstack([gibbs.columns[at][:, ::-1], kernel]),
-    )
-
-
 class _AttackView(NamedTuple):
     """The price-independent inputs of the closed-form attack on a stack of
     projectors: rho1's support chart, or one chart per projector."""
@@ -255,7 +209,11 @@ def _pair_view(pair: HypothesisPair, pi1) -> _StoredView:
 class _AttackStack(NamedTuple):
     """Closed-form attacks indexed [price, projector]."""
 
-    gibbs: _Gibbs  # rho1' and its spectrum
+    w: np.ndarray  # spectrum of each h, ascending
+    columns: np.ndarray  # its eigenvector columns on the full space, v u
+    z1: np.ndarray  # Tr e^h; 0.0 where it is below the smallest float
+    p: np.ndarray  # e^w / Tr e^h, from exponentials shifted by the top of w
+    matrices: np.ndarray  # rho1' = e^h / Tr e^h on the full space, states by construction
     genuine_p_detect: np.ndarray
 
 
@@ -281,15 +239,37 @@ def _exponents(r: np.ndarray, pi_s: np.ndarray, lams: np.ndarray) -> np.ndarray:
 def _attack_stack(view: _AttackView, lams: np.ndarray) -> _AttackStack:
     """The closed-form attack for every (price, projector) pair in one decomposition.
 
-    ``view`` holds the support chart(s) and the projectors, and ``lams``
-    is a vector of prices.  The exponents of the whole (price x projector)
-    grid go to one ``eigh`` call, and ``_lift_stack`` builds the states
-    from the spectra; the genuine detection rates Tr(Pi1 rho1') pass the
-    rate check together.  Every point is bit-identical to the same point
-    solved alone.
+    ``view`` holds the support chart(s) and the projectors, and ``lams`` is
+    a vector of prices; the exponents h of the whole grid go to one ``eigh``
+    call.  p = e^(w - w_max) / sum e^(w - w_max) is finite at every price,
+    and Z1 reads 0.0 below the smallest float.  Each state e^h / Tr e^h is
+    (W p) W^dagger, symmetrized, with orthonormal columns W = v u: a state
+    by construction, not checked again, whose spectrum is p on W and zero
+    on rho1's kernel (``_lifted_state``).  The genuine detection rates pass
+    the rate check together.  Every point is bit-identical to the same
+    point solved alone.
     """
-    gibbs = _lift_stack(view.v, *np.linalg.eigh(_exponents(view.r, view.pi_s, lams)))
-    return _AttackStack(gibbs, _checked_rates(_traces(view.projectors, gibbs.matrices)))
+    w, u = np.linalg.eigh(_exponents(view.r, view.pi_s, lams))
+    top = w[..., -1:]
+    ew = np.exp(w - top)
+    total = np.sum(ew, axis=-1)
+    p = ew / total[..., None]
+    columns = view.v @ u
+    matrices = _hermitian((columns * p[..., None, :]) @ columns.conj().swapaxes(-1, -2))
+    z1 = total * np.exp(top[..., 0])
+    # a subnormal product rounds twice; one exponential rounds once
+    z1 = np.where(z1 < np.finfo(float).tiny, np.exp(top[..., 0] + np.log(total)), z1)
+    return _AttackStack(w, columns, z1, p, matrices, _checked_rates(_traces(view.projectors, matrices)))
+
+
+def _lifted_state(kernel: np.ndarray, att: _AttackStack, at) -> DensityOperator:
+    """The state ``att.matrices[at]`` wrapped with its known spectrum, descending: the
+    ascending ``att.p`` reversed on the reversed ``att.columns``, then zeros on rho1's kernel."""
+    return DensityOperator._from_spectrum(
+        att.matrices[at],
+        np.concatenate([att.p[at][::-1], np.zeros(kernel.shape[-1])]),
+        np.hstack([att.columns[at][:, ::-1], kernel]),
+    )
 
 
 def _optimal_utility(w: np.ndarray, r: np.ndarray, pi_s: np.ndarray, lam: float) -> float:
@@ -346,13 +326,13 @@ def _optimal_attacks(pair: HypothesisPair, pi1, lams) -> list[AttackerSolution]:
     att = _attack_stack(view, np.array(lams))
     return [
         AttackerSolution(
-            rho1_prime=_lifted_state(view.kernel, att.gibbs, (i, 0)),
+            rho1_prime=_lifted_state(view.kernel, att, (i, 0)),
             rho0_prime=pair.rho0,
             lam=lam,
-            z1=float(att.gibbs.z1[i, 0]),
+            z1=float(att.z1[i, 0]),
             genuine_p_detect=float(att.genuine_p_detect[i, 0]),
             genuine_p_false=entry.genuine_p_false,
-            utility=_optimal_utility(att.gibbs.w[i, 0], view.r, view.pi_s[0], lam),
+            utility=_optimal_utility(att.w[i, 0], view.r, view.pi_s[0], lam),
         )
         for i, lam in enumerate(lams)
     ]
@@ -528,6 +508,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _inner(a.conj().reshape(flat), b.reshape(flat)).real
 
 
+def _chart_states(v: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The states (v u) diag(p) (v u)^dagger, symmetrized, of a stack of chart points."""
+    columns = v @ u
+    return _hermitian((columns * p[..., None, :]) @ columns.conj().swapaxes(-1, -2))
+
+
 def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
     """Numerical minimizer of the interceptor objective, independent of the closed form.
 
@@ -541,7 +527,9 @@ def oracle_attack(pair: HypothesisPair, pi1, lam: float) -> DensityOperator:
     tries the full step.  When rounding makes the direction fail to
     descend, the search restarts from the negative gradient.  Each trial
     point is decomposed once; the accepted one's decomposition also gives
-    its gradient and direction, and the last one's the returned state.
+    its gradient and direction, and the last one's the returned state
+    (v u) diag(p) (v u)^dagger, which passes the density-operator checks.
+    The support columns v are sliced off rho1's stored spectrum here.
     Descent starts at the undistorted state H = ln rho1 and stops before a
     line search once the decrement -g.p of the direction p is below
     2 ``ORACLE_TOL`` max(1, max|K|), the rounding level of the objective's
@@ -570,19 +558,24 @@ def _oracle_attacks(pair: HypothesisPair, pi1, lams) -> list:
     ``_chart_point`` call (one stacked ``eigh``).  A price leaves the stack
     when it stops, its entry the state, or when it runs out of
     ``ORACLE_ITERATIONS``, its entry the ``OracleConvergenceError`` that
-    ``oracle_attack`` raises.  Each entry is bit-identical to the price alone.
+    ``oracle_attack`` raises.  All states pass one ``_checked_states``
+    call.  Each entry is bit-identical to the price alone.
     """
     lams = np.array([_check_price(lam) for lam in lams])
     pi_m = _projector_matrix(pi1)
     dec = pair.rho1.spectrum
-    r, v, kernel, _, pi_s = _attack_view(dec.eigenvalues, dec.eigenvectors, pi_m)
-    log_r = np.log(r)
-    cost = pi_s - lams[:, None, None] * np.diag(log_r)
+    if pi_m.shape != dec.eigenvectors.shape:
+        raise ValueError(f"dimension mismatch: {pi_m.shape} vs {dec.eigenvectors.shape}")
+    # rho1's support chart, sliced off its stored spectrum, and Pi1 in it
+    k = int(_support_rank(dec.eigenvalues))
+    v = np.ascontiguousarray(dec.eigenvectors[:, :k])  # a strided single column can move the last bit of pi_s
+    log_r = np.log(dec.eigenvalues[:k])
+    cost = _hermitian(v.conj().T @ pi_m @ v) - lams[:, None, None] * np.diag(log_r)
     tol = 2.0 * ORACLE_TOL * np.maximum(1.0, np.abs(cost).max(axis=(-2, -1)))
     live = np.arange(len(lams))  # each stacked price's index in lams
     h = np.repeat(np.diag(log_r.astype(np.complex128))[None], len(lams), axis=0)
     point = _chart_point(h, cost, lams)
-    w_end, u_end = np.empty_like(point.w), np.empty_like(point.u)  # each price's last point
+    states = np.empty((len(lams),) + pi_m.shape, dtype=np.complex128)  # each price's state at its stop
     slope = np.full(len(lams), -math.inf)
     for _ in range(ORACLE_ITERATIONS):
         a, phi = _chart_cost(point, cost, lams), _exp_divided_differences(point.w)
@@ -609,16 +602,15 @@ def _oracle_attacks(pair: HypothesisPair, pi1, lams) -> list:
         # stopped, or no representable step improves the objective: converged in float
         done[f] = True
         if done.any():
-            w_end[live[done]], u_end[live[done]] = point.w[done], point.u[done]
+            states[live[done]] = _chart_states(v, point.u[done], point.p[done])
             keep = ~done
             live, h, cost, lams, slope, tol = (x[keep] for x in (live, h, cost, lams, slope, tol))
             point = _ChartPoint(*(field[keep] for field in point))
             if not live.size:
                 break
-    w_end[live], u_end[live] = point.w, point.u
-    # every price's state from one lift; a price still in the stack ran out of steps
-    gibbs = _lift_stack(v, w_end[:, None], u_end[:, None])
-    out: list = [_lifted_state(kernel, gibbs, (i, 0)) for i in range(len(w_end))]
+    states[live] = _chart_states(v, point.u, point.p)  # the prices that ran out of steps
+    m, w, x = _checked_states(states)
+    out: list = [DensityOperator._from_spectrum(m[i], w[i], x[i]) for i in range(len(m))]
     for j, i in enumerate(live):
         message = f"no convergence after {ORACLE_ITERATIONS} iterations (last decrement {-slope[j]:.3e})"
         out[i] = OracleConvergenceError(message, out[i], attacker_utility(out[i], pair.rho0, pi1, pair, lams[j]))

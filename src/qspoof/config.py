@@ -146,9 +146,13 @@ def _prices(value, where: str) -> tuple:
 
 
 def _tau_grid(value, where: str) -> tuple:
-    grid = _list(value, where, _tau)
-    _named(where, _check_thresholds, grid)
-    return grid
+    # the rule runs once over the grid; a refusal names the first entry refused alone, else the grid
+    entries = _list(value, where, lambda v, _: v)
+    try:
+        return tuple(_check_thresholds(entries)[0])
+    except ValueError as exc:
+        _list(entries, where, _tau)
+        raise ConfigError(where, str(exc)) from exc
 
 
 def _l_values(value, where: str) -> tuple:

@@ -286,10 +286,10 @@ class DensityOperator:
     decomposing the matrix again.  The constructor is the check for a
     state that enters from outside; the radar states and the two states
     of each random pair (``sampling``) pass the same checks in one
-    ``_checked_states`` call over their stack.  The states the attack and
-    the oracle build, W diag(p) W^dagger from orthonormal columns W and a
-    probability vector p, are states by construction and are wrapped
-    unchecked (``_from_spectrum``).
+    ``_checked_states`` call over their stack, as do the oracle's states.
+    The states the closed-form attack builds, W diag(p) W^dagger from
+    orthonormal columns W and a probability vector p, are states by
+    construction and are wrapped unchecked (``_from_spectrum``).
     """
 
     matrix: np.ndarray
@@ -303,11 +303,11 @@ class DensityOperator:
         """A state whose eigendecomposition is already known, wrapped without a check.
 
         ``matrix`` is either checked by the caller (``_checked_states`` over
-        a stack of states) or a state by construction (``_lift_stack``'s
-        W diag(p) W^dagger, symmetrized).  The given pairs, which the caller
-        passes in descending order, are kept as ``spectrum`` instead of
-        decomposing the matrix; the caller vouches that the columns of
-        ``eigenvectors`` are orthonormal eigenvectors of ``matrix``.
+        a stack of states) or a state by construction (the closed-form
+        attack's W diag(p) W^dagger, symmetrized).  The given pairs, which
+        the caller passes in descending order, are kept as ``spectrum``
+        instead of decomposing the matrix; the caller vouches that the
+        columns of ``eigenvectors`` are orthonormal eigenvectors of ``matrix``.
 
         ``matrix`` is kept as it is, never copied, and so are
         ``eigenvalues`` and ``eigenvectors`` where they are C-contiguous;

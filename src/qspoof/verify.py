@@ -22,7 +22,9 @@ in one Helstrom step, charts them in one ``_attack_view`` and
 decomposes their 10 x 2 exponents at once (``_perturbation_stack``).
 The oracle runs once per instance: all of its prices descend in
 lockstep as one stack (``_oracle_attacks``), each price's state
-bit-identical to ``oracle_attack`` at that price.
+bit-identical to ``oracle_attack`` at that price.  It charts rho1 and
+checks its states itself, so check 1's state residual (against
+``ORACLE_STATE_TOL``) sees a fault in the closed form's state assembly.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 
 _acceptance_lines: list[str] = []
@@ -19,3 +21,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def referenced_names(tree: ast.AST) -> list[str]:
+    """Every name an AST tree references, in walk order: a name, an attribute or an imported name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.alias):
+            names.append(node.name)
+    return names

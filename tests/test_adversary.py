@@ -1,10 +1,12 @@
 """Interceptor layer: closed-form distortion, oracle, bounds, perturbation."""
 
+import ast
 import copy
 import gc
 import math
 import pickle
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,8 @@ from qspoof.sampling import (
     random_projector,
 )
 from qspoof.verify import ORACLE_STATE_TOL, ORACLE_UTILITY_TOL
+
+from conftest import referenced_names
 
 STATE_TOL = 1e-10
 ORACLE_TOL = 1e-6
@@ -329,11 +333,11 @@ def test_stacked_steps_equal_their_batch_of_one(d, rank):
         assert (hel.p_detect[j], hel.p_false[j]) == (one.p_detect, one.p_false)
         for i, lam in enumerate(lams):
             sol = optimal_attack(pair, one.pi1, float(lam))
-            stacked = adversary._lifted_state(view.kernel, att.gibbs, (i, j))
-            assert np.array_equal(att.gibbs.matrices[i, j], sol.rho1_prime.matrix)
+            stacked = adversary._lifted_state(view.kernel, att, (i, j))
+            assert np.array_equal(att.matrices[i, j], sol.rho1_prime.matrix)
             assert np.array_equal(stacked.spectrum.eigenvalues, sol.rho1_prime.spectrum.eigenvalues)
             assert np.array_equal(stacked.spectrum.eigenvectors, sol.rho1_prime.spectrum.eigenvectors)
-            assert (att.gibbs.z1[i, j], att.genuine_p_detect[i, j]) == (sol.z1, sol.genuine_p_detect)
+            assert (att.z1[i, j], att.genuine_p_detect[i, j]) == (sol.z1, sol.genuine_p_detect)
     if rank < d:
         assert sol.rho1_prime.spectrum.eigenvalues[rank:].tolist() == [0.0] * (d - rank)
 
@@ -505,7 +509,8 @@ def test_used_projector_pickles_and_copies():
 
 def test_oracle_builds_its_own_chart(monkeypatch):
     # the oracle stays independent of the closed form: a warm view for the
-    # same (pair, projector) does not feed it
+    # same (pair, projector) does not feed it, and it charts rho1 without
+    # the closed form's helper
     rng = np.random.default_rng(65)
     pair = random_pair(rng, 3)
     pi1 = helstrom_measurement(pair).pi1
@@ -513,7 +518,45 @@ def test_oracle_builds_its_own_chart(monkeypatch):
     in_support = _count_calls(monkeypatch, adversary, "_in_support")
     for lam in (0.5, 2.0):
         oracle_attack(pair, pi1, lam)
-    assert len(in_support) == 2
+    assert len(in_support) == 0
+
+
+def test_oracle_call_graph_reaches_no_closed_form_step():
+    # every function and class that oracle_attack reaches inside adversary.py,
+    # transitively, names none of the closed form's steps or its stored views;
+    # the helpers it shares with the closed form are the objective, the input
+    # rules, the support rank and matrix primitives
+    tree = ast.parse(Path(adversary.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, named, todo = set(), set(), ["oracle_attack", "_oracle_attacks"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            named.update(referenced_names(defs[name]))
+            todo.extend(n for n in named if n in defs)
+    closed_form = {
+        "_attack_view",
+        "_attack_stack",
+        "_exponents",
+        "_in_support",
+        "_lifted_state",
+        "_optimal_utility",
+        "_optimal_attacks",
+        "_pair_view",
+        "_VIEWS",
+    }
+    shared = {
+        "attacker_utility",
+        "_check_price",
+        "_projector_matrix",
+        "_support_rank",
+        "_hermitian",
+        "_diagonal",
+        "_exp_divided_differences",
+    }
+    assert named & closed_form == set()
+    assert shared <= named
 
 
 def test_perturbation_estimate_reads_the_view(monkeypatch):

@@ -199,19 +199,19 @@ def lift_cases():
 def test_lifted_state_keeps_the_old_arrays(name):
     view = lift_cases()[name]
     lams = LAMS[:3]
-    gibbs = adversary._attack_stack(view, lams).gibbs
+    att = adversary._attack_stack(view, lams)
     kernel = view.kernel
     if name == "rank-deficient":
         assert kernel.shape[-1] == 3
     for i in range(len(lams)):
-        for j in range(gibbs.w.shape[1]):
+        for j in range(att.w.shape[1]):
             k = kernel[j] if kernel.ndim == 3 else kernel
-            state = adversary._lifted_state(k, gibbs, (i, j))
+            state = adversary._lifted_state(k, att, (i, j))
             arrays = (state.matrix, state.spectrum.eigenvalues, state.spectrum.eigenvectors)
             old = (
-                np.array(gibbs.matrices[i, j]),
-                np.array(np.concatenate([gibbs.p[i, j][::-1], np.zeros(k.shape[-1])])),
-                np.array(np.hstack([gibbs.columns[i, j][:, ::-1], k])),
+                np.array(att.matrices[i, j]),
+                np.array(np.concatenate([att.p[i, j][::-1], np.zeros(k.shape[-1])])),
+                np.array(np.hstack([att.columns[i, j][:, ::-1], k])),
             )
             for new, ref in zip(arrays, old):
                 assert same(new, ref)

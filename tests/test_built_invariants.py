@@ -70,7 +70,7 @@ def test_roc_sweep_builds_projectors_and_states(monkeypatch, d, kind):
     assert len(hel.projectors) == len(TAUS)
     for p, rank in zip(hel.projectors, hel.ranks):
         assert_projector(p, rank)
-    matrices = seen["_attack_stack"].gibbs.matrices
+    matrices = seen["_attack_stack"].matrices
     assert matrices.shape[0] == len(LAMS)
     for m in matrices.reshape(-1, d, d):
         assert_state(m)

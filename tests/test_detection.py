@@ -21,6 +21,8 @@ from qspoof import (
 from qspoof import detection, operators
 from qspoof.sampling import random_pair, random_projector
 
+from conftest import referenced_names
+
 RATE_TOL = 1e-12
 RISK_SLACK = 1e-9
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -433,17 +435,6 @@ def test_from_tau_refuses_a_zero_threshold_which_the_weights_still_give():
     assert (pair.c0, pair.c1, pair.tau) == (1.0, 0.0, 0.0)
 
 
-def _names(node):
-    """The names an AST node references: a name, an attribute or an imported name."""
-    if isinstance(node, ast.Name):
-        return [node.id]
-    if isinstance(node, ast.Attribute):
-        return [node.attr]
-    if isinstance(node, ast.alias):
-        return [node.name]
-    return []
-
-
 def test_only_detection_references_the_threshold_convention():
     # the modules reach tau = c1/c0 through check_cost_weights, _check_thresholds and HypothesisPair
     convention = {"_threshold", "_cost_weights"}
@@ -451,8 +442,7 @@ def test_only_detection_references_the_threshold_convention():
         (path.name, name)
         for path in sorted(Path(detection.__file__).parent.glob("*.py"))
         if path.name != "detection.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        for name in _names(node)
+        for name in referenced_names(ast.parse(path.read_text(encoding="utf-8")))
         if name in convention
     ]
     assert found == []
